@@ -12,6 +12,7 @@ hard failure.
 
 import random
 import time
+from math import gcd
 
 import numpy as np
 
@@ -84,7 +85,7 @@ def find_isomorphism(f, g, all_candidates=False):
     # move everything into one field
     kf = ext_f.k if isinstance(ext_f, ExtField) else 1
     kg = ext_g.k if isinstance(ext_g, ExtField) else 1
-    kk = kf * kg // _gcd(kf, kg)
+    kk = kf * kg // gcd(kf, kg)
     if kk == 1:
         big = f.field if not isinstance(f.field, ExtField) else ext_f
     else:
@@ -203,12 +204,6 @@ def _lift_map(small, big):
     if isinstance(small, PrimeField):
         return lambda a: big(a.value)
     return embed_field(small, big)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _frobenius_form(f, times=1):

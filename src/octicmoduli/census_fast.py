@@ -1,11 +1,16 @@
-"""Vectorized moduli enumeration over F_p.
+"""Vectorized moduli enumeration and stratum classification over F_p.
 
-This is the throughput engine behind moduli_enumerate and the census: the
-same algorithm as the pure-field reference implementation, executed on
-numpy arrays of least residues.  Discrete logarithms to a fixed primitive
-root turn the weighted-projective constraints into affine arithmetic
-modulo p - 1.  Everything stays int64; products of two residues never
-exceed 2^60 for the census-scale primes accepted here.
+This is the engine behind moduli_enumerate and the census.  It runs on
+numpy int64 arrays of least residues; a sampled test compares its output
+with the scalar solvers j8_candidates and solve_j9_j10.  Discrete
+logarithms to a fixed primitive root turn the weighted-projective
+constraints into affine arithmetic modulo p - 1.
+
+Primes are at most MAX_FAST_PRIME = 2^20.  Residue arithmetic stays in
+int64: a product of two residues is below 2^40, and the (J9, J10) closed
+form stays below 2^63.  J-polynomials are evaluated by PolySet: monomials
+in int64, combined with the coefficients in float64, which is exact while
+n_monomials * (p - 1)^2 < 2^53, that is for up to 8192 monomials here.
 """
 
 from itertools import combinations
@@ -13,8 +18,12 @@ from math import gcd
 
 import numpy as np
 
+from .covariants import (
+    RELATIONS, SyzygyCoefficients, derive_syzygies, discriminant_poly,
+    j8_quintic, j9_j10_closed_form,
+)
 from .fields import PrimeField, ext_gcd_multi
-from .jpoly import WEIGHTS
+from .jpoly import WEIGHTS, PolySet, monomial_matrix
 
 MAX_FAST_PRIME = 1 << 20
 
@@ -45,31 +54,6 @@ def _primitive_root(p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
     raise ValueError("no primitive root")
-
-
-def _eval_jpoly_rows(poly, rows, p, cache={}):
-    """Evaluate a JPolynomial on an (N, 9) residue matrix; (N,) output."""
-    key = (id(poly), p)
-    if key not in cache:
-        cache[key] = poly.arrays_mod(p)
-    coeffs, exps = cache[key]
-    n = rows.shape[0]
-    maxe = exps.max(axis=0) if len(coeffs) else np.zeros(9, dtype=np.int64)
-    pows = []
-    for v in range(9):
-        tbl = np.ones((int(maxe[v]) + 1, n), dtype=np.int64)
-        for e in range(1, int(maxe[v]) + 1):
-            tbl[e] = tbl[e - 1] * rows[:, v] % p
-        pows.append(tbl)
-    acc = np.zeros(n, dtype=np.int64)
-    for m in range(len(coeffs)):
-        term = np.full(n, int(coeffs[m]), dtype=np.int64)
-        for v in range(9):
-            e = int(exps[m, v])
-            if e:
-                term = term * pows[v][e] % p
-        acc = (acc + term) % p
-    return acc
 
 
 def _enumerate_prefix_reps(ctx):
@@ -119,29 +103,6 @@ def _enumerate_prefix_reps(ctx):
     return blocks
 
 
-def _syzygy_arrays(p):
-    from .covariants import derive_syzygies, j8_quintic
-    syz = derive_syzygies()
-    quintic = j8_quintic()
-    return syz, quintic
-
-
-def moduli_enumerate_fast(field, filter_singular=True, on_progress=None,
-                          want_arrays=False):
-    """Vectorized enumeration; yields WeightedPoint per class (or, with
-    want_arrays, returns the (N, 9) array of canonical representatives)."""
-    from .wps import SHIODA_WEIGHTS, WeightedPoint
-
-    rows = moduli_rows(field, filter_singular, on_progress)
-    if want_arrays:
-        return rows
-    def gen():
-        for row in rows:
-            yield WeightedPoint(field, SHIODA_WEIGHTS,
-                                [field(int(v)) for v in row])
-    return gen()
-
-
 def moduli_rows(field, filter_singular=True, on_progress=None):
     """The canonical representative rows (N, 9) of every moduli point."""
     if not isinstance(field, PrimeField):
@@ -150,8 +111,10 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
     if p > MAX_FAST_PRIME:
         raise ValueError("prime too large for the census engine")
     ctx = _ModCtx(p)
-    syz, quintic = _syzygy_arrays(p)
-    qc = [quintic.coeffs[i] for i in range(6)]
+    syz = derive_syzygies()
+    # the six quintic coefficients, then the 22 blocks: all in J2..J7
+    prefix_set = PolySet(j8_quintic().coeffs + [
+        syz[name] for name, _ in SyzygyCoefficients.BLOCK_NAMES])
 
     out_rows = []
     blocks = _enumerate_prefix_reps(ctx)
@@ -169,21 +132,14 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
                 scaled[:, i] = scaled[:, i] * pow(pi, w // delta, p) % p
             reps.append(scaled)
         rows6x = np.concatenate(reps, axis=0)
-        n = rows6x.shape[0]
-        rows9 = np.zeros((n, 9), dtype=np.int64)
-        rows9[:, :6] = rows6x
+        vals = prefix_set.evaluate_mod(rows6x, p)
 
-        cvals = [_eval_jpoly_rows(c, rows9, p) for c in qc]
-        # block values needed for the (J9, J10) solve
-        bl = {name: _eval_jpoly_rows(syz[name], rows9, p)
-              for name in ("A6", "A7", "A8", "A16",
-                           "B7", "B8", "B9", "B17")}
         pairs_rows = []
         pairs_j8 = []
         for x in range(p):
-            acc = cvals[5].copy()
+            acc = vals[:, 5].copy()
             for i in range(4, -1, -1):
-                acc = (acc * x + cvals[i]) % p
+                acc = (acc * x + vals[:, i]) % p
             hit = np.nonzero(acc == 0)[0]
             if hit.size:
                 pairs_rows.append(hit)
@@ -192,51 +148,30 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
             continue
         idx = np.concatenate(pairs_rows)
         j8 = np.concatenate(pairs_j8)
+        bvals = vals[idx, 6:]
+        delta_v, n9, n10 = (a % p for a in j9_j10_closed_form(
+            _block_columns(bvals), j8))
 
-        A6, A7, A8v, A16 = (bl["A6"][idx], bl["A7"][idx], bl["A8"][idx],
-                            bl["A16"][idx])
-        B7, B8, B9, B17 = (bl["B7"][idx], bl["B8"][idx], bl["B9"][idx],
-                           bl["B17"][idx])
-        delta_v = (A6 * j8 + A6 * B8 % p - A7 * B7 % p) % p
-
-        gen_mask = delta_v != 0
-        cand_rows = []
-        if gen_mask.any():
-            gi = np.nonzero(gen_mask)[0]
-            dinv = ctx.inv(delta_v[gi])
-            x = j8[gi]
-            j9 = ((B7[gi] * x % p * x + (-A6[gi] * B9[gi]) % p * x
-                   - A6[gi] * B17[gi] + B7[gi] * A8v[gi] % p * x
-                   + A16[gi] * B7[gi]) % p) * dinv % p
-            j10 = (-(x * x % p * x + x * x % p * B8[gi]
-                     - A7[gi] * B9[gi] % p * x - A7[gi] * B17[gi]
-                     + A8v[gi] * x % p * x + A8v[gi] * x % p * B8[gi]
-                     + A16[gi] * x + A16[gi] * B8[gi])) % p * dinv % p
-            full = np.zeros((gi.size, 9), dtype=np.int64)
-            full[:, :6] = rows6x[idx[gi]]
-            full[:, 6] = x
-            full[:, 7] = j9
-            full[:, 8] = j10
-            ok = _relations_hold(syz, full, p)
-            cand_rows.append(full[ok])
-        # degenerate rows: scan all (j9, j10)
-        deg_idx = np.nonzero(~gen_mask)[0]
-        if deg_idx.size:
-            base = np.zeros((deg_idx.size, 9), dtype=np.int64)
-            base[:, :6] = rows6x[idx[deg_idx]]
-            base[:, 6] = j8[deg_idx]
-            grid = np.zeros((deg_idx.size * p * p, 9), dtype=np.int64)
-            grid[:, :7] = np.repeat(base[:, :7], p * p, axis=0)
-            j9j10 = np.indices((p, p)).reshape(2, -1).T
-            grid[:, 7] = np.tile(j9j10[:, 0], deg_idx.size)
-            grid[:, 8] = np.tile(j9j10[:, 1], deg_idx.size)
-            ok = _relations_hold(syz, grid, p)
-            cand_rows.append(grid[ok])
-        if not cand_rows:
-            continue
+        # generic rows: the closed form gives the one candidate
+        gi = np.nonzero(delta_v)[0]
+        dinv = ctx.inv(delta_v[gi])
+        full = np.zeros((gi.size, 9), dtype=np.int64)
+        full[:, :6] = rows6x[idx[gi]]
+        full[:, 6] = j8[gi]
+        full[:, 7] = n9[gi] * dinv % p
+        full[:, 8] = n10[gi] * dinv % p
+        cand_rows = [full[_relations_vanish(bvals[gi], full, p)]]
+        # degenerate rows (delta = 0): scan all p^2 values of (j9, j10)
+        di = np.nonzero(delta_v == 0)[0]
+        grid = np.zeros((di.size * p * p, 9), dtype=np.int64)
+        grid[:, :6] = np.repeat(rows6x[idx[di]], p * p, axis=0)
+        grid[:, 6] = np.repeat(j8[di], p * p)
+        grid[:, 7:] = np.tile(np.indices((p, p)).reshape(2, -1).T,
+                              (di.size, 1))
+        grid_blocks = np.repeat(bvals[di], p * p, axis=0)
+        cand_rows.append(grid[_relations_vanish(grid_blocks, grid, p)])
         allrows = np.concatenate(cand_rows, axis=0)
-        nz = allrows.any(axis=1)
-        out_rows.append(allrows[nz])
+        out_rows.append(allrows[allrows.any(axis=1)])
 
     if not out_rows:
         return np.zeros((0, 9), dtype=np.int64)
@@ -244,16 +179,36 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
     rows9 = normalize_rows(ctx, rows9)
     rows9 = np.unique(rows9, axis=0)
     if filter_singular:
-        global _DISC_POLY
-        if _DISC_POLY is None:
-            from . import store
-            _DISC_POLY = store.read_data_polys("discriminant_j.jpoly")[0][1]
-        disc = _eval_jpoly_rows(_DISC_POLY, rows9, p)
+        disc = PolySet([discriminant_poly()]).evaluate_mod(rows9, p)[:, 0]
         rows9 = rows9[disc != 0]
     return rows9
 
 
-_DISC_POLY = None
+def _block_columns(bvals):
+    """Block name -> column of an array of block values (BLOCK_NAMES
+    order)."""
+    return {name: bvals[:, k]
+            for k, (name, _) in enumerate(SyzygyCoefficients.BLOCK_NAMES)}
+
+
+#: the distinct leading monomials and multipliers of the relations
+_RELATION_MONOMIALS = sorted({ev for lead, terms in RELATIONS
+                              for ev in [lead] + [m for _, m in terms]})
+
+
+def _relations_vanish(bvals, rows, p):
+    """Mask of the rows on which all five RELATIONS vanish, given the
+    block values per row."""
+    mono = dict(zip(_RELATION_MONOMIALS,
+                    monomial_matrix(rows, _RELATION_MONOMIALS, p).T))
+    blocks = _block_columns(bvals)
+    ok = np.ones(rows.shape[0], dtype=bool)
+    for lead, terms in RELATIONS:
+        acc = mono[lead]
+        for name, mult in terms:
+            acc = (acc + blocks[name] * mono[mult]) % p
+        ok &= acc == 0
+    return ok
 
 
 def normalize_rows(ctx, rows):
@@ -287,45 +242,20 @@ def classify_rows(field, rows):
     from .strata import STRATA_ORDER, stratum_systems
     p = field.p
     systems = stratum_systems()
-    n = rows.shape[0]
-    label = np.full(n, len(STRATA_ORDER), dtype=np.int64)   # default C2
-    unassigned = np.ones(n, dtype=bool)
+    label = np.full(rows.shape[0], len(STRATA_ORDER), dtype=np.int64)  # C2
+    left = np.arange(rows.shape[0])         # rows not yet labelled
     for k, name in enumerate(STRATA_ORDER):
-        if not unassigned.any():
+        if not left.size:
             break
-        holds = np.ones(n, dtype=bool)
-        for eq in systems[name]:
-            vals = _eval_jpoly_rows(eq, rows, p)
-            holds &= vals == 0
-            if not holds.any():
-                break
+        holds = ~PolySet(systems[name]).evaluate_mod(rows[left], p).any(
+            axis=1)
         if name == "C14":
-            holds &= rows[:, 5] != 0
-        newly = holds & unassigned
-        label[newly] = k
-        unassigned &= ~newly
+            holds &= rows[left, 5] != 0
+        label[left[holds]] = k
+        left = left[~holds]
     return label
 
 
 def strata_labels():
     from .strata import STRATA_ORDER
     return list(STRATA_ORDER) + ["C2"]
-
-
-def _relations_hold(syz, rows, p):
-    """Boolean mask: all five relations vanish on each row."""
-    v = {name: _eval_jpoly_rows(poly, rows, p)
-         for name, poly in syz.blocks.items()}
-    j2 = rows[:, 0]
-    j8, j9, j10 = rows[:, 6], rows[:, 7], rows[:, 8]
-    r1 = (j8 * j8 + v["A6"] * j10 + v["A7"] * j9 + v["A8"] * j8
-          + v["A16"]) % p
-    r2 = (j8 * j9 + v["B7"] * j10 + v["B8"] * j9 + v["B9"] * j8
-          + v["B17"]) % p
-    r3 = (j8 * j10 + v["C0"] * j9 % p * j9 + v["C8"] * j10 + v["C9"] * j9
-          + v["C10"] * j8 + v["C18"]) % p
-    r4 = (j9 * j10 + v["D9"] * j10 + v["D10"] * j9 + v["D11"] * j8
-          + v["D19"]) % p
-    r5 = (j10 * j10 + v["E0"] * j2 % p * j9 % p * j9 + v["E10"] * j10
-          + v["E11"] * j9 + v["E12"] * j8 + v["E20"]) % p
-    return (r1 == 0) & (r2 == 0) & (r3 == 0) & (r4 == 0) & (r5 == 0)

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .fields import ExtField, PrimeField, QQ
 from .forms import BinaryForm, transvect
-from .jpoly import JPolyX, JPolynomial, monomial_basis
+from .jpoly import JPolyX, JPolynomial, monomial_basis, monomial_matrix, wdeg
 from .linsolve import solve_rational
 from .unipoly import rational_roots, roots as field_roots
 
@@ -186,17 +186,21 @@ def shioda(f):
 _DISC_J = None
 
 
-def discriminant_J(field, jtuple):
-    """The discriminant as a weighted degree-14 polynomial in J2..J10.
+def discriminant_poly():
+    """The discriminant as a weighted degree-14 JPolynomial in J2..J10.
 
     Vanishes exactly on the classes of octics with a multiple root; agrees
     with the resultant oracle up to one universal constant.
     """
     global _DISC_J
     if _DISC_J is None:
-        polys = store.read_data_polys("discriminant_j.jpoly")
-        _DISC_J = polys[0][1]
-    return _DISC_J.evaluate(field, jtuple)
+        _DISC_J = store.read_data_polys("discriminant_j.jpoly")[0][1]
+    return _DISC_J
+
+
+def discriminant_J(field, jtuple):
+    """The discriminant (discriminant_poly) at one J-tuple."""
+    return discriminant_poly().evaluate(field, jtuple)
 
 
 def is_isomorphic(f, g):
@@ -245,30 +249,6 @@ class _SampleSet:
             for j, v in enumerate(row):
                 out[i, j] = (v.numerator * pow(v.denominator, -1, p)) % p
         return out
-
-
-def _basis_columns_mod(jmat, basis, p):
-    """Matrix whose (i, j) entry is basis[j] evaluated at sample i, mod p."""
-    rows = jmat.shape[0]
-    maxe = [0] * 9
-    for ev in basis:
-        for i, e in enumerate(ev):
-            if e > maxe[i]:
-                maxe[i] = e
-    pow_tables = []
-    for v in range(9):
-        tbl = np.ones((maxe[v] + 1, rows), dtype=np.int64)
-        for e in range(1, maxe[v] + 1):
-            tbl[e] = tbl[e - 1] * jmat[:, v] % p
-        pow_tables.append(tbl)
-    cols = np.empty((len(basis), rows), dtype=np.int64)
-    for j, ev in enumerate(basis):
-        acc = np.ones(rows, dtype=np.int64)
-        for v, e in enumerate(ev):
-            if e:
-                acc = acc * pow_tables[v][e] % p
-        cols[j] = acc
-    return cols.T
 
 
 def _values_mod(values, p):
@@ -333,7 +313,7 @@ def express_many(programs_with_degrees, seed=_EXPRESS_SEED, samples=None):
 
         def build(p, _basis=basis, _n=nrows, _idxs=idxs):
             jm = samples.jmatrix_mod(p)[:_n]
-            A = _basis_columns_mod(jm, _basis, p)
+            A = monomial_matrix(jm, _basis, p)
             B = np.stack([_values_mod(values[i][:_n], p) for i in _idxs],
                          axis=1)
             return A, B
@@ -366,26 +346,62 @@ def _poly_from_coeffs(degree, basis, coeffs):
 # the five syzygies
 
 
-class SyzygyCoefficients:
-    """The coefficient blocks of the five relations among J8, J9, J10.
+def _mono(*gens):
+    """Exponent vector of a product of generators: _mono(8, 8) is J8^2."""
+    ev = [0] * 9
+    for w in gens:
+        ev[w - 2] += 1
+    return tuple(ev)
 
-    R1: J8^2          + A6 J10 + A7 J9 + A8 J8 + A16 = 0
-    R2: J8 J9         + B7 J10 + B8 J9 + B9 J8 + B17 = 0
-    R3: J8 J10 + C0 J9^2 + C8 J10 + C9 J9 + C10 J8 + C18 = 0
-    R4: J9 J10        + D9 J10 + D10 J9 + D11 J8 + D19 = 0
-    R5: J10^2 + E0 J2 J9^2 + E10 J10 + E11 J9 + E12 J8 + E20 = 0
 
-    Every block is a polynomial in J2..J7 alone; C0 and E0 are rational
-    constants.
+#: The five relations among J8, J9, J10, each as its leading monomial and
+#: its (block, multiplier) terms:
+#:
+#:   R1: J8^2  + A6 J10 + A7 J9 + A8 J8 + A16 = 0
+#:   R2: J8 J9 + B7 J10 + B8 J9 + B9 J8 + B17 = 0
+#:   R3: J8 J10 + C0 J9^2 + C8 J10 + C9 J9 + C10 J8 + C18 = 0
+#:   R4: J9 J10 + D9 J10 + D10 J9 + D11 J8 + D19 = 0
+#:   R5: J10^2 + E0 J2 J9^2 + E10 J10 + E11 J9 + E12 J8 + E20 = 0
+#:
+#: Every block is a polynomial in J2..J7 alone, whose weighted degree
+#: (its name's number) is the leading degree minus the multiplier's.
+RELATIONS = (
+    (_mono(8, 8), (("A6", _mono(10)), ("A7", _mono(9)), ("A8", _mono(8)),
+                   ("A16", _mono()))),
+    (_mono(8, 9), (("B7", _mono(10)), ("B8", _mono(9)), ("B9", _mono(8)),
+                   ("B17", _mono()))),
+    (_mono(8, 10), (("C0", _mono(9, 9)), ("C8", _mono(10)),
+                    ("C9", _mono(9)), ("C10", _mono(8)), ("C18", _mono()))),
+    (_mono(9, 10), (("D9", _mono(10)), ("D10", _mono(9)), ("D11", _mono(8)),
+                    ("D19", _mono()))),
+    (_mono(10, 10), (("E0", _mono(2, 9, 9)), ("E10", _mono(10)),
+                     ("E11", _mono(9)), ("E12", _mono(8)),
+                     ("E20", _mono()))),
+)
+
+
+def j9_j10_closed_form(v, j8):
+    """(delta, n9, n10) with J9 = n9 / delta and J10 = n10 / delta.
+
+    R1 and R2 are linear in (J9, J10) once the prefix fixes the block
+    values v (a name -> value mapping) and J8; this is Cramer's rule on
+    them, valid where delta is nonzero.  Over field elements it is exact;
+    on int64 arrays of residues below 2^20 every intermediate stays below
+    2^63, so the caller reduces mod p once at the end.
     """
+    q = j8 * (j8 + v["A8"]) + v["A16"]
+    r = v["B9"] * j8 + v["B17"]
+    s = j8 + v["B8"]
+    return (v["A6"] * s - v["A7"] * v["B7"],
+            v["B7"] * q - v["A6"] * r,
+            v["A7"] * r - q * s)
 
-    BLOCK_NAMES = [
-        ("A6", 6), ("A7", 7), ("A8", 8), ("A16", 16),
-        ("B7", 7), ("B8", 8), ("B9", 9), ("B17", 17),
-        ("C0", 0), ("C8", 8), ("C9", 9), ("C10", 10), ("C18", 18),
-        ("D9", 9), ("D10", 10), ("D11", 11), ("D19", 19),
-        ("E0", 0), ("E10", 10), ("E11", 11), ("E12", 12), ("E20", 20),
-    ]
+
+class SyzygyCoefficients:
+    """The coefficient blocks of the five RELATIONS among J8, J9, J10."""
+
+    BLOCK_NAMES = [(name, wdeg(lead) - wdeg(mult))
+                   for lead, terms in RELATIONS for name, mult in terms]
 
     def __init__(self, blocks):
         self.blocks = dict(blocks)
@@ -407,19 +423,19 @@ class SyzygyCoefficients:
 
     def relations_residuals(self, field, jtuple):
         """The five relation values at a full 9-tuple (zero on real orbits)."""
-        j8, j9, j10 = jtuple[6], jtuple[7], jtuple[8]
-        v = self.evaluate_blocks(field, jtuple[:6])
-        j2 = field(jtuple[0])
-        return (
-            j8 * j8 + v["A6"] * j10 + v["A7"] * j9 + v["A8"] * j8 + v["A16"],
-            j8 * j9 + v["B7"] * j10 + v["B8"] * j9 + v["B9"] * j8 + v["B17"],
-            j8 * j10 + v["C0"] * j9 * j9 + v["C8"] * j10 + v["C9"] * j9
-            + v["C10"] * j8 + v["C18"],
-            j9 * j10 + v["D9"] * j10 + v["D10"] * j9 + v["D11"] * j8
-            + v["D19"],
-            j10 * j10 + v["E0"] * j2 * j9 * j9 + v["E10"] * j10
-            + v["E11"] * j9 + v["E12"] * j8 + v["E20"],
-        )
+        jt = [field(x) for x in jtuple]
+        v = self.evaluate_blocks(field, jt[:6])
+
+        def mono(ev):
+            out = field.one
+            for x, e in zip(jt, ev):
+                for _ in range(e):
+                    out = out * x
+            return out
+
+        return tuple(mono(lead) + sum((v[name] * mono(mult)
+                                       for name, mult in terms), field.zero)
+                     for lead, terms in RELATIONS)
 
     def to_named_list(self):
         return [(name, self.blocks[name]) for name, _ in self.BLOCK_NAMES]
@@ -451,58 +467,35 @@ def derive_syzygies(force=False, seed=0x5E55):
             _syzygies_cached = SyzygyCoefficients.from_named_list(stored)
             return _syzygies_cached
 
-    # layout of each relation: (unknown blocks with their J8/J9/J10
-    # multiplier index) and the known leading part
-    # multiplier index: 0 -> 1, 1 -> J8, 2 -> J9, 3 -> J10, 4 -> J9^2,
-    # 5 -> J2*J9^2
-    relations = [
-        ([("A6", 3), ("A7", 2), ("A8", 1), ("A16", 0)],
-         lambda j: j[6] * j[6]),
-        ([("B7", 3), ("B8", 2), ("B9", 1), ("B17", 0)],
-         lambda j: j[6] * j[7]),
-        ([("C0", 4), ("C8", 3), ("C9", 2), ("C10", 1), ("C18", 0)],
-         lambda j: j[6] * j[8]),
-        ([("D9", 3), ("D10", 2), ("D11", 1), ("D19", 0)],
-         lambda j: j[7] * j[8]),
-        ([("E0", 5), ("E10", 3), ("E11", 2), ("E12", 1), ("E20", 0)],
-         lambda j: j[8] * j[8]),
-    ]
+    # each relation is linear in the coefficients of its blocks: column
+    # blocks of basis monomials times the multiplier, against minus the
+    # leading monomial
     degree_of = dict(SyzygyCoefficients.BLOCK_NAMES)
     max_basis = max(len(monomial_basis(d, num_vars=6))
                     for _, d in SyzygyCoefficients.BLOCK_NAMES if d)
     samples = _SampleSet(max_basis * 3 + 40, seed)
     blocks = {}
-    for spec, lead in relations:
+    for lead, terms in RELATIONS:
         bases = {name: monomial_basis(degree_of[name], num_vars=6)
-                 for name, _ in spec}
-        ncols = sum(len(bases[name]) for name, _ in spec)
+                 for name, _ in terms}
+        ncols = sum(len(bases[name]) for name, _ in terms)
         nrows = ncols + 12
 
-        def build(p, _spec=spec, _bases=bases, _lead=lead, _n=nrows):
+        def build(p, _terms=terms, _bases=bases, _lead=lead, _n=nrows):
             jm = samples.jmatrix_mod(p)[:_n]
-            mults = {
-                0: np.ones(_n, dtype=np.int64),
-                1: jm[:, 6], 2: jm[:, 7], 3: jm[:, 8],
-                4: jm[:, 7] * jm[:, 7] % p,
-                5: jm[:, 0] * (jm[:, 7] * jm[:, 7] % p) % p,
-            }
-            cols = []
-            for name, mi in _spec:
-                block_cols = _basis_columns_mod(jm, _bases[name], p)
-                cols.append(block_cols * mults[mi][:, None] % p)
-            A = np.concatenate(cols, axis=1)
-            lead_vals = [_lead(row) for row in
-                         [[Fraction(v) for v in jv]
-                          for jv in samples.jvals[:_n]]]
-            B = (-_values_mod(lead_vals, p)) % p
-            return A, B.reshape(-1, 1)
+            A = np.concatenate(
+                [monomial_matrix(jm, _bases[name], p)
+                 * monomial_matrix(jm, [mult], p) % p
+                 for name, mult in _terms], axis=1)
+            B = -monomial_matrix(jm, [_lead], p) % p
+            return A, B
 
         outcome = solve_rational(build, ncols, 1)
         if outcome.nullity:
             raise RankDeficiency("syzygy block solve was not unique")
         sol = outcome.solution[0]
         off = 0
-        for name, _ in spec:
+        for name, _ in terms:
             basis = bases[name]
             blocks[name] = _poly_from_coeffs(degree_of[name], basis,
                                              sol[off:off + len(basis)])
@@ -623,40 +616,16 @@ def solve_j9_j10(field, j28):
     infinite field that situation is reported as Unresolved.
     """
     s = derive_syzygies()
-    j28 = [field(v) for v in j28]
-    j8 = j28[6]
-    v = s.evaluate_blocks(field, j28[:6])
-    delta = v["A6"] * j8 + v["A6"] * v["B8"] - v["A7"] * v["B7"]
+    j28 = tuple(field(v) for v in j28)
+    delta, n9, n10 = j9_j10_closed_form(s.evaluate_blocks(field, j28[:6]),
+                                        j28[6])
     if delta:
-        inv = field.one / delta
-        j9 = (v["B7"] * j8 * j8 - v["A6"] * v["B9"] * j8 - v["A6"] * v["B17"]
-              + v["B7"] * v["A8"] * j8 + v["A16"] * v["B7"]) * inv
-        j10 = -(j8 ** 3 + j8 * j8 * v["B8"] - v["A7"] * v["B9"] * j8
-                - v["A7"] * v["B17"] + v["A8"] * j8 * j8
-                + v["A8"] * j8 * v["B8"] + v["A16"] * j8
-                + v["A16"] * v["B8"]) * inv
-        full = tuple(j28) + (j9, j10)
-        if any(r for r in s.relations_residuals(field, full)):
-            return []
-        return [(j9, j10)]
-    if isinstance(field, PrimeField):
-        if field.p > 1 << 16:
-            raise Unresolved("delta = 0 and the field is too large to scan")
-        out = []
-        for a in field.elements():
-            for b in field.elements():
-                full = tuple(j28) + (a, b)
-                if not any(s.relations_residuals(field, full)):
-                    out.append((a, b))
-        return out
-    if isinstance(field, ExtField):
-        if field.order > 1 << 16:
-            raise Unresolved("delta = 0 and the field is too large to scan")
-        out = []
-        for a in field.elements():
-            for b in field.elements():
-                full = tuple(j28) + (a, b)
-                if not any(s.relations_residuals(field, full)):
-                    out.append((a, b))
-        return out
-    raise Unresolved("delta = 0 over an infinite field")
+        pairs = [(n9 / delta, n10 / delta)]
+    elif not isinstance(field, (PrimeField, ExtField)):
+        raise Unresolved("delta = 0 over an infinite field")
+    elif field.order > 1 << 16:
+        raise Unresolved("delta = 0 and the field is too large to scan")
+    else:
+        pairs = ((a, b) for a in field.elements() for b in field.elements())
+    return [pair for pair in pairs
+            if not any(s.relations_residuals(field, j28 + pair))]

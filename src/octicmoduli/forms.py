@@ -8,7 +8,7 @@ root at infinity).
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from . import unipoly
 from .errors import (
@@ -341,10 +341,7 @@ def embed_field(small, big):
     if key in _EMBED_CACHE:
         return _EMBED_CACHE[key]
     if isinstance(small, PrimeField):
-        if isinstance(big, PrimeField):
-            fn = lambda a: big(a.value)
-        else:
-            fn = lambda a: big(a.value)
+        fn = lambda a: big(a.value)
         _EMBED_CACHE[key] = fn
         return fn
     if small.k == big.k and small.modulus == big.modulus:
@@ -374,7 +371,7 @@ def splitting_extension(field, degrees):
     """Smallest extension of the base prime field containing all roots."""
     e = 1
     for d in degrees:
-        g = _gcd_int(e, d)
+        g = gcd(e, d)
         e = e // g * d
     if isinstance(field, PrimeField):
         k = 1
@@ -384,12 +381,6 @@ def splitting_extension(field, degrees):
     if total == 1:
         return field
     return ExtField(field.characteristic, total)
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def roots_in_splitting_field(f):

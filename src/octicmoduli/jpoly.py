@@ -4,10 +4,13 @@ A JPolynomial maps exponent vectors (e2, ..., e10) to rational
 coefficients; every monomial shares the declared weighted degree
 sum(w * e_w).  These polynomials are what the interpolation layer produces
 and what the stratum systems, syzygies and reconstruction caches are made
-of.  They evaluate over any field of characteristic 0 or >= 11.
+of.  They evaluate over any field of characteristic 0 or >= 11, one point
+at a time (JPolynomial.evaluate), or mod p on arrays of points (PolySet).
 """
 
 from fractions import Fraction
+
+import numpy as np
 
 WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -153,25 +156,6 @@ class JPolynomial:
             acc = acc + t
         return acc
 
-    def arrays_mod(self, p):
-        """(coeff_vector, exponent_matrix) with coefficients reduced mod p."""
-        import numpy as np
-        evs = sorted(self.terms, key=grevlex_key, reverse=True)
-        coeffs = np.array(
-            [int(Fraction(self.terms[ev]).numerator
-                 * pow(self.terms[ev].denominator, -1, p)) % p for ev in evs],
-            dtype=np.int64)
-        exps = np.array(evs, dtype=np.int64).reshape(len(evs), 9)
-        return coeffs, exps
-
-    def max_exponents(self):
-        maxe = [0] * 9
-        for ev in self.terms:
-            for i, e in enumerate(ev):
-                if e > maxe[i]:
-                    maxe[i] = e
-        return maxe
-
     def serialize(self):
         """Cache line: 'degree; e2,...,e10: num/den; ...' in grevlex order."""
         parts = ["%d" % self.degree]
@@ -204,6 +188,90 @@ class JPolynomial:
             bits.append("%s*%s" % (self.terms[ev], mono))
         more = "" if len(self.terms) <= 6 else " + ... (%d terms)" % len(self.terms)
         return "JPolynomial(%s%s)" % (" + ".join(bits), more)
+
+
+def monomial_matrix(rows, monomials, p):
+    """Matrix whose (i, j) entry is monomials[j] at rows[i], mod p.
+
+    rows is an int64 array of residues with one column per generator
+    J2, J3, ... as far as the monomials reach.  Each monomial multiplies
+    in, from per-variable power tables, only the variables it uses, and
+    reduces mod p only where the next product could pass 2^63; so the
+    result is exact for every p < 2^31.
+    """
+    n = rows.shape[0]
+    tables = {}
+    for v, top in enumerate(np.max(np.reshape(monomials, (-1, 9)), axis=0,
+                                   initial=0)):
+        if top:
+            tbl = np.empty((top + 1, n), dtype=np.int64)
+            tbl[0] = 1
+            tbl[1] = rows[:, v] % p
+            for e in range(2, top + 1):
+                tbl[e] = tbl[e - 1] * tbl[1] % p
+            tables[v] = tbl
+    out = np.empty((len(monomials), n), dtype=np.int64)
+    for j, ev in enumerate(monomials):
+        factors = [tables[v][e] for v, e in enumerate(ev) if e]
+        if not factors:
+            out[j] = 1
+            continue
+        acc, bound = factors[0], p - 1
+        for f in factors[1:]:
+            if bound * (p - 1) >= 1 << 63:
+                acc, bound = acc % p, p - 1
+            acc, bound = acc * f, bound * (p - 1)
+        out[j] = acc % p if len(factors) > 1 else acc
+    return out.T
+
+
+#: rows per chunk of a PolySet evaluation; the work arrays of one chunk
+#: hold CHUNK_ROWS x (number of monomials) entries
+CHUNK_ROWS = 4096
+
+
+class PolySet:
+    """A list of JPolynomials evaluated together on arrays of residues.
+
+    The union of their monomials is evaluated once per chunk of rows by
+    monomial_matrix and combined with the coefficients in one float64
+    matrix product.  Each entry of that product is a sum of n_monomials
+    products of two residues, so it is exact while
+    n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.  The
+    monomial list and the coefficient matrix for a prime are built on the
+    first evaluation that needs them.
+    """
+
+    def __init__(self, polys):
+        self.polys = list(polys)
+        self._monomials = None
+        self._coeffs = {}             # p -> (n_polys, n_monomials) float64
+
+    def evaluate_mod(self, rows, p):
+        """(N, len(polys)) int64: every polynomial at every row of the
+        (N, m) residue array rows, mod p."""
+        if self._monomials is None:
+            self._monomials = sorted({ev for poly in self.polys
+                                      for ev in poly.terms})
+        monomials = self._monomials
+        if len(monomials) * (p - 1) ** 2 >= 1 << 53:
+            raise ValueError("%d monomials mod %d overflow the float64 "
+                             "evaluation" % (len(monomials), p))
+        coeffs = self._coeffs.get(p)
+        if coeffs is None:
+            column = {ev: j for j, ev in enumerate(monomials)}
+            coeffs = np.zeros((len(self.polys), len(monomials)))
+            for k, poly in enumerate(self.polys):
+                for ev, c in poly.terms.items():
+                    coeffs[k, column[ev]] = \
+                        c.numerator * pow(c.denominator, -1, p) % p
+            self._coeffs[p] = coeffs
+        out = np.empty((rows.shape[0], len(self.polys)), dtype=np.int64)
+        for start in range(0, rows.shape[0], CHUNK_ROWS):
+            mono = monomial_matrix(rows[start:start + CHUNK_ROWS],
+                                   monomials, p).T.astype(np.float64)
+            out[start:start + CHUNK_ROWS] = (coeffs @ mono % p).T
+        return out
 
 
 class JPolyX:

@@ -14,39 +14,17 @@ from math import gcd, isqrt
 import numpy as np
 
 from .errors import InconsistentSystem, RankDeficiency
+from .fields import _is_prime
 
 
 def _gen_primes(start, count):
     out = []
     n = start | 1
     while len(out) < count:
-        if _is_prime64(n):
+        if _is_prime(n):
             out.append(n)
         n += 2
     return out
-
-
-def _is_prime64(n):
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 #: fixed deterministic worklist of 30-bit primes for modular images

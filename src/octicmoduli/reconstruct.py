@@ -210,7 +210,7 @@ def derive_triple_models(triple, seed=0xD0E):
     table = {}
 
     def shared(f):
-        key = id(f)
+        key = tuple(f.coeffs)
         if key not in table:
             table[key] = _all_triple_values(triple, f)
         return table[key]

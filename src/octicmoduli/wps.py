@@ -175,55 +175,7 @@ def moduli_enumerate(field, filter_singular=True, on_progress=None):
     deduplicate through canonical forms.  With filter_singular, classes
     with vanishing discriminant (no smooth curve) are dropped.
     """
-    from .census_fast import moduli_enumerate_fast
-    yield from moduli_enumerate_fast(field, filter_singular,
-                                     on_progress=on_progress)
-
-
-def moduli_enumerate_slow(field, filter_singular=True):
-    """Reference implementation of moduli_enumerate in pure field
-    arithmetic; same output, noticeably slower.  Kept as the oracle the
-    vectorized path is tested against."""
-    from .covariants import (
-        IdenticallyZeroQuintic, discriminant_J, j8_candidates, solve_j9_j10,
-    )
-    p = field.p
-    seen = set()
-    gen = _smallest_primitive_root(p)
-    for pt in wps_enumerate(field, (2, 3, 4, 5, 6, 7)):
-        supp = pt.support()
-        delta, _ = ext_gcd_multi([pt.weights[i] for i in supp])
-        from math import gcd
-        ncosets = gcd(delta, p - 1)
-        for t in range(ncosets):
-            pi = pow(gen, t, p)
-            j27 = [field.zero] * 6
-            for i in supp:
-                j27[i] = pt.coords[i] * field(pi) ** (pt.weights[i] // delta)
-            try:
-                cands = j8_candidates(field, j27)
-            except IdenticallyZeroQuintic:
-                cands = list(field.elements())
-            for j8 in cands:
-                for j9, j10 in solve_j9_j10(field, j27 + [j8]):
-                    coords = tuple(j27) + (j8, j9, j10)
-                    if not any(coords):
-                        continue
-                    wp = WeightedPoint(field, SHIODA_WEIGHTS, coords)
-                    key = wps_normalize(wp).key()
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    if filter_singular and \
-                            not discriminant_J(field, coords):
-                        continue
-                    yield wp
-
-
-def _smallest_primitive_root(p):
-    from .fields import _prime_factors
-    factors = sorted(set(_prime_factors(p - 1)))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-    raise ValueError("no primitive root (p not prime?)")
+    from .census_fast import moduli_rows
+    for row in moduli_rows(field, filter_singular, on_progress):
+        yield WeightedPoint(field, SHIODA_WEIGHTS,
+                            [field(int(v)) for v in row])
