@@ -319,8 +319,9 @@ class CensusReport:
         self.models = models
 
     def lines(self):
-        out = ["p=%d total=%d elapsed=%.1fs" % (self.p, self.total,
-                                                self.elapsed)]
+        """The report as stdout lines; they hold no timing, so equal runs
+        print equal bytes."""
+        out = ["p=%d total=%d" % (self.p, self.total)]
         for name in census_fast.strata_labels():
             out.append("%s,%d" % (name, self.counts.get(name, 0)))
         for flag in self.flags:
@@ -403,15 +404,21 @@ def _model_worker(item):
 
 
 def _read_checkpoint(path):
+    """Finished model records by class key; a line that does not parse,
+    such as a last line torn by an interrupted run, is skipped."""
     import os
     done = {}
     if path and os.path.exists(path):
         with open(path) as fh:
             for line in fh:
                 parts = line.rstrip("\n").split("; ")
-                if len(parts) == 4:
-                    done[parts[0]] = (parts[0], parts[1], parts[2],
-                                      int(parts[3].split()[-1]))
+                if len(parts) != 4:
+                    continue
+                try:
+                    ext = int(parts[3].split()[-1])
+                except (IndexError, ValueError):
+                    continue
+                done[parts[0]] = (parts[0], parts[1], parts[2], ext)
     return done
 
 

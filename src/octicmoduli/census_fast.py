@@ -1,18 +1,36 @@
 """Vectorized moduli enumeration and stratum classification over F_p.
 
 This is the engine behind moduli_enumerate and the census.  It runs on
-numpy int64 arrays of least residues; a sampled test compares its output
-with the scalar solvers j8_candidates and solve_j9_j10.  Discrete
-logarithms to a fixed primitive root turn the weighted-projective
-constraints into affine arithmetic modulo p - 1.
+numpy int64 arrays of least residues; sampled tests compare it with the
+scalar solvers j8_candidates, solve_j9_j10 and strata.detect_group.
+Discrete logarithms to a fixed primitive root turn the
+weighted-projective constraints into affine arithmetic modulo p - 1.
 
-Primes are at most MAX_FAST_PRIME = 2^20.  Residue arithmetic stays in
-int64: a product of two residues is below 2^40, and the (J9, J10) closed
-form stays below 2^63.  J-polynomials are evaluated by PolySet: monomials
-in int64, combined with the coefficients in float64, which is exact while
+moduli_rows takes the (J2..J7) prefix representatives CHUNK_ROWS at a
+time and evaluates only the 22 syzygy blocks on them.  The J8 values of
+a prefix are the x in F_p where covariants.j8_determinant, the 4x4
+determinant that j8_quintic is built from, vanishes on the block values
+mod p; its leading coefficient is the constant -1, so it has the roots
+of the quintic at every p.  Where delta of the (J9, J10) closed form is
+nonzero, the closed form gives the one candidate; where it is zero, R1
+and R2 are evaluated at all p^2 points (J9, J10) and a row is built only
+where both vanish.  Every candidate is then checked on all five
+relations.  classify_rows walks the strata in the order of
+strata.detect_group and evaluates each stratum's equations one at a
+time, fewest terms first, each only on the rows where the ones before
+it vanished.
+
+Primes are at most MAX_FAST_PRIME = 2^20, and a census whose prefix
+enumeration would not fit in physical memory is refused before anything
+is allocated.  Residue arithmetic stays in int64: a product of two
+residues is below 2^40, and the (J9, J10) closed form stays below 2^63.
+J-polynomials are evaluated by PolySet: monomials in int64, combined
+with the coefficients in float64, which is exact while
 n_monomials * (p - 1)^2 < 2^53, that is for up to 8192 monomials here.
 """
 
+import functools
+import os
 from itertools import combinations
 from math import gcd
 
@@ -20,10 +38,10 @@ import numpy as np
 
 from .covariants import (
     RELATIONS, SyzygyCoefficients, derive_syzygies, discriminant_poly,
-    j8_quintic, j9_j10_closed_form,
+    j8_determinant, j9_j10_closed_form, r1_r2_linear,
 )
 from .fields import PrimeField, ext_gcd_multi
-from .jpoly import WEIGHTS, PolySet, monomial_matrix
+from .jpoly import CHUNK_ROWS, WEIGHTS, PolySet, monomial_matrix
 
 MAX_FAST_PRIME = 1 << 20
 
@@ -103,6 +121,20 @@ def _enumerate_prefix_reps(ctx):
     return blocks
 
 
+def _check_memory(p):
+    """Refuse a census whose prefix enumeration cannot fit in memory.
+
+    The largest array _enumerate_prefix_reps allocates is the
+    full-support index grid, 5 (p - 1)^5 int64 entries.
+    """
+    need = 40 * (p - 1) ** 5
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError("the census at p = %d needs %.3g GiB for its prefix "
+                         "enumeration; physical memory is %.3g GiB"
+                         % (p, need / 2 ** 30, have / 2 ** 30))
+
+
 def moduli_rows(field, filter_singular=True, on_progress=None):
     """The canonical representative rows (N, 9) of every moduli point."""
     if not isinstance(field, PrimeField):
@@ -110,11 +142,11 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
     p = field.p
     if p > MAX_FAST_PRIME:
         raise ValueError("prime too large for the census engine")
+    _check_memory(p)
     ctx = _ModCtx(p)
     syz = derive_syzygies()
-    # the six quintic coefficients, then the 22 blocks: all in J2..J7
-    prefix_set = PolySet(j8_quintic().coeffs + [
-        syz[name] for name, _ in SyzygyCoefficients.BLOCK_NAMES])
+    block_set = PolySet([syz[name]
+                         for name, _ in SyzygyCoefficients.BLOCK_NAMES])
 
     out_rows = []
     blocks = _enumerate_prefix_reps(ctx)
@@ -132,49 +164,10 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
                 scaled[:, i] = scaled[:, i] * pow(pi, w // delta, p) % p
             reps.append(scaled)
         rows6x = np.concatenate(reps, axis=0)
-        vals = prefix_set.evaluate_mod(rows6x, p)
+        for start in range(0, rows6x.shape[0], CHUNK_ROWS):
+            out_rows.append(_completions(
+                ctx, block_set, rows6x[start:start + CHUNK_ROWS]))
 
-        pairs_rows = []
-        pairs_j8 = []
-        for x in range(p):
-            acc = vals[:, 5].copy()
-            for i in range(4, -1, -1):
-                acc = (acc * x + vals[:, i]) % p
-            hit = np.nonzero(acc == 0)[0]
-            if hit.size:
-                pairs_rows.append(hit)
-                pairs_j8.append(np.full(hit.size, x, dtype=np.int64))
-        if not pairs_rows:
-            continue
-        idx = np.concatenate(pairs_rows)
-        j8 = np.concatenate(pairs_j8)
-        bvals = vals[idx, 6:]
-        delta_v, n9, n10 = (a % p for a in j9_j10_closed_form(
-            _block_columns(bvals), j8))
-
-        # generic rows: the closed form gives the one candidate
-        gi = np.nonzero(delta_v)[0]
-        dinv = ctx.inv(delta_v[gi])
-        full = np.zeros((gi.size, 9), dtype=np.int64)
-        full[:, :6] = rows6x[idx[gi]]
-        full[:, 6] = j8[gi]
-        full[:, 7] = n9[gi] * dinv % p
-        full[:, 8] = n10[gi] * dinv % p
-        cand_rows = [full[_relations_vanish(bvals[gi], full, p)]]
-        # degenerate rows (delta = 0): scan all p^2 values of (j9, j10)
-        di = np.nonzero(delta_v == 0)[0]
-        grid = np.zeros((di.size * p * p, 9), dtype=np.int64)
-        grid[:, :6] = np.repeat(rows6x[idx[di]], p * p, axis=0)
-        grid[:, 6] = np.repeat(j8[di], p * p)
-        grid[:, 7:] = np.tile(np.indices((p, p)).reshape(2, -1).T,
-                              (di.size, 1))
-        grid_blocks = np.repeat(bvals[di], p * p, axis=0)
-        cand_rows.append(grid[_relations_vanish(grid_blocks, grid, p)])
-        allrows = np.concatenate(cand_rows, axis=0)
-        out_rows.append(allrows[allrows.any(axis=1)])
-
-    if not out_rows:
-        return np.zeros((0, 9), dtype=np.int64)
     rows9 = np.concatenate(out_rows, axis=0)
     rows9 = normalize_rows(ctx, rows9)
     rows9 = np.unique(rows9, axis=0)
@@ -182,6 +175,60 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
         disc = PolySet([discriminant_poly()]).evaluate_mod(rows9, p)[:, 0]
         rows9 = rows9[disc != 0]
     return rows9
+
+
+def _completions(ctx, block_set, prefixes):
+    """The nonzero rows (N, 9) on all five relations that extend the
+    (n, 6) prefix rows."""
+    p = ctx.p
+
+    def mod(a):
+        return a % p
+
+    bvals = block_set.evaluate_mod(prefixes, p)
+    # (prefix, j8) pairs: the roots of the J8 quintic
+    v = _block_columns(bvals)
+    hits = [np.nonzero(j8_determinant(v, x, mod) == 0)[0] for x in range(p)]
+    idx = np.concatenate(hits)
+    j8 = np.repeat(np.arange(p, dtype=np.int64), [h.size for h in hits])
+    v = _block_columns(bvals[idx])
+    delta_v, n9, n10 = (a % p for a in j9_j10_closed_form(v, j8))
+
+    # generic pairs: the closed form gives the one candidate
+    gi = np.nonzero(delta_v)[0]
+    dinv = ctx.inv(delta_v[gi])
+    generic = np.column_stack([n9[gi] * dinv % p, n10[gi] * dinv % p])
+    # degenerate pairs (delta = 0): every point where R1 and R2 vanish
+    di = np.nonzero(delta_v == 0)[0]
+    k, j9, j10 = _r1_r2_zeros({name: col[di] for name, col in v.items()},
+                              j8[di], p)
+    pair = np.concatenate([gi, di[k]])
+    cand = np.column_stack([
+        prefixes[idx[pair]], j8[pair],
+        np.concatenate([generic, np.column_stack([j9, j10])])])
+    cand = cand[_relations_vanish(bvals[idx[pair]], cand, p)]
+    return cand[cand.any(axis=1)]
+
+
+def _r1_r2_zeros(v, j8, p):
+    """(k, j9, j10): every pair k, with block values v[name][k] and
+    J8 = j8[k], and every point (j9, j10) of F_p^2 where R1 and R2 vanish.
+
+    Where both linear forms are zero that is all p^2 points, where they
+    have rank 1 a line, and where they are inconsistent nothing.
+    """
+    (q, a7, a6), (r, s, b7) = ((c % p for c in form)
+                               for form in r1_r2_linear(v, j8))
+    j10 = np.arange(p, dtype=np.int64)
+    ks, j9s, j10s = [], [], []
+    for j9 in range(p):
+        ok = ((q + a7 * j9)[:, None] + a6[:, None] * j10) % p == 0
+        ok &= ((r + s * j9)[:, None] + b7[:, None] * j10) % p == 0
+        k, b = np.nonzero(ok)
+        ks.append(k)
+        j9s.append(np.full(k.size, j9, dtype=np.int64))
+        j10s.append(b)
+    return np.concatenate(ks), np.concatenate(j9s), np.concatenate(j10s)
 
 
 def _block_columns(bvals):
@@ -234,25 +281,39 @@ def normalize_rows(ctx, rows):
     return out
 
 
+@functools.cache
+def _stratum_stages():
+    """Stratum name -> one PolySet per equation of its system, fewest
+    terms first."""
+    from .strata import STRATA_ORDER, stratum_systems
+    systems = stratum_systems()
+    return {name: [PolySet([eq]) for eq in
+                   sorted(systems[name], key=lambda eq: len(eq.terms))]
+            for name in STRATA_ORDER}
+
+
 def classify_rows(field, rows):
     """Stratum label per row, by the detection cascade, fully vectorized.
 
-    Returns an integer array indexing into strata_labels().
+    Each stratum's equations are evaluated one at a time, each only on
+    the rows where the ones before it vanished.  Returns an integer array
+    indexing into strata_labels().
     """
-    from .strata import STRATA_ORDER, stratum_systems
+    from .strata import STRATA_ORDER
     p = field.p
-    systems = stratum_systems()
-    label = np.full(rows.shape[0], len(STRATA_ORDER), dtype=np.int64)  # C2
-    left = np.arange(rows.shape[0])         # rows not yet labelled
+    generic = len(STRATA_ORDER)                 # the label of C2
+    label = np.full(rows.shape[0], generic, dtype=np.int64)
+    left = np.arange(rows.shape[0])             # rows not yet labelled
     for k, name in enumerate(STRATA_ORDER):
-        if not left.size:
-            break
-        holds = ~PolySet(systems[name]).evaluate_mod(rows[left], p).any(
-            axis=1)
+        hit = left
+        for stage in _stratum_stages()[name]:
+            if not hit.size:
+                break
+            hit = hit[stage.evaluate_mod(rows[hit], p)[:, 0] == 0]
         if name == "C14":
-            holds &= rows[left, 5] != 0
-        label[left[holds]] = k
-        left = left[~holds]
+            hit = hit[rows[hit, 5] != 0]
+        label[hit] = k
+        left = left[label[left] == generic]
     return label
 
 

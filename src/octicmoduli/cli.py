@@ -225,6 +225,7 @@ def _run(args):
         print("# %s" % store.CATALOGUE_VERSION)
         for line in report.lines():
             print(line)
+        print("elapsed=%.1fs" % report.elapsed, file=sys.stderr)
         return 0
 
     if verb == "descend":

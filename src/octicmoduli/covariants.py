@@ -380,21 +380,50 @@ RELATIONS = (
 )
 
 
+def r1_r2_linear(v, j8):
+    """R1 and R2 as linear forms in (J9, J10): ((q, A7, A6), (r, s, B7))
+    with R1 = q + A7 J9 + A6 J10 and R2 = r + s J9 + B7 J10, once the
+    prefix fixes the block values v (a name -> value mapping) and J8."""
+    return ((j8 * (j8 + v["A8"]) + v["A16"], v["A7"], v["A6"]),
+            (v["B9"] * j8 + v["B17"], j8 + v["B8"], v["B7"]))
+
+
 def j9_j10_closed_form(v, j8):
     """(delta, n9, n10) with J9 = n9 / delta and J10 = n10 / delta.
 
-    R1 and R2 are linear in (J9, J10) once the prefix fixes the block
-    values v (a name -> value mapping) and J8; this is Cramer's rule on
-    them, valid where delta is nonzero.  Over field elements it is exact;
-    on int64 arrays of residues below 2^20 every intermediate stays below
-    2^63, so the caller reduces mod p once at the end.
+    Cramer's rule on r1_r2_linear, valid where delta is nonzero.  Over
+    field elements it is exact; on int64 arrays of residues below 2^20
+    every intermediate stays below 2^63, so the caller reduces mod p once
+    at the end.
     """
-    q = j8 * (j8 + v["A8"]) + v["A16"]
-    r = v["B9"] * j8 + v["B17"]
-    s = j8 + v["B8"]
-    return (v["A6"] * s - v["A7"] * v["B7"],
-            v["B7"] * q - v["A6"] * r,
-            v["A7"] * r - q * s)
+    (q, a7, a6), (r, s, b7) = r1_r2_linear(v, j8)
+    return a6 * s - a7 * b7, b7 * q - a6 * r, a7 * r - q * s
+
+
+def j8_determinant(v, x, reduce=lambda a: a):
+    """The 4x4 determinant that vanishes where J8 = x extends the prefix
+    with block values v (a name -> value mapping).
+
+    Its rows are the coefficients on (1, J9, J9^2, J10) of R1, R2, R3 and
+    (J9 - B9) R2 - B7 R4 (whose J9 J10 terms cancel).  The J9^2 entries
+    of R1 and R2 are zero, so the expansion along their 2x2 minors,
+    which are -n10, n9 and -delta of j9_j10_closed_form, has three
+    terms.  As a polynomial in x it is -1 times j8_quintic.  With block
+    values and x as int64 residues below 2^20, pass reduce = (mod p):
+    it is applied to every entry, so each term of the expansion stays
+    below 2^60.
+    """
+    delta, n9, n10 = (reduce(t) for t in j9_j10_closed_form(v, x))
+    a3, b3, c3, d3 = (reduce(t) for t in (
+        v["C10"] * x + v["C18"], v["C9"], v["C0"], x + v["C8"]))
+    a4, b4, c4, d4 = (reduce(t) for t in (
+        -(v["B9"] * v["B9"] + v["B7"] * v["D11"]) * x
+        - v["B9"] * v["B17"] - v["B7"] * v["D19"],
+        v["B17"] - v["B9"] * v["B8"] - v["B7"] * v["D10"],
+        x + v["B8"],
+        -v["B7"] * (v["B9"] + v["D9"])))
+    return reduce(delta * (a3 * c4 - c3 * a4) + n9 * (b3 * c4 - c3 * b4)
+                  - n10 * (c3 * d4 - d3 * c4))
 
 
 class SyzygyCoefficients:
@@ -522,40 +551,17 @@ _j8_quintic_cached = None
 
 def j8_quintic():
     """The monic degree-5 polynomial in X = J8 with coefficients in
-    J2..J7, as a JPolyX.
-
-    Assembled from the syzygy blocks: R1, R2, R3 and (J9 - B9) R2 - B7 R4
-    are linear in (1, J9, J9^2, J10); a common solution with first
-    coordinate 1 forces the 4x4 determinant to vanish, and that
-    determinant is the quintic (normalized to leading coefficient 1).
+    J2..J7, as a JPolyX: j8_determinant on the syzygy blocks, normalized
+    to leading coefficient 1.
     """
     global _j8_quintic_cached
     if _j8_quintic_cached is not None:
         return _j8_quintic_cached
     s = derive_syzygies()
-    C = JPolynomial.constant
-    X = JPolyX
-
-    def const(name):
-        return X.const(s[name])
-
-    # rows: coefficients of (1, J9, J9^2, J10)
-    zero = X.const(JPolynomial.zero())
-    row1 = [X([s["A16"], s["A8"], C(1)]), const("A7"), zero, const("A6")]
-    row2 = [X([s["B17"], s["B9"]]), X.x_plus(s["B8"]), zero, const("B7")]
-    row3 = [X([s["C18"], s["C10"]]), const("C9"), const("C0"),
-            X.x_plus(s["C8"])]
-    # (J9 - B9) R2 - B7 R4, expanded on (1, J9, J9^2, J10): the J9*J10
-    # cross terms cancel and what is left is linear again
-    row4 = [
-        X([(s["B9"] * s["B17"]).scale(-1) - s["B7"] * s["D19"],
-           (s["B9"] * s["B9"]).scale(-1) - s["B7"] * s["D11"]]),
-        X.const(s["B17"] - s["B9"] * s["B8"] - s["B7"] * s["D10"]),
-        X.x_plus(s["B8"]),
-        X.const((s["B7"] * s["B9"]).scale(-1) - s["B7"] * s["D9"]),
-    ]
-    rows = [row1, row2, row3, row4]
-    det = _det4_jpolyx(rows)
+    blocks = {name: JPolyX([s[name]])
+              for name, _ in SyzygyCoefficients.BLOCK_NAMES}
+    det = j8_determinant(
+        blocks, JPolyX([JPolynomial.zero(), JPolynomial.constant(1)]))
     lead = det.coeffs[-1]
     if len(det.coeffs) != 6 or lead.degree != 0:
         raise RankDeficiency("J8 elimination did not produce a quintic")
@@ -563,23 +569,6 @@ def j8_quintic():
     quintic = JPolyX([c.scale(Fraction(1) / lead_c) for c in det.coeffs])
     _j8_quintic_cached = quintic
     return quintic
-
-
-def _det4_jpolyx(rows):
-    from itertools import permutations
-    total = JPolyX([])
-    for perm in permutations(range(4)):
-        sign = 1
-        seen = list(perm)
-        # parity via inversion count
-        inv = sum(1 for i in range(4) for j in range(i + 1, 4)
-                  if seen[i] > seen[j])
-        sign = -1 if inv % 2 else 1
-        term = rows[0][perm[0]]
-        for i in range(1, 4):
-            term = term * rows[i][perm[i]]
-        total = total + term.scale(sign)
-    return total
 
 
 def j8_candidates(field, j27):

@@ -286,14 +286,6 @@ class JPolyX:
         while self.coeffs and self.coeffs[-1].is_zero():
             self.coeffs.pop()
 
-    @classmethod
-    def const(cls, jp):
-        return cls([jp])
-
-    @classmethod
-    def x_plus(cls, jp):
-        return cls([jp, JPolynomial.constant(1)])
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         out = []

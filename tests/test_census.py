@@ -3,7 +3,8 @@ import random
 import pytest
 
 from octicmoduli.census import (
-    class_model, descend, expected_counts, find_isomorphism, run_census,
+    CensusReport, _read_checkpoint, class_model, descend, expected_counts,
+    find_isomorphism, run_census,
 )
 from octicmoduli.covariants import is_isomorphic, random_octic, shioda
 from octicmoduli.errors import CompositeModulus, MultipleRoot
@@ -102,6 +103,25 @@ def test_expected_counts_sum_to_p5():
 def test_run_census_rejects_composite():
     with pytest.raises(CompositeModulus):
         run_census(10)
+
+
+def test_report_lines_hold_no_timing():
+    report = CensusReport(11, expected_counts(11), 11 ** 5, [], 12.345)
+    lines = report.lines()
+    assert lines[0] == "p=11 total=161051"
+    assert not any("elapsed" in line or "12.3" in line for line in lines)
+
+
+def test_read_checkpoint_skips_a_torn_last_line(tmp_path):
+    path = tmp_path / "report.txt"
+    whole = "1,0,0,0,0,0,8,2,7; C2; 8,4,2,3,8,9,9,7,2; ext-degree 2\n"
+    for torn in ("0,1,0,0,0,0,0,0,0; C2; 1,2,3,4,5,6,7,8,9; ext-deg",
+                 "0,1,0,0,0,0,0,0,0; C2; 1,2,3,4,5,6,7,8,9; ext-degree ",
+                 "0,1,0,0,0,0,0,0,0; C2; 1,2,3,4,5,6,7,8,9; "):
+        path.write_text(whole + torn)
+        assert _read_checkpoint(str(path)) == {
+            "1,0,0,0,0,0,8,2,7": ("1,0,0,0,0,0,8,2,7", "C2",
+                                  "8,4,2,3,8,9,9,7,2", 2)}
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
-"""The vectorized census kernel: output pins at p = 11 and 13, a sampled
-oracle built from the scalar solvers, and the batch J-polynomial
+"""The vectorized census kernel: output pins at p = 11 and 13, stratum
+counts at 11, 13 and 17, sampled oracles built from the scalar solvers,
+the J8 quintic and the detection cascade, and the batch J-polynomial
 evaluator."""
 
 import hashlib
@@ -12,13 +13,16 @@ import pytest
 from octicmoduli.census import expected_counts
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
-    derive_syzygies, discriminant_J, discriminant_poly, j8_candidates,
-    j9_j10_closed_form, solve_j9_j10,
+    SyzygyCoefficients, derive_syzygies, discriminant_J, discriminant_poly,
+    j8_candidates, j8_determinant, j8_quintic, j9_j10_closed_form,
+    solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField
 from octicmoduli.jpoly import JPolynomial, PolySet
-from octicmoduli.strata import stratum_systems
+from octicmoduli.strata import detect_group, stratum_systems
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
+
+BLOCK_NAMES = SyzygyCoefficients.BLOCK_NAMES
 
 #: sha256 prefixes of moduli_rows(PrimeField(p)).astype(int64).tobytes()
 ROWS_SHA = {11: "423d80cbdd08", 13: "4c617579dd32"}
@@ -29,22 +33,88 @@ def rows_p11():
     return moduli_rows(PrimeField(11))
 
 
-def _check_pins(p, rows):
-    digest = hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()
-    assert digest[:12] == ROWS_SHA[p]
-    labels = classify_rows(PrimeField(p), rows)
+@pytest.fixture(scope="module")
+def labels_p11(rows_p11):
+    return classify_rows(PrimeField(11), rows_p11)
+
+
+def _check_counts(p, labels):
     counts = {name: int((labels == k).sum())
               for k, name in enumerate(strata_labels())}
     assert counts == expected_counts(p)
 
 
-def test_moduli_rows_pin_p11(rows_p11):
-    _check_pins(11, rows_p11)
+def _check_pins(p, rows, labels):
+    digest = hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()
+    assert digest[:12] == ROWS_SHA[p]
+    _check_counts(p, labels)
+
+
+def test_moduli_rows_pin_p11(rows_p11, labels_p11):
+    _check_pins(11, rows_p11, labels_p11)
 
 
 @pytest.mark.slow
 def test_moduli_rows_pin_p13():
-    _check_pins(13, moduli_rows(PrimeField(13)))
+    rows = moduli_rows(PrimeField(13))
+    _check_pins(13, rows, classify_rows(PrimeField(13), rows))
+
+
+@pytest.mark.slow
+def test_classify_rows_counts_p17():
+    rows = moduli_rows(PrimeField(17))
+    _check_counts(17, classify_rows(PrimeField(17), rows))
+
+
+def _random_prefix(rng, p, sparse):
+    """A random (j2, ..., j7); in a sparse one each coordinate is zero
+    with probability 2/3."""
+    return [rng.randrange(p) if not sparse or rng.randrange(3) == 0 else 0
+            for _ in range(6)]
+
+
+@pytest.mark.parametrize("p, n_prefixes", [(11, 64), (1048573, 6)])
+def test_j8_determinant_is_minus_the_quintic(p, n_prefixes):
+    """At every x in F_p, the determinant moduli_rows tests on batch block
+    values equals -j8_quintic(x) evaluated by JPolynomial.evaluate."""
+    F = PrimeField(p)
+    syz = derive_syzygies()
+    quintic = j8_quintic()
+    seed = zlib.crc32(b"j8 determinant %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    prefixes = [[0] * 6] + [_random_prefix(rng, p, sparse=i % 2 == 0)
+                            for i in range(n_prefixes - 1)]
+    rows = np.array(prefixes, dtype=np.int64)
+    bvals = PolySet([syz[name] for name, _ in BLOCK_NAMES]).evaluate_mod(
+        rows, p)
+    x = np.arange(p, dtype=np.int64)
+    for prefix, row in zip(prefixes, bvals):
+        v = {name: row[k:k + 1] for k, (name, _) in enumerate(BLOCK_NAMES)}
+        got = j8_determinant(v, x, lambda a: a % p)
+        jt = [F(c) for c in prefix] + [F.zero] * 3
+        want = np.zeros(p, dtype=np.int64)
+        for c in reversed(quintic.coeffs):
+            want = (want * x + c.evaluate(F, jt).value) % p
+        assert np.array_equal(got, -want % p), prefix
+
+
+def test_classify_rows_matches_detect_group(rows_p11, labels_p11):
+    """Every class of the dimension-0 and -1 strata, and 20 seeded classes
+    each of C2p3, C4, D4 and C2, get the label of the scalar cascade."""
+    F = PrimeField(11)
+    names = strata_labels()
+    small = np.nonzero(labels_p11 < names.index("C2p3"))[0]
+    assert small.size == 28
+    picked = list(small)
+    for name in ("C2p3", "C4", "D4", "C2"):
+        seed = zlib.crc32(name.encode())
+        print(name, "seed", seed)
+        rows = np.nonzero(labels_p11 == names.index(name))[0]
+        picked += random.Random(seed).sample(list(rows), 20)
+    for i in picked:
+        row = [F(int(v)) for v in rows_p11[i]]
+        assert detect_group(F, row) == names[labels_p11[i]], row
 
 
 def test_moduli_rows_agree_with_scalar_solvers(rows_p11):

@@ -94,3 +94,12 @@ def test_output_is_byte_stable(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_census_refuses_oversized_prime(capsys):
+    """The prefix enumeration at p = 1000003 would need about 4e31 bytes;
+    the census is refused as a usage error before anything is allocated."""
+    code, out, err = run_cli(capsys, "census", "--field", "Fp:1000003")
+    assert code == 2
+    assert err.startswith("usage error:") and "physical memory" in err
+    assert "Traceback" not in err
