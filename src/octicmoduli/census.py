@@ -56,28 +56,9 @@ def _triple_matrix(field, p1, p2, p3):
                      beta * p1[1], -(beta * p1[0]))
 
 
-def _proportional(f, g):
-    """Scalar c with f = c * g, or None."""
-    c = None
-    for a, b in zip(f.coeffs, g.coeffs):
-        if bool(a) != bool(b):
-            return None
-        if b:
-            r = a / b
-            if c is None:
-                c = r
-            elif r != c:
-                return None
-    return c
-
-
-def find_isomorphism(f, g, all_candidates=False):
+def find_isomorphism(f, g):
     """(M, e) with gl2_act(M, f) = e * g, via root-triple matching over
-    the splitting field; None when the forms are not equivalent.
-
-    With all_candidates, the full list of verified pairs is returned (the
-    candidates differ by automorphisms of f).
-    """
+    the splitting field; None when the forms are not equivalent."""
     ext_f, roots_f = roots_in_splitting_field(f)
     ext_g, roots_g = roots_in_splitting_field(g)
     if any(m > 1 for _, m in roots_f) or any(m > 1 for _, m in roots_g):
@@ -90,24 +71,22 @@ def find_isomorphism(f, g, all_candidates=False):
         big = f.field if not isinstance(f.field, ExtField) else ext_f
     else:
         big = ExtField(f.field.characteristic, kk)
-    emb_f = embed_field(ext_f, big) if isinstance(ext_f, ExtField) \
-        else (lambda a: big(a.value))
-    emb_g = embed_field(ext_g, big) if isinstance(ext_g, ExtField) \
-        else (lambda a: big(a.value))
+    emb_f, emb_g = _lift_map(ext_f, big), _lift_map(ext_g, big)
     rf = [(emb_f(x), emb_f(z)) for (x, z), _ in roots_f]
     rg = [(emb_g(x), emb_g(z)) for (x, z), _ in roots_g]
     fb = f.to_field(big, _lift_map(f.field, big))
     gb = g.to_field(big, _lift_map(g.field, big))
-    return _isomorphisms_from_roots(big, fb, gb, rf, rg, all_candidates)
+    return next(_isomorphisms_from_roots(big, fb, gb, rf, rg), None)
 
 
-def _isomorphisms_from_roots(big, fb, gb, rf, rg, all_candidates):
-    """Root-matching search.  A Mobius map carrying all roots of g onto
+def _isomorphisms_from_roots(big, fb, gb, rf, rg):
+    """Root-matching search, yielding every verified (M, e); they differ
+    by automorphisms of f.  A Mobius map carrying all roots of g onto
     roots of f makes f(Mx) and g share their (simple) root divisor, hence
     be proportional; the scalar is read off at one non-root point."""
     base_m = _triple_matrix(big, rf[0], rf[1], rf[2]).inverse()
-    root_set = {(_elt_key(x), _elt_key(z)) for x, z in _scaled_points(rf)}
-    found = []
+    key = big.element_key
+    root_set = {(key(x), key(z)) for x, z in _scaled_points(rf)}
     seen = set()
     from itertools import permutations
     for s_tuple in permutations(range(len(rg)), 3):
@@ -123,14 +102,8 @@ def _isomorphisms_from_roots(big, fb, gb, rf, rg, all_candidates):
         if not _maps_roots(mat, rg, root_set):
             continue
         e = _scalar_at_point(big, fb, gb, mat)
-        if e is None:
-            continue
-        found.append((mat, e))
-        if not all_candidates:
-            return found[0]
-    if all_candidates:
-        return found
-    return None
+        if e is not None:
+            yield mat, e
 
 
 def _scalar_at_point(big, fb, gb, mat):
@@ -158,10 +131,6 @@ def _scalar_at_point(big, fb, gb, mat):
     return e
 
 
-def _elt_key(x):
-    return x.coeffs if hasattr(x, "coeffs") else x.value
-
-
 def _scaled_points(points):
     """Projective canonical scaling: last nonzero coordinate = 1."""
     out = []
@@ -174,14 +143,15 @@ def _scaled_points(points):
 
 
 def _maps_roots(mat, sources, target_set):
+    key = mat.field.element_key
     for x, z in sources:
         ix = mat.a * x + mat.b * z
         iz = mat.c * x + mat.d * z
         if iz:
-            key = (_elt_key(ix / iz), _elt_key(iz / iz))
+            pt = (key(ix / iz), key(iz / iz))
         else:
-            key = (_elt_key(ix / ix), _elt_key(iz * 0))
-        if key not in target_set:
+            pt = (key(ix / ix), key(iz * 0))
+        if pt not in target_set:
             return False
     return True
 
@@ -189,12 +159,9 @@ def _maps_roots(mat, sources, target_set):
 def _canonical_matrix(mat):
     for entry in (mat.a, mat.b, mat.c, mat.d):
         if entry:
-            inv = entry.field.one / entry
-            m2 = mat.scale(inv)
-            return (m2.a.coeffs if hasattr(m2.a, "coeffs") else m2.a.value,
-                    m2.b.coeffs if hasattr(m2.b, "coeffs") else m2.b.value,
-                    m2.c.coeffs if hasattr(m2.c, "coeffs") else m2.c.value,
-                    m2.d.coeffs if hasattr(m2.d, "coeffs") else m2.d.value)
+            m2 = mat.scale(mat.field.one / entry)
+            return tuple(mat.field.element_key(x)
+                         for x in (m2.a, m2.b, m2.c, m2.d))
     raise ValueError("zero matrix")
 
 
@@ -247,7 +214,7 @@ def descend(f, base, seed=0x0DE5CE17):
     rg = [(x ** p, z ** p) for x, z in rf]
     fb = f.to_field(big, _lift_map(f.field, big))
     gb = _frobenius_form(fb)
-    candidates = _isomorphisms_from_roots(big, fb, gb, rf, rg, True)
+    candidates = list(_isomorphisms_from_roots(big, fb, gb, rf, rg))
     if not candidates:
         raise ExhaustedCandidates("no Frobenius twisting candidate")
     m = big.k
@@ -333,7 +300,7 @@ class CensusReport:
 
 
 def run_census(p, want_models=False, jobs=1, model_limit=None,
-               on_progress=None, report_path=None):
+               report_path=None):
     """Enumerate all moduli classes over F_p, classify and tally them, and
     (optionally) exhibit one F_p model per class.
 
@@ -344,8 +311,7 @@ def run_census(p, want_models=False, jobs=1, model_limit=None,
     """
     t0 = time.time()
     field = PrimeField(p)
-    rows = census_fast.moduli_rows(field, filter_singular=True,
-                                   on_progress=on_progress)
+    rows = census_fast.moduli_rows(field, filter_singular=True)
     labels = census_fast.classify_rows(field, rows)
     names = census_fast.strata_labels()
     counts = {}

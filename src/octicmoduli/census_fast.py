@@ -40,7 +40,7 @@ from .covariants import (
     RELATIONS, SyzygyCoefficients, derive_syzygies, discriminant_poly,
     j8_determinant, j9_j10_closed_form, r1_r2_linear,
 )
-from .fields import PrimeField, ext_gcd_multi
+from .fields import PrimeField, ext_gcd_multi, generates_units
 from .jpoly import CHUNK_ROWS, WEIGHTS, PolySet, monomial_matrix
 
 MAX_FAST_PRIME = 1 << 20
@@ -51,7 +51,7 @@ class _ModCtx:
 
     def __init__(self, p):
         self.p = p
-        self.g = _primitive_root(p)
+        self.g = next(g for g in range(1, p) if generates_units(g, p))
         pw = np.ones(p - 1, dtype=np.int64)
         for i in range(1, p - 1):
             pw[i] = pw[i - 1] * self.g % p
@@ -63,15 +63,6 @@ class _ModCtx:
     def inv(self, arr):
         """Vector inverse of nonzero residues."""
         return self.POW[(-self.LOG[arr]) % (self.p - 1)]
-
-
-def _primitive_root(p):
-    from .fields import _prime_factors
-    fac = sorted(set(_prime_factors(p - 1)))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
-            return g
-    raise ValueError("no primitive root")
 
 
 def _enumerate_prefix_reps(ctx):
@@ -135,7 +126,7 @@ def _check_memory(p):
                          % (p, need / 2 ** 30, have / 2 ** 30))
 
 
-def moduli_rows(field, filter_singular=True, on_progress=None):
+def moduli_rows(field, filter_singular=True):
     """The canonical representative rows (N, 9) of every moduli point."""
     if not isinstance(field, PrimeField):
         raise TypeError("fast enumeration runs over prime fields")
@@ -149,11 +140,7 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
                          for name, _ in SyzygyCoefficients.BLOCK_NAMES])
 
     out_rows = []
-    blocks = _enumerate_prefix_reps(ctx)
-    total_blocks = len(blocks)
-    for b_idx, (rows6, delta) in enumerate(blocks):
-        if on_progress:
-            on_progress(b_idx, total_blocks)
+    for rows6, delta in _enumerate_prefix_reps(ctx):
         gamma = gcd(delta, p - 1)
         reps = []
         for t in range(gamma):
@@ -170,7 +157,11 @@ def moduli_rows(field, filter_singular=True, on_progress=None):
 
     rows9 = np.concatenate(out_rows, axis=0)
     rows9 = normalize_rows(ctx, rows9)
-    rows9 = np.unique(rows9, axis=0)
+    # sorted lexicographically, each row once
+    rows9 = rows9[np.lexsort(rows9.T[::-1])]
+    keep = np.ones(rows9.shape[0], dtype=bool)
+    keep[1:] = (rows9[1:] != rows9[:-1]).any(axis=1)
+    rows9 = rows9[keep]
     if filter_singular:
         disc = PolySet([discriminant_poly()]).evaluate_mod(rows9, p)[:, 0]
         rows9 = rows9[disc != 0]

@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import store
-from .errors import ModuliError
+from .errors import ModuliError, OffModuliVariety
 from .fields import ExtField, PrimeField, field_make
 
 VERBS = ("shioda", "disc", "isiso", "wps-eq", "wps-enum", "moduli-enum",
@@ -45,6 +45,45 @@ def _parse_tuple(field, text):
     return [_parse_coeff(field, c) for c in text.split(",")]
 
 
+def _parse_invariants(field, text):
+    """J2..J10: nine coordinates, not all zero (else WeightMismatch)."""
+    from .wps import SHIODA_WEIGHTS, WeightedPoint
+    return list(WeightedPoint(field, SHIODA_WEIGHTS,
+                              _parse_tuple(field, text)).coords)
+
+
+def _parse_moduli_point(field, text):
+    """J2..J10 on which the five relations vanish."""
+    from .covariants import derive_syzygies
+    t = _parse_invariants(field, text)
+    if any(derive_syzygies().relations_residuals(field, t)):
+        raise OffModuliVariety("the relations among J2..J10 do not all "
+                               "vanish at this tuple")
+    return t
+
+
+def _check_round_trip(field, t, model):
+    """Refuse a model whose invariants are not t, compared over the
+    model's field."""
+    from .covariants import shioda
+    from .forms import embed_field
+    from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
+    big = model.field
+    lift = embed_field(field, big) if isinstance(field, ExtField) else big
+    jv = shioda(model)
+    if not any(jv) or not wps_equal(
+            WeightedPoint(big, SHIODA_WEIGHTS, jv),
+            WeightedPoint(big, SHIODA_WEIGHTS, [lift(c) for c in t])):
+        raise OffModuliVariety("the reconstructed model has other "
+                               "invariants")
+
+
+def _weights(args):
+    if not args.weights:
+        raise ValueError("%s needs --weights" % args.verb)
+    return [int(w) for w in args.weights.split(",")]
+
+
 def _stdin_records(args_payloads):
     if args_payloads:
         return args_payloads
@@ -66,7 +105,6 @@ def build_parser():
     ap.add_argument("--cache-dir")
     ap.add_argument("--models", action="store_true")
     ap.add_argument("--model-limit", type=int)
-    ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--triple-order",
                     help="semicolon-separated comma-triples of covariants")
     ap.add_argument("--point", help="conic point hint x1,x2,x3 (over Q)")
@@ -112,7 +150,7 @@ def _run(args):
         from .forms import disc_resultant
         if args.tuple:
             for payload in args.tuple:
-                t = _parse_tuple(field, payload)
+                t = _parse_invariants(field, payload)
                 print(_fmt(discriminant_J(field, t)))
         else:
             for payload in _stdin_records(args.form):
@@ -131,7 +169,7 @@ def _run(args):
 
     if verb == "wps-eq":
         from .wps import WeightedPoint, wps_equal
-        weights = [int(w) for w in args.weights.split(",")]
+        weights = _weights(args)
         records = _stdin_records(args.tuple)
         if len(records) != 2:
             raise ValueError("wps-eq needs exactly two tuples")
@@ -142,7 +180,7 @@ def _run(args):
 
     if verb == "wps-enum":
         from .wps import wps_enumerate
-        weights = [int(w) for w in args.weights.split(",")]
+        weights = _weights(args)
         for pt in wps_enumerate(field, weights):
             print(",".join(_fmt(c) for c in pt.coords))
         return 0
@@ -160,7 +198,8 @@ def _run(args):
         from .strata import detect_group
         if args.tuple:
             for payload in args.tuple:
-                print(detect_group(field, _parse_tuple(field, payload)))
+                print(detect_group(field,
+                                   _parse_moduli_point(field, payload)))
         else:
             for payload in _stdin_records(args.form):
                 f = _parse_form(field, payload)
@@ -175,7 +214,7 @@ def _run(args):
             order = [tuple(t.split(",")) for t in
                      args.triple_order.split(";")]
         for payload in _stdin_records(args.tuple):
-            t = _parse_tuple(field, payload)
+            t = _parse_moduli_point(field, payload)
             if order is not None:
                 hint = tuple(Fraction(c) for c in args.point.split(",")) \
                     if args.point else None
@@ -184,6 +223,7 @@ def _run(args):
             else:
                 stratum = detect_group(field, t)
                 model = reconstruct_stratum(stratum, field, t)
+            _check_round_trip(field, t, model)
             print(",".join(_fmt(c) for c in model.coeffs))
         return 0
 

@@ -9,6 +9,7 @@ the base form.  Orders never exceed 10 except for the two order-18
 entries, which keeps every formula valid in characteristic 0 and >= 11.
 """
 
+import functools
 import random
 from fractions import Fraction
 
@@ -23,7 +24,7 @@ from .fields import ExtField, PrimeField, QQ
 from .forms import BinaryForm, transvect
 from .jpoly import JPolyX, JPolynomial, monomial_basis, monomial_matrix, wdeg
 from .linsolve import solve_rational
-from .unipoly import rational_roots, roots as field_roots
+from .unipoly import evaluate, rational_roots, roots as field_roots
 
 # ---------------------------------------------------------------------------
 # catalogue
@@ -183,19 +184,14 @@ def shioda(f):
     )
 
 
-_DISC_J = None
-
-
+@functools.cache
 def discriminant_poly():
     """The discriminant as a weighted degree-14 JPolynomial in J2..J10.
 
     Vanishes exactly on the classes of octics with a multiple root; agrees
     with the resultant oracle up to one universal constant.
     """
-    global _DISC_J
-    if _DISC_J is None:
-        _DISC_J = store.read_data_polys("discriminant_j.jpoly")[0][1]
-    return _DISC_J
+    return store.read_data_polys("discriminant_j.jpoly")[0][1]
 
 
 def discriminant_J(field, jtuple):
@@ -546,17 +542,12 @@ def derive_syzygies(force=False, seed=0x5E55):
 # solving for J8, J9, J10
 
 
-_j8_quintic_cached = None
-
-
+@functools.cache
 def j8_quintic():
     """The monic degree-5 polynomial in X = J8 with coefficients in
     J2..J7, as a JPolyX: j8_determinant on the syzygy blocks, normalized
     to leading coefficient 1.
     """
-    global _j8_quintic_cached
-    if _j8_quintic_cached is not None:
-        return _j8_quintic_cached
     s = derive_syzygies()
     blocks = {name: JPolyX([s[name]])
               for name, _ in SyzygyCoefficients.BLOCK_NAMES}
@@ -566,9 +557,7 @@ def j8_quintic():
     if len(det.coeffs) != 6 or lead.degree != 0:
         raise RankDeficiency("J8 elimination did not produce a quintic")
     lead_c = lead.terms.get((0,) * 9, Fraction(0))
-    quintic = JPolyX([c.scale(Fraction(1) / lead_c) for c in det.coeffs])
-    _j8_quintic_cached = quintic
-    return quintic
+    return JPolyX([c.scale(Fraction(1) / lead_c) for c in det.coeffs])
 
 
 def j8_candidates(field, j27):
@@ -583,17 +572,10 @@ def j8_candidates(field, j27):
         rts = rational_roots(coeffs)
     elif isinstance(field, PrimeField) and field.p <= 1000:
         rts = [(x, 1) for x in field.elements()
-               if not _eval_poly(field, coeffs, x)]
+               if not evaluate(field, coeffs, x)]
     else:
         rts = field_roots(field, coeffs)
     return [r for r, _ in rts]
-
-
-def _eval_poly(field, coeffs, x):
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def solve_j9_j10(field, j28):

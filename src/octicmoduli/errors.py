@@ -109,7 +109,11 @@ class AllDeterminantsVanish(ModuliError):
     exit_code = 29
 
 
-class NoRationalConicPoint(ModuliError):
+class OffModuliVariety(ModuliError):
+    """No octic has these invariants: one of the five relations among
+    J2..J10 does not vanish at the tuple, or the model reconstructed from
+    it has other invariants."""
+
     exit_code = 29
 
 

@@ -133,10 +133,84 @@ QQ = Rationals()
 
 
 # ---------------------------------------------------------------------------
+# field elements, and square roots in the finite fields
+
+
+class _Element:
+    """The operators every field element builds from its own _lift,
+    __mul__, __sub__, inverse and field.one."""
+
+    __slots__ = ()
+
+    def __rsub__(self, other):
+        other = self._lift(other)
+        return other - self
+
+    def __truediv__(self, other):
+        other = self._lift(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = self._lift(other)
+        return other / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self.field.one
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+def _finite_sqrt(field, a):
+    """Square root in a finite field, or None; deterministic: the root
+    with the smaller element_key.  Tonelli-Shanks with the first
+    non-residue in field.elements() order."""
+    a = field(a)
+    if not a:
+        return a
+    q = field.order
+    if a ** ((q - 1) // 2) != field.one:
+        return None
+    Q, s = q - 1, 0
+    while Q % 2 == 0:
+        Q //= 2
+        s += 1
+    if s == 1:
+        r = a ** ((q + 1) // 4)
+    else:
+        z = next(c for c in field.elements()
+                 if c and c ** ((q - 1) // 2) != field.one)
+        m, c, t, r = s, z ** Q, a ** Q, a ** ((Q + 1) // 2)
+        while t != field.one:
+            t2, i = t, 0
+            while t2 != field.one:
+                t2 = t2 * t2
+                i += 1
+            b = c ** (1 << (m - i - 1))
+            m, c = i, b * b
+            t, r = t * c, r * b
+    return min(r, -r, key=field.element_key)
+
+
+def generates_units(g, p):
+    """Whether g generates the cyclic group F_p^*."""
+    return g % p != 0 and all(pow(g, (p - 1) // q, p) != 1
+                              for q in set(_prime_factors(p - 1)))
+
+
+# ---------------------------------------------------------------------------
 # prime fields
 
 
-class FpElement:
+class FpElement(_Element):
     __slots__ = ("field", "value")
 
     def __init__(self, field, value):
@@ -164,10 +238,6 @@ class FpElement:
             return NotImplemented
         return FpElement(self.field, self.value - other.value)
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return other - self
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
@@ -175,16 +245,6 @@ class FpElement:
         return FpElement(self.field, self.value * other.value)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        return other / self
 
     def __pow__(self, n):
         if n < 0:
@@ -264,13 +324,7 @@ class PrimeField:
         for v in range(self.p):
             yield FpElement(self, v)
 
-    def sqrt(self, a):
-        """Deterministic square root: the root with smaller least residue."""
-        a = self(a)
-        r = _sqrt_mod_prime(a.value, self.p)
-        if r is None:
-            return None
-        return FpElement(self, min(r, (self.p - r) % self.p))
+    sqrt = _finite_sqrt
 
     def element_key(self, a):
         return a.value
@@ -286,35 +340,6 @@ class PrimeField:
 
     def __repr__(self):
         return "F_%d" % self.p
-
-
-def _sqrt_mod_prime(a, p):
-    """Tonelli-Shanks; returns one root of x^2 = a mod p, or None."""
-    a %= p
-    if a == 0:
-        return 0
-    if pow(a, (p - 1) // 2, p) != 1:
-        return None
-    if p % 4 == 3:
-        return pow(a, (p + 1) // 4, p)
-    # write p-1 = q * 2^s with q odd
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2, i = t, 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +489,7 @@ def _default_modulus(p, k):
 # extension fields
 
 
-class ExtElement:
+class ExtElement(_Element):
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs):
@@ -501,10 +526,6 @@ class ExtElement:
         return ExtElement(self.field,
                           [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return other - self
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
@@ -514,28 +535,6 @@ class ExtElement:
         return ExtElement(self.field, prod)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        return other / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __neg__(self):
         return ExtElement(self.field, [-a for a in self.coeffs])
@@ -647,41 +646,7 @@ class ExtField:
                 yield from rec(i + 1, cur + [c])
         yield from rec(0, [])
 
-    def frobenius(self, a, times=1):
-        return a ** (self.p ** times)
-
-    def sqrt(self, a):
-        """Square root in F_q, deterministic: the root with smaller key."""
-        a = self(a)
-        if not a:
-            return a
-        q = self.order
-        if a ** ((q - 1) // 2) != self.one:
-            return None
-        # Tonelli-Shanks over F_q with a deterministic non-residue scan
-        Q, s = q - 1, 0
-        while Q % 2 == 0:
-            Q //= 2
-            s += 1
-        if s == 1:
-            r = a ** ((q + 1) // 4)
-        else:
-            z = None
-            for cand in self.elements():
-                if cand and cand ** ((q - 1) // 2) != self.one:
-                    z = cand
-                    break
-            m, c, t, r = s, z ** Q, a ** Q, a ** ((Q + 1) // 2)
-            while t != self.one:
-                t2, i = t, 0
-                while t2 != self.one:
-                    t2 = t2 * t2
-                    i += 1
-                b = c ** (1 << (m - i - 1))
-                m, c = i, b * b
-                t, r = t * c, r * b
-        neg = -r
-        return min(r, neg, key=self.element_key)
+    sqrt = _finite_sqrt
 
     def element_key(self, a):
         return a.coeffs
@@ -705,7 +670,7 @@ class ExtField:
 # quadratic extensions of Q (used by the reconstruction fallback)
 
 
-class QuadElement:
+class QuadElement(_Element):
     __slots__ = ("field", "a", "b")
 
     def __init__(self, field, a, b):
@@ -734,10 +699,6 @@ class QuadElement:
             return NotImplemented
         return QuadElement(self.field, self.a - other.a, self.b - other.b)
 
-    def __rsub__(self, other):
-        other = self._lift(other)
-        return other - self
-
     def __mul__(self, other):
         other = self._lift(other)
         if other is NotImplemented:
@@ -748,28 +709,6 @@ class QuadElement:
                            self.a * other.b + self.b * other.a)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._lift(other)
-        return other / self
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def __neg__(self):
         return QuadElement(self.field, -self.a, -self.b)
@@ -931,15 +870,12 @@ def norm_solve(ext, lam):
             if cand and cand ** e == ext(lam_val.value):
                 return cand
         raise ZeroNorm("no norm preimage found (impossible)")
-    fac = sorted(set(_prime_factors(p - 1)))
     for b in ext.elements():
         if not b:
             continue
         nb = (b ** e).coeffs[0]
-        if nb == 0:
+        if not generates_units(nb, p):
             continue
-        if any(pow(nb, (p - 1) // qq, p) == 1 for qq in fac):
-            continue     # norm does not generate F_p^*
         # discrete log of lam base nb inside F_p^*
         acc = 1
         for x in range(p - 1):

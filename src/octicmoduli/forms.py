@@ -356,13 +356,7 @@ def embed_field(small, big):
     if not rts:
         raise ValueError("modulus has no root in the bigger field")
     root = rts[0][0]
-
-    def fn(a, _root=root, _big=big):
-        acc = _big.zero
-        for c in reversed(a.coeffs):
-            acc = acc * _root + c
-        return acc
-
+    fn = lambda a: unipoly.evaluate(big, a.coeffs, root)
     _EMBED_CACHE[key] = fn
     return fn
 

@@ -433,29 +433,8 @@ def substitute_quartic(field, quartic_values, chis):
     return out
 
 
-class ReconstructionReport:
-    """Structured record of one generic reconstruction."""
-
-    def __init__(self, jtuple, triple, conic, point, parametrization, octic):
-        self.jtuple = jtuple
-        self.triple = triple
-        self.conic = conic
-        self.point = point
-        self.parametrization = parametrization
-        self.octic = octic
-
-    def lines(self):
-        out = ["triple: %s" % (",".join(self.triple))]
-        out.append("conic: " + "; ".join(
-            "%d%d=%r" % (i, j, c) for (i, j), c in
-            sorted(self.conic.coeffs.items())))
-        out.append("point: (%r : %r : %r)" % self.point)
-        out.append("octic: " + ",".join(repr(c) for c in self.octic.coeffs))
-        return out
-
-
-def reconstruct_generic(field, jtuple, triple_order=None, conic_point_hint=None,
-                        want_report=False):
+def reconstruct_generic(field, jtuple, triple_order=None,
+                        conic_point_hint=None):
     """Reconstruct an octic with the given invariants by walking the triple
     list until a nonzero determinant gives a nonsingular conic.
 
@@ -493,9 +472,6 @@ def reconstruct_generic(field, jtuple, triple_order=None, conic_point_hint=None,
     octic = substitute_quartic(work_field, quartic_values, chis)
     if octic.is_zero():
         raise InterpolationFailure("reconstruction produced the zero form")
-    if want_report:
-        return octic, ReconstructionReport(jtuple, chosen, conic, point,
-                                           chis, octic)
     return octic
 
 

@@ -10,6 +10,7 @@ the normal-model parametrizations, at worst over a bounded extension
 one).
 """
 
+import functools
 from fractions import Fraction
 
 from . import store, unipoly
@@ -28,43 +29,33 @@ STRATA_ORDER = ("C2xS4", "V8", "U6", "C14", "C2xD8", "D12", "C2xC4",
 
 ALL_STRATA = STRATA_ORDER + ("C2",)
 
-_systems_cache = None
-_d4_model_eqs = None
-_c2p3_cubic = None
 
-
+@functools.cache
 def stratum_systems():
     """name -> list of JPolynomial equations (empty for C2)."""
-    global _systems_cache
-    if _systems_cache is None:
-        by_name = {}
-        for key, poly in store.read_data_polys("stratum_systems.txt"):
-            name = key.split(".")[0]
-            by_name.setdefault(name, []).append(poly)
-        by_name["C2"] = []
-        _systems_cache = by_name
-    return _systems_cache
+    by_name = {}
+    for key, poly in store.read_data_polys("stratum_systems.txt"):
+        name = key.split(".")[0]
+        by_name.setdefault(name, []).append(poly)
+    by_name["C2"] = []
+    return by_name
 
 
+@functools.cache
 def _d4_equations():
-    global _d4_model_eqs
-    if _d4_model_eqs is None:
-        eqs = {}
-        for key, poly in store.read_data_polys("d4_model_equations.txt"):
-            name, xpart = key.rsplit(".", 1)
-            eqs.setdefault(name, {})[int(xpart[1:])] = poly
-        _d4_model_eqs = eqs
-    return _d4_model_eqs
+    eqs = {}
+    for key, poly in store.read_data_polys("d4_model_equations.txt"):
+        name, xpart = key.rsplit(".", 1)
+        eqs.setdefault(name, {})[int(xpart[1:])] = poly
+    return eqs
 
 
+@functools.cache
 def _c2p3_cubic_coeffs():
-    global _c2p3_cubic
-    if _c2p3_cubic is None:
-        cubic = {}
-        for key, poly in store.read_data_polys("c2p3_cubic.txt"):
-            cubic[int(key.rsplit(".x", 1)[1])] = poly
-        _c2p3_cubic = cubic
-    return _c2p3_cubic
+    cubic = {}
+    for key, poly in store.read_data_polys("c2p3_cubic.txt"):
+        cubic[int(key.rsplit(".x", 1)[1])] = poly
+    return cubic
 
 
 def stratum_residuals(field, jtuple):
@@ -305,47 +296,24 @@ def c4_determinants(field, jtuple):
     return tuple(r_polynomial(t).evaluate(field, jt) for t in TRIPLES_C4)
 
 
-def _linear_solution(field, jt, names):
-    """Solve the first usable c1*X + c0 = 0 from the named equations.
-
-    Returns (value, "ok"), (None, "inconsistent") when some equation reads
-    0 = c0 != 0 and none is solvable, or (None, "trivial") when all the
-    equations vanish identically.
-    """
+def _linear_solution(field, jt, names, power):
+    """X^power from the first of the named equations
+    c_power X^power + c_0 = 0 whose c_power is nonzero, or None."""
     d4 = _d4_equations()
-    saw_inconsistent = False
     for name in names:
         coeffs = {e: p.evaluate(field, jt) for e, p in d4[name].items()}
-        c1 = coeffs.get(1, field.zero)
-        c0 = coeffs.get(0, field.zero)
-        if c1:
-            return -c0 / c1, "ok"
-        if c0:
-            saw_inconsistent = True
-    return None, ("inconsistent" if saw_inconsistent else "trivial")
+        c = coeffs.get(power, field.zero)
+        if c:
+            return -coeffs.get(0, field.zero) / c
+    return None
 
 
 def _reconstruct_d4(field, jt):
-    d4 = _d4_equations()
-    a4, status = _linear_solution(field, jt, ["A4_1", "A4_2"])
-    if a4 is None:
-        return _reconstruct_d4_singular(field, jt, status)
-
+    a4 = _linear_solution(field, jt, ["A4_1", "A4_2"], 1)
     # a0 from the first non-trivial pure quadratic c2 X^2 + c0 = 0
-    a0sq = None
-    saw_inconsistent = False
-    for name in ("A0_1", "A0_2"):
-        coeffs = {e: p.evaluate(field, jt) for e, p in d4[name].items()}
-        c2 = coeffs.get(2, field.zero)
-        c0 = coeffs.get(0, field.zero)
-        if c2:
-            a0sq = -c0 / c2
-            break
-        if c0:
-            saw_inconsistent = True
-    if a0sq is None:
-        return _reconstruct_d4_singular(
-            field, jt, "inconsistent" if saw_inconsistent else "trivial")
+    a0sq = _linear_solution(field, jt, ["A0_1", "A0_2"], 2)
+    if a4 is None or a0sq is None:
+        return _reconstruct_d4_singular(field, jt)
 
     ctx = FieldContext(field, {("j", i): v for i, v in enumerate(jt)})
     ctx.v["a4"] = a4
@@ -414,21 +382,13 @@ def _reconstruct_d4(field, jt):
                 return model
     if last is not None:
         return last
-    return _reconstruct_d4_singular(field, jt, "exhausted")
+    return _reconstruct_d4_singular(field, jt)
 
 
-def _reconstruct_d4_singular(field, jt, reason):
+def _reconstruct_d4_singular(field, jt):
     """Fallback family a8 x^8 + a6 x^6 + a4 x^4 + a2 x^2 for tuples that
     defeat the even-model equations (multiple-root classes)."""
-    d4 = _d4_equations()
-    a4 = None
-    for name in ("A4S_1", "A4S_2", "A4S_3"):
-        coeffs = {e: p.evaluate(field, jt) for e, p in d4[name].items()}
-        c1 = coeffs.get(1, field.zero)
-        c0 = coeffs.get(0, field.zero)
-        if c1:
-            a4 = -c0 / c1
-            break
+    a4 = _linear_solution(field, jt, ["A4S_1", "A4S_2", "A4S_3"], 1)
     if a4 is None:
         a4 = field.zero
     a2 = field.one

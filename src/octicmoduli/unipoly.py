@@ -8,8 +8,10 @@ plenty.
 """
 
 import random
+from fractions import Fraction
+from math import gcd as igcd
 
-from .fields import ExtField, PrimeField
+from .fields import ExtField, PrimeField, QQ
 
 
 def trim(f):
@@ -20,16 +22,6 @@ def trim(f):
 
 def degree(f):
     return len(f) - 1
-
-
-def add(f, g):
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(a + b)
-    return trim(out)
 
 
 def sub(field, f, g):
@@ -51,10 +43,6 @@ def mul(field, f, g):
             for j, gj in enumerate(g):
                 out[i + j] = out[i + j] + fi * gj
     return trim(out)
-
-
-def scale(f, c):
-    return trim([a * c for a in f])
 
 
 def divmod_poly(field, f, g):
@@ -246,10 +234,6 @@ def rational_roots(f):
     prime, Hensel-lifted, and recognized by rational reconstruction with
     an exact final check.
     """
-    from fractions import Fraction
-    from math import gcd as igcd
-
-    from .fields import PrimeField
     from .linsolve import PRIMES30, rational_reconstruct
 
     f = trim(list(f))
@@ -279,10 +263,9 @@ def rational_roots(f):
     # detect roots on the squarefree part so repeated rational roots do
     # not block the good-prime search
     sqf = poly
-    d_over_q = [poly[i] * i for i in range(1, len(poly))]
-    g_q = _gcd_q(poly, d_over_q)
+    g_q = gcd(QQ, poly, derivative(QQ, poly))
     if len(g_q) > 1:
-        sqf, _ = divmod_q(poly, g_q)
+        sqf, _ = divmod_poly(QQ, poly, g_q)
     sq_den = 1
     for c in sqf:
         sq_den = sq_den * c.denominator // igcd(sq_den, c.denominator)
@@ -314,11 +297,11 @@ def rational_roots(f):
                 candidates.add(cand)
         break
     for cand in candidates:
-        if evaluate_q(poly, cand) == 0:
+        if evaluate(QQ, poly, cand) == 0:
             mult = 0
             cur = poly
-            while evaluate_q(cur, cand) == 0:
-                cur, _ = divmod_q(cur, [-cand, Fraction(1)])
+            while evaluate(QQ, cur, cand) == 0:
+                cur, _ = divmod_poly(QQ, cur, [-cand, QQ.one])
                 mult += 1
             out[cand] = mult
     return sorted(out.items())
@@ -329,43 +312,3 @@ def _eval_int(coeffs, x, modulus):
     for c in reversed(coeffs):
         acc = (acc * x + c) % modulus
     return acc
-
-
-def _gcd_q(f, g):
-    from fractions import Fraction
-    f, g = list(f), list(g)
-    while any(g):
-        _, r = divmod_q(f, g)
-        f, g = g, r
-    while f and f[-1] == 0:
-        f.pop()
-    if f:
-        lead = f[-1]
-        f = [c / lead for c in f]
-    return f
-
-
-def evaluate_q(f, x):
-    acc = x * 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def divmod_q(f, g):
-    from fractions import Fraction
-    f = list(f)
-    q = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    while f and len(f) >= len(g) and any(f):
-        while f and f[-1] == 0:
-            f.pop()
-        if not f or len(f) < len(g):
-            break
-        c = f[-1] / g[-1]
-        off = len(f) - len(g)
-        q[off] = c
-        for i, gi in enumerate(g):
-            f[off + i] = f[off + i] - c * gi
-        while f and f[-1] == 0:
-            f.pop()
-    return q, f

@@ -7,8 +7,10 @@ extended-gcd construction: classes are compared without ever leaving the
 base field.
 """
 
+from itertools import combinations, product
+
 from .errors import WeightMismatch
-from .fields import PrimeField, ext_gcd_multi
+from .fields import ext_gcd_multi
 
 SHIODA_WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -82,7 +84,6 @@ def wps_normalize(u):
 def _support_subsets(m):
     """Nonempty subsets of range(m), by increasing cardinality then
     lexicographic order."""
-    from itertools import combinations
     for size in range(1, m + 1):
         yield from combinations(range(m), size)
 
@@ -92,80 +93,36 @@ def wps_enumerate(field, weights):
     one canonical representative each.
 
     For each support, Bezout coefficients c_i are fixed once and all
-    vectors with prod u_i^{c_i} = 1 are produced; each class with that
-    support appears exactly once.
+    vectors with prod u_i^{c_i} = 1 are produced: the coordinates before
+    the last run over the nonzero elements, and the last one over the
+    solutions of x^{c_last} = 1 / prod, read off a table of the powers
+    x^{c_last} built once per support.  Each class with that support
+    appears exactly once.
     """
     weights = tuple(int(w) for w in weights)
     if len(weights) < 2:
         raise WeightMismatch("a weighted projective space needs m >= 2")
-    if isinstance(field, PrimeField):
-        yield from _wps_enumerate_prime(field, weights)
-        return
-    if hasattr(field, "order") and hasattr(field, "elements"):
-        yield from _wps_enumerate_generic(field, weights)
-        return
-    raise WeightMismatch("enumeration needs a finite field")
-
-
-def _wps_enumerate_prime(field, weights):
-    p = field.p
-    nonzero = list(range(1, p))
+    if not hasattr(field, "order") or not hasattr(field, "elements"):
+        raise WeightMismatch("enumeration needs a finite field")
+    order = field.order - 1
+    nonzero = [x for x in field.elements() if x]
     for supp in _support_subsets(len(weights)):
-        d, cs = ext_gcd_multi([weights[i] for i in supp])
-        # enumerate all-but-last coordinates freely, solve the product
-        # constraint for the last one
-        k = len(supp)
-        c_last = cs[-1] % (p - 1)
-        import itertools
-        for prefix in itertools.product(nonzero, repeat=k - 1):
-            prod = 1
+        _, cs = ext_gcd_multi([weights[i] for i in supp])
+        preimages = {}
+        for x in nonzero:
+            preimages.setdefault(x ** (cs[-1] % order), []).append(x)
+        for prefix in product(nonzero, repeat=len(supp) - 1):
+            prod = field.one
             for val, c in zip(prefix, cs):
-                prod = prod * pow(val, c % (p - 1), p) % p
-            # need prod * last^c_last = 1 (mod p)
-            target = pow(prod, -1, p)
-            for last in _power_preimages(p, c_last, target):
-                coords = [0] * len(weights)
+                prod = prod * val ** (c % order)
+            for last in preimages.get(field.one / prod, ()):
+                coords = [field.zero] * len(weights)
                 for i, val in zip(supp, prefix + (last,)):
                     coords[i] = val
                 yield WeightedPoint(field, weights, coords)
 
 
-def _wps_enumerate_generic(field, weights):
-    """Small extension fields: the same support walk with element scans."""
-    import itertools
-    order = field.order - 1
-    nonzero = [x for x in field.elements() if x]
-    for supp in _support_subsets(len(weights)):
-        d, cs = ext_gcd_multi([weights[i] for i in supp])
-        k = len(supp)
-        c_last = cs[-1] % order
-        for prefix in itertools.product(nonzero, repeat=k - 1):
-            prod = field.one
-            for val, c in zip(prefix, cs):
-                prod = prod * val ** (c % order)
-            target = field.one / prod
-            for last in nonzero:
-                if last ** c_last == target:
-                    coords = [field.zero] * len(weights)
-                    for i, val in zip(supp, prefix + (last,)):
-                        coords[i] = val
-                    yield WeightedPoint(field, weights, coords)
-
-
-def _power_preimages(p, e, target):
-    """x in F_p^* with x^e = target, via the cyclic group structure."""
-    from math import gcd
-    g = gcd(e, p - 1) if e else 0
-    if e == 0:
-        if target == 1:
-            return list(range(1, p))
-        return []
-    # brute scan is fine for census-scale fields; keeps the choice of
-    # generator out of the picture
-    return [x for x in range(1, p) if pow(x, e, p) == target]
-
-
-def moduli_enumerate(field, filter_singular=True, on_progress=None):
+def moduli_enumerate(field, filter_singular=True):
     """Representatives of every point of the genus-3 hyperelliptic moduli
     space over F_p (weights 2..10, subject to the five relations).
 
@@ -176,6 +133,6 @@ def moduli_enumerate(field, filter_singular=True, on_progress=None):
     with vanishing discriminant (no smooth curve) are dropped.
     """
     from .census_fast import moduli_rows
-    for row in moduli_rows(field, filter_singular, on_progress):
+    for row in moduli_rows(field, filter_singular):
         yield WeightedPoint(field, SHIODA_WEIGHTS,
                             [field(int(v)) for v in row])

@@ -1,7 +1,7 @@
 """The vectorized census kernel: output pins at p = 11 and 13, stratum
-counts at 11, 13 and 17, sampled oracles built from the scalar solvers,
-the J8 quintic and the detection cascade, and the batch J-polynomial
-evaluator."""
+counts at 11, 13 and 17, a pin of the per-class models at 11, sampled
+oracles built from the scalar solvers, the J8 quintic and the detection
+cascade, and the batch J-polynomial evaluator."""
 
 import hashlib
 import random
@@ -10,7 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
-from octicmoduli.census import expected_counts
+from octicmoduli.census import class_model, expected_counts
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
     SyzygyCoefficients, derive_syzygies, discriminant_J, discriminant_poly,
@@ -115,6 +115,32 @@ def test_classify_rows_matches_detect_group(rows_p11, labels_p11):
     for i in picked:
         row = [F(int(v)) for v in rows_p11[i]]
         assert detect_group(F, row) == names[labels_p11[i]], row
+
+
+#: sha256 prefix of the class_model lines test_class_model_pin_p11 hashes
+MODELS_SHA = "e8eda90e2ac5"
+
+
+def test_class_model_pin_p11(rows_p11, labels_p11):
+    """The F_11 models (coefficients and extension degree) of every class
+    of the dimension-0 and -1 strata and of 3 seeded classes each of
+    C2p3, C4, D4 and C2: this pins the square-root choice, the root
+    order and Galois descent."""
+    F = PrimeField(11)
+    names = strata_labels()
+    picked = list(np.nonzero(labels_p11 < names.index("C2p3"))[0])
+    for name in ("C2p3", "C4", "D4", "C2"):
+        seed = zlib.crc32(b"class_model pin " + name.encode())
+        print(name, "seed", seed)
+        rows = np.nonzero(labels_p11 == names.index(name))[0]
+        picked += random.Random(seed).sample(list(rows), 3)
+    digest = hashlib.sha256()
+    for i in picked:
+        model, extdeg = class_model(F, [F(int(v)) for v in rows_p11[i]],
+                                    names[labels_p11[i]])
+        digest.update(("%s; %d\n" % (
+            ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
+    assert digest.hexdigest()[:12] == MODELS_SHA
 
 
 def test_moduli_rows_agree_with_scalar_solvers(rows_p11):

@@ -1,3 +1,5 @@
+import pytest
+
 from octicmoduli.cli import dispatch
 
 
@@ -103,3 +105,42 @@ def test_census_refuses_oversized_prime(capsys):
     assert code == 2
     assert err.startswith("usage error:") and "physical memory" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["wps-enum", "wps-eq"])
+def test_wps_verbs_need_weights(capsys, verb):
+    code, _, err = run_cli(capsys, verb, "--field", "Fp:11",
+                           "--tuple", "1,1", "--tuple", "1,2")
+    assert code == 2 and err.startswith("usage error:")
+    assert "--weights" in err
+
+
+@pytest.mark.parametrize("verb", ["reconstruct", "disc", "autgroup"])
+@pytest.mark.parametrize("tup", ["1,2", "1,0,0,0,0,0,8,2,7,0",
+                                 "0,0,0,0,0,0,0,0,0"])
+def test_tuple_verbs_refuse_a_non_point(capsys, verb, tup):
+    """Two or ten coordinates, or the zero tuple, are not a point of the
+    weighted projective space of J2..J10."""
+    code, out, err = run_cli(capsys, verb, "--field", "Fp:11",
+                             "--tuple", tup)
+    assert code == 26 and "WeightMismatch" in err and out == ""
+
+
+@pytest.mark.parametrize("verb", ["reconstruct", "autgroup"])
+def test_tuple_verbs_refuse_a_tuple_off_the_relations(capsys, verb):
+    """The five relations take the values 8, 5, 10, 10, 4 here."""
+    code, out, err = run_cli(capsys, verb, "--field", "Fp:11",
+                             "--tuple", "1,2,3,4,5,6,7,8,9")
+    assert code == 29 and "OffModuliVariety" in err and out == ""
+
+
+def test_reconstruct_refuses_a_model_with_other_invariants(capsys):
+    """A singular D4 class on all five relations whose fallback model has
+    other invariants; autgroup still labels it."""
+    tup = "0,7,7,6,2,2,2,8,7"
+    code, out, err = run_cli(capsys, "reconstruct", "--field", "Fp:11",
+                             "--tuple", tup)
+    assert code == 29 and "other invariants" in err and out == ""
+    code, out, _ = run_cli(capsys, "autgroup", "--field", "Fp:11",
+                           "--tuple", tup)
+    assert code == 0 and out.strip() == "D4"

@@ -12,6 +12,7 @@ from octicmoduli.fields import (
     ExtField, PrimeField, QQ, QuadExtQ, ext_gcd_multi, field_make,
     norm_solve, sqrt_opt,
 )
+from octicmoduli.unipoly import rational_roots
 
 
 def test_field_make_specs():
@@ -72,13 +73,19 @@ def test_sqrt_examples(F11):
     assert sqrt_opt(QQ, Fraction(2)) is None
 
 
-def test_sqrt_properties(F11):
-    for a in range(11):
-        r = sqrt_opt(F11, F11(a))
-        if r is not None:
-            assert r * r == F11(a)
-        elif a:
-            assert F11(a) ** 5 != F11.one     # Euler criterion
+def test_sqrt_properties():
+    """Every square gets the root with the smaller element_key; 13, 17
+    and 97 are 1 mod 4 (97 - 1 = 2^5 * 3), so Tonelli-Shanks runs its
+    loop over the 2-power part."""
+    for p in (11, 13, 17, 97):
+        F = PrimeField(p)
+        for a in range(p):
+            r = sqrt_opt(F, F(a))
+            if r is not None:
+                assert r * r == F(a)
+                assert F.element_key(r) <= F.element_key(-r)
+            elif a:
+                assert F(a) ** ((p - 1) // 2) != F.one   # Euler criterion
     E = ExtField(11, 2)
     hits = 0
     for a in E.elements():
@@ -86,7 +93,21 @@ def test_sqrt_properties(F11):
         if r is not None:
             hits += 1
             assert r * r == a
+            assert E.element_key(r) <= E.element_key(-r)
     assert hits == 1 + (121 - 1) // 2
+
+
+def test_rational_roots_repeated_root_and_quadratic_factor():
+    """(x - 2/3)^3 (x + 5) (x^2 + 7): the squarefree part is taken
+    before the modular search, and x^2 + 7 has no rational root."""
+    f = [Fraction(1)]
+    for factor in ([Fraction(-2, 3), 1], [Fraction(-2, 3), 1],
+                   [Fraction(-2, 3), 1], [5, 1], [7, 0, 1]):
+        f = [sum(f[i] * factor[k - i] for i in range(len(f))
+                 if 0 <= k - i < len(factor))
+             for k in range(len(f) + len(factor) - 1)]
+    f = [c * 6 for c in f]
+    assert rational_roots(f) == [(Fraction(-5), 1), (Fraction(2, 3), 3)]
 
 
 def test_ext_gcd_multi():

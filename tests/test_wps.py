@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -174,6 +175,20 @@ def test_fast_prefix_enumeration_agrees_with_pure(F11):
             fast.add(tuple(int(v) for v in row[:6]))
     assert len(pure) == (11 ** 6 - 1) // 10
     assert pure == fast
+
+
+#: sha256 prefixes of the ordered wps_enumerate output, one line per point
+ENUM_SHA = {("Fp:11", (2, 3, 4)): "eba9bde6c390",
+            ("Fpk:11:2", (1, 1)): "f08c3df87c43"}
+
+
+@pytest.mark.parametrize("spec, weights", sorted(ENUM_SHA))
+def test_enumerate_order_pin(spec, weights):
+    field = field_make(spec)
+    text = "\n".join(",".join(repr(c) for c in pt.coords)
+                     for pt in wps_enumerate(field, weights))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest[:12] == ENUM_SHA[(spec, weights)]
 
 
 def test_enumerate_extension_field():
