@@ -7,6 +7,7 @@ polynomial embedded in degree 8 is a different value (it has picked up a
 root at infinity).
 """
 
+import functools
 from fractions import Fraction
 from math import comb, gcd
 
@@ -22,6 +23,10 @@ def _falling(n, k):
     for i in range(k):
         out *= n - i
     return out
+
+
+def _over_prime_field(f, g):
+    return isinstance(f.field, PrimeField) and isinstance(g.field, PrimeField)
 
 
 class BinaryForm:
@@ -78,6 +83,16 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
+        if _over_prime_field(self, other):
+            # convolution of the residues; the constructor reduces mod p
+            out = [0] * (self.degree + other.degree + 1)
+            bs = [b.value for b in other.coeffs]
+            for i, a in enumerate(self.coeffs):
+                a = a.value
+                if a:
+                    for j, b in enumerate(bs):
+                        out[i + j] += a * b
+            return BinaryForm(self.field, self.degree + other.degree, out)
         zero = self.field.zero
         out = [zero] * (self.degree + other.degree + 1)
         for i, a in enumerate(self.coeffs):
@@ -211,6 +226,7 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one.
+    Over a prime field the sum runs on the residues as plain ints.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
@@ -223,6 +239,10 @@ def transvect(f, g, h):
             "covariant formulas need characteristic 0 or >= 11")
     field = f.field
     norm = field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
+    if _over_prime_field(f, g):
+        return BinaryForm(field, r1 + r2 - 2 * h, _transvect_mod(
+            field.p, [a.value for a in f.coeffs], [b.value for b in g.coeffs],
+            h, norm.value))
     zero = field.zero
     out = [zero] * (r1 + r2 - 2 * h + 1)
     for k in range(h + 1):
@@ -236,6 +256,32 @@ def transvect(f, g, h):
                     if b:
                         out[i + j] = out[i + j] + cf * a * b
     return BinaryForm(field, r1 + r2 - 2 * h, [c * norm for c in out])
+
+
+@functools.cache
+def _partial_weights(n, m, l):
+    """w with d^m/dX^m d^l/dZ^l of sum a_i X^i Z^(n-i) equal to
+    sum a_(i+m) w_i X^i Z^(n-m-l-i)."""
+    return tuple(_falling(i + m, m) * _falling(n - m - i, l)
+                 for i in range(n - m - l + 1))
+
+
+def _transvect_mod(p, a, b, h, norm):
+    """transvect on the residue lists a, b; norm is the residue of the
+    factorial normalization, applied once to each coefficient."""
+    r1, r2 = len(a) - 1, len(b) - 1
+    out = [0] * (r1 + r2 - 2 * h + 1)
+    for k in range(h + 1):
+        signed = -comb(h, k) if k % 2 else comb(h, k)
+        fk = [x * w for x, w in
+              zip(a[h - k:], _partial_weights(r1, h - k, k))]
+        gk = [y * w for y, w in zip(b[k:], _partial_weights(r2, k, h - k))]
+        for i, x in enumerate(fk):
+            if x:
+                x *= signed
+                for j, y in enumerate(gk):
+                    out[i + j] += x * y
+    return [c * norm % p for c in out]
 
 
 def omega_pair(f, g):

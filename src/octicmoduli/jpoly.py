@@ -8,9 +8,12 @@ of.  They evaluate over any field of characteristic 0 or >= 11, one point
 at a time (JPolynomial.evaluate), or mod p on arrays of points (PolySet).
 """
 
+import functools
 from fractions import Fraction
 
 import numpy as np
+
+from .fields import PrimeField
 
 WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -51,12 +54,35 @@ def grevlex_key(expvec):
     return tuple(-e for e in reversed(expvec))
 
 
+def _residue(c, p):
+    """The Fraction c mod p, as PrimeField(p)(c) would give it."""
+    if not c.denominator % p:
+        raise ZeroDivisionError("denominator divisible by %d" % p)
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+@functools.cache
+def _pair(v, e):
+    return (v, e)
+
+
+@functools.cache
+def _sparse(ev):
+    """The (variable, exponent) pairs of an exponent vector's nonzero
+    entries; shared by every polynomial that has the monomial."""
+    return tuple(_pair(v, e) for v, e in enumerate(ev) if e)
+
+
 class JPolynomial:
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "terms", "_by_prime")
 
     def __init__(self, degree, terms=None):
         self.degree = degree
         self.terms = {}
+        # p -> (coefficient residues, sparse monomials, top exponent per
+        # variable), built on the first evaluation over F_p; terms is
+        # only ever set here, so an entry cannot go stale
+        self._by_prime = None
         if terms:
             for ev, c in terms.items():
                 c = Fraction(c)
@@ -134,7 +160,14 @@ class JPolynomial:
         return self.scale(-1)
 
     def evaluate(self, field, jvals):
-        """Evaluate at a 9-tuple of field elements (j2, ..., j10)."""
+        """Evaluate at a 9-tuple of field elements (j2, ..., j10).
+
+        Over a prime field the sum runs on the residues as plain ints;
+        over any other field, on field elements.
+        """
+        if isinstance(field, PrimeField):
+            return field(self._evaluate_mod(field.p,
+                                            [field(v).value for v in jvals]))
         jvals = [field(v) for v in jvals]
         maxe = [0] * 9
         for ev in self.terms:
@@ -154,6 +187,40 @@ class JPolynomial:
                 if e:
                     t = t * pows[i][e]
             acc = acc + t
+        return acc
+
+    def _compiled(self, p):
+        if self._by_prime is None:
+            self._by_prime = {}
+        entry = self._by_prime.get(p)
+        if entry is None:
+            residues, monomials, tops = [], [], [0] * 9
+            for ev, c in self.terms.items():
+                r = _residue(c, p)
+                if r:
+                    residues.append(r)
+                    monomials.append(_sparse(ev))
+                    for v, e in enumerate(ev):
+                        if e > tops[v]:
+                            tops[v] = e
+            entry = self._by_prime[p] = (residues, monomials, tops)
+        return entry
+
+    def _evaluate_mod(self, p, vals):
+        """The polynomial at the residues vals, as a sum of terms each
+        reduced mod p: an int below len(terms) * p, still to be reduced."""
+        residues, monomials, tops = self._compiled(p)
+        pows = []
+        for x, top in zip(vals, tops):
+            row = [1]
+            for _ in range(top):
+                row.append(row[-1] * x % p)
+            pows.append(row)
+        acc = 0
+        for t, mono in zip(residues, monomials):
+            for v, e in mono:
+                t = t * pows[v][e]
+            acc += t % p
         return acc
 
     def serialize(self):
@@ -263,8 +330,7 @@ class PolySet:
             coeffs = np.zeros((len(self.polys), len(monomials)))
             for k, poly in enumerate(self.polys):
                 for ev, c in poly.terms.items():
-                    coeffs[k, column[ev]] = \
-                        c.numerator * pow(c.denominator, -1, p) % p
+                    coeffs[k, column[ev]] = _residue(c, p)
             self._coeffs[p] = coeffs
         out = np.empty((rows.shape[0], len(self.polys)), dtype=np.int64)
         for start in range(0, rows.shape[0], CHUNK_ROWS):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import store, unipoly
 from .covariants import shioda
 from .errors import (
-    GuardInconsistency, SingularLocus, Unresolved,
+    ExhaustedCandidates, GuardInconsistency, SingularLocus, Unresolved,
 )
 from .fields import ExtField, PrimeField, QQ, QuadExtQ, sqrt_opt
 from .forms import BinaryForm, embed_field
@@ -350,7 +350,6 @@ def _reconstruct_d4(field, jt):
         ctx.v["cand%d-" % n] = -ctx.v[key]
         candidate_keys += ["cand%d+" % n, "cand%d-" % n]
 
-    last = None
     for ck in candidate_keys:
         a2c = ctx.v[ck]
         a0c, a4c = ctx.v["a0"], ctx.v["a4"]
@@ -371,23 +370,23 @@ def _reconstruct_d4(field, jt):
         wf = ctx.field
         for a6 in a6s:
             model = _even8(wf, a0c, a6, a4c, a2c, a0c)
-            if model.is_zero():
-                continue
-            jv = shioda(model)
-            if not any(jv):
-                continue
-            last = model
-            if wps_equal(WeightedPoint(wf, SHIODA_WEIGHTS, jv),
-                         WeightedPoint(wf, SHIODA_WEIGHTS, lj)):
+            if _reproduces(model, lj):
                 return model
-    if last is not None:
-        return last
     return _reconstruct_d4_singular(field, jt)
+
+
+def _reproduces(model, jt):
+    """Whether the model's invariants are WPS-equal to jt over its field."""
+    jv = shioda(model)
+    return any(jv) and wps_equal(
+        WeightedPoint(model.field, SHIODA_WEIGHTS, jv),
+        WeightedPoint(model.field, SHIODA_WEIGHTS, jt))
 
 
 def _reconstruct_d4_singular(field, jt):
     """Fallback family a8 x^8 + a6 x^6 + a4 x^4 + a2 x^2 for tuples that
-    defeat the even-model equations (multiple-root classes)."""
+    defeat the even-model equations (multiple-root classes); raises
+    ExhaustedCandidates unless its model has the tuple's invariants."""
     a4 = _linear_solution(field, jt, ["A4S_1", "A4S_2", "A4S_3"], 1)
     if a4 is None:
         a4 = field.zero
@@ -395,5 +394,9 @@ def _reconstruct_d4_singular(field, jt):
     a6 = -(a4 * a4 - jt[0] * 70) / (a2 * 5)
     a8 = (-a4 ** 3 * 17 / field(525) + a4 * jt[0] * 22 / field(15)
           + jt[1] * 392 / field(9))
-    return BinaryForm(field, 8, [field.zero, field.zero, a2, field.zero,
-                                 a4, field.zero, a6, field.zero, a8])
+    model = BinaryForm(field, 8, [field.zero, field.zero, a2, field.zero,
+                                  a4, field.zero, a6, field.zero, a8])
+    if not _reproduces(model, jt):
+        raise ExhaustedCandidates("every D4 candidate model has other "
+                                  "invariants")
+    return model

@@ -1,12 +1,33 @@
 import os
+import shutil
 import sys
+import tempfile
 
 sys.path.insert(0, os.path.dirname(__file__))
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from octicmoduli.fields import PrimeField
 from octicmoduli.forms import BinaryForm, disc_resultant
+
+
+# every run draws the same examples and writes no example database
+settings.register_profile("octicmoduli", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("octicmoduli")
+
+
+def pytest_configure(config):
+    """Hypothesis also caches the constants it reads from the source; that
+    cache goes to a temporary directory, not the checkout."""
+    config.hypothesis_home = tempfile.mkdtemp(prefix="octicmoduli-hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 @pytest.fixture(scope="session")

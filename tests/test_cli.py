@@ -1,6 +1,7 @@
 import pytest
 
 from octicmoduli.cli import dispatch
+from octicmoduli.forms import BinaryForm
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,15 @@ def test_tuple_verbs_refuse_a_non_point(capsys, verb, tup):
     assert code == 26 and "WeightMismatch" in err and out == ""
 
 
+@pytest.mark.parametrize("form", ["0,0,0,0,0,0,0,0,0", "1,0,0,0,0,0,0,0,0"])
+def test_autgroup_refuses_a_form_with_zero_invariants(capsys, form):
+    """The zero form and a form with an eightfold root have every
+    invariant zero; the zero tuple is not a point, so no group is named."""
+    code, out, err = run_cli(capsys, "autgroup", "--field", "Fp:11",
+                             "--form", form)
+    assert code == 26 and "WeightMismatch" in err and out == ""
+
+
 @pytest.mark.parametrize("verb", ["reconstruct", "autgroup"])
 def test_tuple_verbs_refuse_a_tuple_off_the_relations(capsys, verb):
     """The five relations take the values 8, 5, 10, 10, 4 here."""
@@ -134,13 +144,23 @@ def test_tuple_verbs_refuse_a_tuple_off_the_relations(capsys, verb):
     assert code == 29 and "OffModuliVariety" in err and out == ""
 
 
-def test_reconstruct_refuses_a_model_with_other_invariants(capsys):
-    """A singular D4 class on all five relations whose fallback model has
-    other invariants; autgroup still labels it."""
+def test_reconstruct_refuses_a_model_with_other_invariants(capsys,
+                                                           monkeypatch):
+    """A singular D4 class on all five relations: its model is the
+    verified singular fallback and autgroup labels it.  A model with
+    other invariants, here substituted for the closed form's, is refused
+    rather than printed."""
+    from octicmoduli import strata
     tup = "0,7,7,6,2,2,2,8,7"
-    code, out, err = run_cli(capsys, "reconstruct", "--field", "Fp:11",
-                             "--tuple", tup)
-    assert code == 29 and "other invariants" in err and out == ""
+    code, out, _ = run_cli(capsys, "reconstruct", "--field", "Fp:11",
+                           "--tuple", tup)
+    assert code == 0 and out.strip() == "0,0,1,0,7,0,10,0,7"
     code, out, _ = run_cli(capsys, "autgroup", "--field", "Fp:11",
                            "--tuple", tup)
     assert code == 0 and out.strip() == "D4"
+    monkeypatch.setattr(strata, "reconstruct_stratum",
+                        lambda stratum, field, t: BinaryForm(field, 8,
+                                                             [1] * 9))
+    code, out, err = run_cli(capsys, "reconstruct", "--field", "Fp:11",
+                             "--tuple", tup)
+    assert code == 29 and "other invariants" in err and out == ""

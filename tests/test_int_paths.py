@@ -1,0 +1,200 @@
+"""The plain-int F_p paths of JPolynomial.evaluate, transvect and
+BinaryForm products, checked against the field-object path over Q at the
+integer lifts, reduced mod p; and two properties that run through them.
+"""
+
+import random
+import zlib
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from octicmoduli import covariants
+from octicmoduli.census import class_model
+from octicmoduli.census_fast import classify_rows, strata_labels
+from octicmoduli.covariants import CATALOGUE, covariant_eval, shioda
+from octicmoduli.errors import InterpolationFailure
+from octicmoduli.fields import PrimeField, QQ
+from octicmoduli.forms import (
+    BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
+)
+from octicmoduli.reconstruct import (
+    TRIPLES_19, TRIPLES_C4, conic_quartic_models, r_polynomial,
+)
+from octicmoduli.strata import stratum_systems
+from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
+
+PRIMES = (11, 13, 1048573)
+
+
+class _Peak(int):
+    """An int whose sums and products stay _Peak ints; PEAK[0] holds the
+    largest absolute value any addition gave."""
+
+    PEAK = [0]
+
+    def _op(name):
+        method = getattr(int, name)
+
+        def op(self, other):
+            out = method(self, other)
+            if out is NotImplemented:
+                return out
+            if name in ("__add__", "__radd__"):
+                _Peak.PEAK[0] = max(_Peak.PEAK[0], abs(out))
+            return _Peak(out)
+        return op
+
+    __add__, __radd__ = _op("__add__"), _op("__radd__")
+    __mul__, __rmul__ = _op("__mul__"), _op("__rmul__")
+    __mod__ = _op("__mod__")
+    del _op
+
+
+def _points(p, label):
+    """The zero prefix (J2..J7 = 0), a sparse and a dense point."""
+    seed = zlib.crc32(("int path %s %d" % (label, p)).encode())
+    print(label, p, "seed", seed)
+    rng = random.Random(seed)
+    return [[0] * 6 + [rng.randrange(1, p) for _ in range(3)],
+            [rng.randrange(p) if rng.random() < 0.4 else 0
+             for _ in range(9)],
+            [rng.randrange(1, p) for _ in range(9)]]
+
+
+def _shipped_polynomials():
+    polys = [eq for eqs in stratum_systems().values() for eq in eqs]
+    polys.append(covariants.discriminant_poly())
+    polys += [r_polynomial(t) for t in TRIPLES_19]
+    for t in TRIPLES_C4:
+        polys += [poly for _, poly in
+                  conic_quartic_models(t, derive_if_missing=False)
+                  .to_named_list()]
+    return polys
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_evaluate_matches_the_rational_path(p):
+    """Every polynomial of the five C4 triple models, the 19 R
+    polynomials, the stratum systems and the discriminant, at three
+    points: equal to the Q value reduced mod p, with every partial sum
+    below len(terms) * p, which holds only when each term is reduced
+    before it is added."""
+    F = PrimeField(p)
+    polys = _shipped_polynomials()
+    assert len(polys) == 233
+    for pt in _points(p, "evaluate"):
+        for poly in polys:
+            want = F(poly.evaluate(QQ, pt))
+            _Peak.PEAK[0] = 0
+            got = poly.evaluate(F, [_Peak(v) for v in pt])
+            assert got.value == want.value
+            assert _Peak.PEAK[0] < max(len(poly.terms), 1) * p
+
+
+def test_evaluate_keeps_one_entry_per_prime():
+    """A polynomial evaluated over F_11, then F_13, then F_11 again gives
+    the Q value reduced mod each prime every time."""
+    poly = r_polynomial(TRIPLES_19[0])
+    pt = _points(13, "prime switch")[2]
+    exact = poly.evaluate(QQ, pt)
+    for p in (11, 13, 11):
+        F = PrimeField(p)
+        assert poly.evaluate(F, pt) == F(exact)
+
+
+def _transvectant_shapes():
+    """Every (r1, r2, h) with which shioda and covariant_eval call
+    transvect, recorded on one octic."""
+    seen = set()
+
+    def recording(f, g, h):
+        seen.add((f.degree, g.degree, h))
+        return transvect(f, g, h)
+
+    F = PrimeField(11)
+    f = BinaryForm(F, 8, [3, 1, 4, 1, 5, 9, 2, 6, 5])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(covariants, "transvect", recording)
+        shioda(f)
+        cache = {}
+        for name in CATALOGUE:
+            covariant_eval(name, f, cache)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_transvect_and_products_match_the_rational_path(p):
+    """transvect for every shape shioda and covariant_eval use, and the
+    products covariant_eval forms, on seeded forms with and without a
+    vanishing leading part: equal to the Q results reduced mod p."""
+    F = PrimeField(p)
+    shapes = _transvectant_shapes()
+    assert len(shapes) == 26
+    seed = zlib.crc32(b"int path transvect %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for r1, r2, h in shapes:
+        for zeros in (0, r1 // 2):
+            a = [0] * zeros + [rng.randrange(p)
+                               for _ in range(r1 + 1 - zeros)]
+            b = [rng.randrange(p) for _ in range(r2 + 1)]
+            fq, gq = BinaryForm(QQ, r1, a), BinaryForm(QQ, r2, b)
+            fp, gp = BinaryForm(F, r1, a), BinaryForm(F, r2, b)
+            assert transvect(fp, gp, h) == transvect(fq, gq, h).to_field(F)
+            assert fp * gp == (fq * gq).to_field(F)
+
+
+# ---------------------------------------------------------------------------
+# properties over F_11 and F_13
+
+
+def _octic(p, coeffs):
+    return BinaryForm(PrimeField(p), 8, [c % p for c in coeffs])
+
+
+_coeffs = st.lists(st.integers(0, 12), min_size=9, max_size=9)
+
+
+@given(p=st.sampled_from([11, 13]), coeffs=_coeffs,
+       entries=st.lists(st.integers(0, 12), min_size=4, max_size=4))
+def test_shioda_is_gl2_invariant(p, coeffs, entries):
+    F = PrimeField(p)
+    m = Gl2Matrix(F, *entries)
+    assume(m.det())
+    f = _octic(p, coeffs)
+    jf, jg = shioda(f), shioda(gl2_act(m, f))
+    if not any(jf):
+        assert not any(jg)
+        return
+    assert wps_equal(WeightedPoint(F, SHIODA_WEIGHTS, jf),
+                     WeightedPoint(F, SHIODA_WEIGHTS, jg))
+
+
+def _walk_ends_shipped(F, jt):
+    """Whether the triple walk stops at a triple whose models ship with
+    the package (any other one would be derived, for minutes)."""
+    for t in TRIPLES_19:
+        if r_polynomial(t).evaluate(F, jt):
+            try:
+                conic_quartic_models(t, derive_if_missing=False)
+            except InterpolationFailure:
+                return False
+            return True
+    return False
+
+
+@given(p=st.sampled_from([11, 13]), coeffs=_coeffs)
+def test_class_model_round_trips_generic_classes(p, coeffs):
+    F = PrimeField(p)
+    f = _octic(p, coeffs)
+    assume(disc_resultant(f))
+    jt = shioda(f)
+    row = np.array([[v.value for v in jt]], dtype=np.int64)
+    assume(strata_labels()[classify_rows(F, row)[0]] == "C2")
+    assume(_walk_ends_shipped(F, jt))
+    model, extdeg = class_model(F, jt)
+    assert model.field == F and extdeg == 1
+    assert wps_equal(WeightedPoint(F, SHIODA_WEIGHTS, shioda(model)),
+                     WeightedPoint(F, SHIODA_WEIGHTS, jt))

@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from octicmoduli.covariants import random_octic, shioda
-from octicmoduli.errors import SingularLocus
+from octicmoduli.errors import ExhaustedCandidates, SingularLocus
 from octicmoduli.fields import PrimeField, QQ
+from octicmoduli import strata
 from octicmoduli.forms import BinaryForm, disc_resultant
 from octicmoduli.strata import (
     ALL_STRATA, STRATA_ORDER, c4_determinants, detect_group,
@@ -214,3 +215,15 @@ def test_d4_appendix_count_and_degrees():
     degs = sorted(eq.degree for eq in systems["D4"])
     assert len(degs) == 24
     assert degs[0] == 16 and degs[-1] == 24
+
+
+def test_d4_returns_only_a_verified_model(F11, monkeypatch):
+    """A singular D4 class whose even-model candidates all have other
+    invariants: the singular fallback is returned because its invariants
+    are the class's; when no model checks out, none is returned."""
+    jt = [F11(v) for v in (0, 7, 7, 6, 2, 2, 2, 8, 7)]
+    assert detect_group(F11, jt) == "D4"
+    assert roundtrip_ok(F11, jt, "D4")
+    monkeypatch.setattr(strata, "_reproduces", lambda model, jt: False)
+    with pytest.raises(ExhaustedCandidates):
+        reconstruct_stratum("D4", F11, jt)
