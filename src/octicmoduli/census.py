@@ -12,12 +12,12 @@ hard failure.
 
 import random
 import time
-from math import gcd
+from math import lcm
 
 import numpy as np
 
 from . import census_fast
-from .covariants import shioda
+from .covariants import has_invariants, shioda
 from .errors import (
     CountMismatch, ExhaustedCandidates, MultipleRoot, NotRationalClass,
 )
@@ -27,7 +27,7 @@ from .forms import (
     roots_in_splitting_field,
 )
 from .strata import detect_group, reconstruct_stratum
-from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal, wps_normalize
+from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
 
 
 def expected_counts(p):
@@ -64,18 +64,13 @@ def find_isomorphism(f, g):
     if any(m > 1 for _, m in roots_f) or any(m > 1 for _, m in roots_g):
         raise MultipleRoot("isomorphism search needs simple roots")
     # move everything into one field
-    kf = ext_f.k if isinstance(ext_f, ExtField) else 1
-    kg = ext_g.k if isinstance(ext_g, ExtField) else 1
-    kk = kf * kg // gcd(kf, kg)
-    if kk == 1:
-        big = f.field if not isinstance(f.field, ExtField) else ext_f
-    else:
-        big = ExtField(f.field.characteristic, kk)
-    emb_f, emb_g = _lift_map(ext_f, big), _lift_map(ext_g, big)
+    kk = lcm(ext_f.k, ext_g.k)
+    big = ext_f if kk == 1 else ExtField(f.field.characteristic, kk)
+    emb_f, emb_g = embed_field(ext_f, big), embed_field(ext_g, big)
     rf = [(emb_f(x), emb_f(z)) for (x, z), _ in roots_f]
     rg = [(emb_g(x), emb_g(z)) for (x, z), _ in roots_g]
-    fb = f.to_field(big, _lift_map(f.field, big))
-    gb = g.to_field(big, _lift_map(g.field, big))
+    fb = f.to_field(big, embed_field(f.field, big))
+    gb = g.to_field(big, embed_field(g.field, big))
     return next(_isomorphisms_from_roots(big, fb, gb, rf, rg), None)
 
 
@@ -165,14 +160,6 @@ def _canonical_matrix(mat):
     raise ValueError("zero matrix")
 
 
-def _lift_map(small, big):
-    if small is big:
-        return big
-    if isinstance(small, PrimeField):
-        return lambda a: big(a.value)
-    return embed_field(small, big)
-
-
 def _frobenius_form(f, times=1):
     p = f.field.characteristic
     return BinaryForm(f.field, f.degree,
@@ -184,88 +171,100 @@ def _frobenius_matrix(m, times=1):
     return m.apply_entrywise(lambda x: x ** (p ** times))
 
 
-def descend(f, base, seed=0x0DE5CE17):
+#: seed of the random matrices descend averages through its cocycle
+_DESCENT_SEED = 0x0DE5CE17
+
+
+def descend(f, base):
     """A base-field model of an octic defined over an extension, given
     that its invariant class is rational over the base prime field.
 
-    Finds a Frobenius twisting matrix among the root-matching candidates
-    whose twisted norm is scalar, rescales it by a norm preimage, averages
-    a random matrix through the cocycle until invertible, and normalizes
-    the transported form to base coefficients.
+    Each root-matching Frobenius twisting matrix M has a twisted norm C
+    that is an automorphism of f, so some power C^r is scalar; C^r is the
+    norm of M over the degree-r extension of f's splitting field.  There
+    M is rescaled by a norm preimage, a random matrix is averaged through
+    the cocycle until invertible, and the transported form is normalized
+    to base coefficients.  Matrices with r = 1 are tried first.
     """
     if not isinstance(base, PrimeField):
         raise NotRationalClass("descent targets the prime field")
     p = base.p
+    if f.field.characteristic != p:
+        raise NotRationalClass("the form is not over an extension of F_%d"
+                               % p)
     if isinstance(f.field, PrimeField):
         return f
     # the class must be rational: normalized invariants in the base field
     jt = shioda(f)
     norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS, jt))
-    for c in norm_pt.coords:
-        if c and not _in_prime_field(c):
-            raise NotRationalClass("invariant class is not rational")
+    if any(any(c.coeffs[1:]) for c in norm_pt.coords):
+        raise NotRationalClass("invariant class is not rational")
 
-    ext_f, roots_f = roots_in_splitting_field(f)
+    big, roots_f = roots_in_splitting_field(f)
     if any(mlt > 1 for _, mlt in roots_f):
         raise MultipleRoot("descent needs simple roots")
-    big = ext_f if isinstance(ext_f, ExtField) else f.field
     rf = [(x, z) for (x, z), _ in roots_f]
     # the Frobenius image of f has the Frobenius images of the roots
     rg = [(x ** p, z ** p) for x, z in rf]
-    fb = f.to_field(big, _lift_map(f.field, big))
+    fb = f.to_field(big, embed_field(f.field, big))
     gb = _frobenius_form(fb)
-    candidates = list(_isomorphisms_from_roots(big, fb, gb, rf, rg))
+    candidates = [(mat,) + _scalar_norm_power(mat, big.k) for mat, _e in
+                  _isomorphisms_from_roots(big, fb, gb, rf, rg)]
     if not candidates:
         raise ExhaustedCandidates("no Frobenius twisting candidate")
-    m = big.k
-    rng = random.Random(seed)
-    for mat, _e in candidates:
-        # twisted norm C_m = M * M^sigma * ... * M^{sigma^{m-1}}
-        tw = mat
-        cur = mat
-        for i in range(1, m):
-            cur = _frobenius_matrix(cur)
-            tw = tw * cur
-        if tw.b or tw.c or tw.a != tw.d or not tw.a:
+    rng = random.Random(_DESCENT_SEED)
+    for mat, r, lam in sorted(candidates, key=lambda c: c[1] > 1):
+        if any(lam.coeffs[1:]):
             continue
-        lam = tw.a
-        if not _in_prime_field(lam):
-            continue
-        lam_p = base(_prime_value(lam))
-        a = norm_solve(big, lam_p)
-        mprime = mat.scale(big.one / a)
-        # average a random matrix through the cocycle until invertible
-        for _ in range(64):
-            pmat = Gl2Matrix(big, *[_random_elt(big, rng) for _ in range(4)])
-            avg = pmat
-            cof = mprime
-            cur = pmat
-            for i in range(1, m):
-                cur = _frobenius_matrix(cur)
-                avg = avg + cof * cur
-                cof = cof * _frobenius_matrix(mprime, i)
-            if avg.det():
-                g0 = gl2_act(avg, fb)
-                lead = next(c for c in g0.coeffs if c)
-                g = g0.scale(big.one / lead)
-                if all(_in_prime_field(c) or not c for c in g.coeffs):
-                    out = BinaryForm(base, 8,
-                                     [_prime_value(c) for c in g.coeffs])
-                    if disc_resultant(out):
-                        return out
+        ext = ExtField(p, big.k * r)
+        emb = embed_field(big, ext)
+        mat = Gl2Matrix(ext, emb(mat.a), emb(mat.b), emb(mat.c), emb(mat.d))
+        out = _average_descent(mat, base(lam.coeffs[0]),
+                               fb.to_field(ext, emb), base, rng)
+        if out is not None:
+            return out
     raise ExhaustedCandidates("descent failed for every candidate")
 
 
-def _in_prime_field(x):
-    if hasattr(x, "coeffs"):
-        return not any(x.coeffs[1:])
-    return True
+def _scalar_norm_power(mat, k):
+    """(r, lam) with r >= 1 least such that C^r = lam * I, for the twisted
+    norm C = M * M^sigma * ... * M^{sigma^{k-1}}; C is an automorphism of
+    the form, of finite order in PGL2."""
+    tw = cur = mat
+    for _ in range(1, k):
+        cur = _frobenius_matrix(cur)
+        tw = tw * cur
+    r, power = 1, tw
+    while power.b or power.c or power.a != power.d:
+        r, power = r + 1, power * tw
+    return r, power.a
 
 
-def _prime_value(x):
-    if hasattr(x, "coeffs"):
-        return int(x.coeffs[0])
-    return int(x.value)
+def _average_descent(mat, lam, fb, base, rng):
+    """The base-field model from a twisting matrix whose norm over fb's
+    field is lam * I, or None when 64 averaged matrices give none."""
+    ext = fb.field
+    m = ext.k
+    mprime = mat.scale(ext.one / norm_solve(ext, lam))
+    # average a random matrix through the cocycle until invertible
+    for _ in range(64):
+        pmat = Gl2Matrix(ext, *[_random_elt(ext, rng) for _ in range(4)])
+        avg = pmat
+        cof = mprime
+        cur = pmat
+        for i in range(1, m):
+            cur = _frobenius_matrix(cur)
+            avg = avg + cof * cur
+            cof = cof * _frobenius_matrix(mprime, i)
+        if avg.det():
+            g0 = gl2_act(avg, fb)
+            lead = next(c for c in g0.coeffs if c)
+            g = g0.scale(ext.one / lead)
+            if not any(any(c.coeffs[1:]) for c in g.coeffs):
+                out = BinaryForm(base, 8, [c.coeffs[0] for c in g.coeffs])
+                if disc_resultant(out):
+                    return out
+    return None
 
 
 def _random_elt(field, rng):
@@ -366,7 +365,7 @@ def _model_worker(item):
     jt = [field(v) for v in row]
     model, extdeg = class_model(field, jt, stratum)
     return (",".join(str(v) for v in row), stratum,
-            ",".join(_coeff_str(c) for c in model.coeffs), extdeg)
+            ",".join(str(c) for c in model.coeffs), extdeg)
 
 
 def _read_checkpoint(path):
@@ -394,10 +393,6 @@ def _append_checkpoint(path, rec):
             fh.write("%s; %s; %s; ext-degree %d\n" % rec)
 
 
-def _coeff_str(c):
-    return str(c.value if hasattr(c, "value") else c)
-
-
 def _spread_indices(total, limit):
     if limit >= total:
         return range(total)
@@ -411,11 +406,9 @@ def class_model(field, jt, stratum=None):
     if stratum is None:
         stratum = detect_group(field, jt)
     model = reconstruct_stratum(stratum, field, jt)
-    extdeg = model.field.k if isinstance(model.field, ExtField) else 1
+    extdeg = model.field.k
     if extdeg > 1:
         model = descend(model, field)
-    jv = shioda(model)
-    if not wps_equal(WeightedPoint(field, SHIODA_WEIGHTS, jv),
-                     WeightedPoint(field, SHIODA_WEIGHTS, jt)):
+    if not has_invariants(model, jt):
         raise CountMismatch("reconstructed model invariants differ")
     return model, extdeg

@@ -65,15 +65,10 @@ def _parse_moduli_point(field, text):
 def _check_round_trip(field, t, model):
     """Refuse a model whose invariants are not t, compared over the
     model's field."""
-    from .covariants import shioda
+    from .covariants import has_invariants
     from .forms import embed_field
-    from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
-    big = model.field
-    lift = embed_field(field, big) if isinstance(field, ExtField) else big
-    jv = shioda(model)
-    if not any(jv) or not wps_equal(
-            WeightedPoint(big, SHIODA_WEIGHTS, jv),
-            WeightedPoint(big, SHIODA_WEIGHTS, [lift(c) for c in t])):
+    lift = embed_field(field, model.field)
+    if not has_invariants(model, [lift(c) for c in t]):
         raise OffModuliVariety("the reconstructed model has other "
                                "invariants")
 

@@ -22,9 +22,12 @@ from .errors import (
 )
 from .fields import ExtField, PrimeField, QQ
 from .forms import BinaryForm, transvect
-from .jpoly import JPolyX, JPolynomial, monomial_basis, monomial_matrix, wdeg
+from .jpoly import (
+    JPolyX, JPolynomial, _residue, monomial_basis, monomial_matrix, wdeg,
+)
 from .linsolve import solve_rational
 from .unipoly import evaluate, rational_roots, roots as field_roots
+from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
 # ---------------------------------------------------------------------------
 # catalogue
@@ -194,25 +197,28 @@ def discriminant_poly():
     return store.read_data_polys("discriminant_j.jpoly")[0][1]
 
 
+def has_invariants(f, jtuple):
+    """Whether the invariants of f are jtuple, a nonzero point, in weighted
+    projective space over f's field; jtuple must coerce into that field."""
+    jv = shioda(f)
+    return any(jv) and wps_equal(WeightedPoint(f.field, SHIODA_WEIGHTS, jv),
+                                 WeightedPoint(f.field, SHIODA_WEIGHTS, jtuple))
+
+
 def discriminant_J(field, jtuple):
     """The discriminant (discriminant_poly) at one J-tuple."""
     return discriminant_poly().evaluate(field, jtuple)
 
 
 def is_isomorphic(f, g):
-    """Whether two simple-root octics define isomorphic curves."""
-    from . import wps
+    """Whether two simple-root octics over one field define isomorphic
+    curves."""
     from .forms import disc_resultant
     if not disc_resultant(f):
         raise SingularForm("first form has a multiple root")
     if not disc_resultant(g):
         raise SingularForm("second form has a multiple root")
-    jf = shioda(f)
-    jg = shioda(g)
-    return wps.wps_equal(wps.WeightedPoint(f.field, (2, 3, 4, 5, 6, 7, 8, 9,
-                                                     10), jf),
-                         wps.WeightedPoint(g.field, (2, 3, 4, 5, 6, 7, 8, 9,
-                                                     10), jg))
+    return has_invariants(g, shioda(f))
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +249,14 @@ class _SampleSet:
         out = np.zeros((rows, 9), dtype=np.int64)
         for i, row in enumerate(self.jvals):
             for j, v in enumerate(row):
-                out[i, j] = (v.numerator * pow(v.denominator, -1, p)) % p
+                out[i, j] = _residue(v, p)
         return out
 
 
 def _values_mod(values, p):
     out = np.zeros(len(values), dtype=np.int64)
     for i, v in enumerate(values):
-        v = Fraction(v)
-        out[i] = (v.numerator * pow(v.denominator, -1, p)) % p
+        out[i] = _residue(Fraction(v), p)
     return out
 
 
@@ -271,7 +276,7 @@ MAX_EXPRESS_DEGREE = 44
 _EXPRESS_SEED = 0x0C71C
 
 
-def express_in_J(program, degree, seed=_EXPRESS_SEED, samples=None):
+def express_in_J(program, degree, seed=_EXPRESS_SEED):
     """Write an invariant (given as an evaluation program on octics) as a
     polynomial in J2..J10 of the stated weighted degree.
 
@@ -282,11 +287,11 @@ def express_in_J(program, degree, seed=_EXPRESS_SEED, samples=None):
     the coefficients of non-pivot monomials (grevlex order, J2 < ... <
     J10) to zero, and the nullity is reported.
     """
-    outs = express_many([(program, degree)], seed=seed, samples=samples)
+    outs = express_many([(program, degree)], seed=seed)
     return outs[0]
 
 
-def express_many(programs_with_degrees, seed=_EXPRESS_SEED, samples=None):
+def express_many(programs_with_degrees, seed=_EXPRESS_SEED):
     """Interpolate several invariants against one shared sample set."""
     degrees = [d for _, d in programs_with_degrees]
     if max(degrees) > MAX_EXPRESS_DEGREE:
@@ -294,8 +299,7 @@ def express_many(programs_with_degrees, seed=_EXPRESS_SEED, samples=None):
                              "bound %d" % (max(degrees), MAX_EXPRESS_DEGREE))
     bases = {d: monomial_basis(d) for d in set(degrees)}
     need = max(len(b) for b in bases.values()) + 10
-    if samples is None:
-        samples = _SampleSet(need, seed)
+    samples = _SampleSet(need, seed)
     values = []
     for program, _ in programs_with_degrees:
         values.append([program(f) for f in samples.forms])

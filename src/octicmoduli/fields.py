@@ -9,6 +9,7 @@ Characteristics 2, 3, 5 and 7 are rejected outright: the covariant formulae
 of this package carry denominators divisible by those primes.
 """
 
+import functools
 from fractions import Fraction
 from math import isqrt
 
@@ -284,6 +285,8 @@ class PrimeField:
     """
 
     kind = "Fp"
+    #: the degree over the prime field, as ExtField.k
+    k = 1
 
     def __init__(self, p, allow_small=False):
         if p in _SMALL_PRIMES and not allow_small:
@@ -456,17 +459,11 @@ def _prime_factors(n):
     return out
 
 
-_MODULUS_CACHE = {}
-
-
+@functools.cache
 def _default_modulus(p, k):
     """Smallest monic irreducible t^k + c_{k-1} t^{k-1} + ... + c_0, the
     coefficient tuples ordered lexicographically with c_0 varying fastest
-    (low-degree coefficients move first, so sparse moduli come early);
-    cached per (p, k)."""
-    if (p, k) in _MODULUS_CACHE:
-        return _MODULUS_CACHE[(p, k)]
-
+    (low-degree coefficients move first, so sparse moduli come early)."""
     def candidates():
         def rec(i, cur):
             if i < 0:
@@ -480,8 +477,7 @@ def _default_modulus(p, k):
 
     for mod in candidates():
         if _is_irreducible(mod, p):
-            _MODULUS_CACHE[(p, k)] = tuple(mod)
-            return _MODULUS_CACHE[(p, k)]
+            return tuple(mod)
     raise ReducibleModulus("no irreducible modulus found (impossible)")
 
 

@@ -9,7 +9,7 @@ root at infinity).
 
 import functools
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, lcm
 
 from . import unipoly
 from .errors import (
@@ -40,15 +40,6 @@ class BinaryForm:
         self.field = field
         self.degree = degree
         self.coeffs = coeffs
-
-    @classmethod
-    def from_univariate(cls, field, degree, poly_coeffs):
-        """Embed a univariate polynomial (low-first) into fixed degree."""
-        c = list(poly_coeffs)
-        if len(c) > degree + 1:
-            raise WrongDegree("univariate degree exceeds %d" % degree)
-        c += [0] * (degree + 1 - len(c))
-        return cls(field, degree, c)
 
     def is_zero(self):
         return not any(self.coeffs)
@@ -378,22 +369,16 @@ def disc_resultant(f):
 # projective roots over a splitting field
 
 
-_EMBED_CACHE = {}
-
-
+@functools.cache
 def embed_field(small, big):
-    """Embedding F_{p^k} -> F_{p^K} (k | K), deterministic choice of root."""
-    key = (small.serialize(), big.serialize())
-    if key in _EMBED_CACHE:
-        return _EMBED_CACHE[key]
-    if isinstance(small, PrimeField):
-        fn = lambda a: big(a.value)
-        _EMBED_CACHE[key] = fn
-        return fn
-    if small.k == big.k and small.modulus == big.modulus:
-        fn = lambda a: big(list(a.coeffs))
-        _EMBED_CACHE[key] = fn
-        return fn
+    """The embedding of a field into a finite field containing it.
+
+    big itself, which coerces, when small is big, F_p or Q; otherwise
+    F_{p^k} -> F_{p^K} (k | K) through the first root of small's modulus
+    in big, a deterministic choice.
+    """
+    if small == big or not isinstance(small, ExtField):
+        return big
     if big.k % small.k:
         raise ValueError("no embedding F_%d^%d -> F_%d^%d"
                          % (small.p, small.k, big.p, big.k))
@@ -402,22 +387,12 @@ def embed_field(small, big):
     if not rts:
         raise ValueError("modulus has no root in the bigger field")
     root = rts[0][0]
-    fn = lambda a: unipoly.evaluate(big, a.coeffs, root)
-    _EMBED_CACHE[key] = fn
-    return fn
+    return lambda a: unipoly.evaluate(big, a.coeffs, root)
 
 
 def splitting_extension(field, degrees):
     """Smallest extension of the base prime field containing all roots."""
-    e = 1
-    for d in degrees:
-        g = gcd(e, d)
-        e = e // g * d
-    if isinstance(field, PrimeField):
-        k = 1
-    else:
-        k = field.k
-    total = k * e
+    total = field.k * lcm(1, *degrees)
     if total == 1:
         return field
     return ExtField(field.characteristic, total)

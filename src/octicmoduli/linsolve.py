@@ -30,6 +30,9 @@ def _gen_primes(start, count):
 #: fixed deterministic worklist of 30-bit primes for modular images
 PRIMES30 = _gen_primes(1 << 29, 64)
 
+#: images combined before the first rational reconstruction is tried
+_MIN_PRIMES = 4
+
 
 def rref_mod(A, B, p):
     """Reduced row echelon form of [A | B] over F_p (in place on copies).
@@ -108,8 +111,7 @@ class SolveOutcome:
         self.pivots = pivots
 
 
-def solve_rational(image_builder, n_cols, n_rhs, verify=None,
-                   min_primes=4, max_primes=len(PRIMES30)):
+def solve_rational(image_builder, n_cols, n_rhs, verify=None):
     """Solve M U = V exactly from modular images.
 
     image_builder(p) must return (A mod p, B mod p) as numpy int64 arrays
@@ -123,7 +125,7 @@ def solve_rational(image_builder, n_cols, n_rhs, verify=None,
     ref = None        # (pivots, consistent) from the majority
     used = 0
     attempts_since = 0
-    for p in PRIMES30[:max_primes]:
+    for p in PRIMES30:
         A, B = image_builder(p)
         pivots, sol, consistent = rref_mod(A, B, p)
         if ref is None:
@@ -151,7 +153,7 @@ def solve_rational(image_builder, n_cols, n_rhs, verify=None,
             modulus *= p
         used += 1
         attempts_since += 1
-        if used >= min_primes and attempts_since >= 2:
+        if used >= _MIN_PRIMES and attempts_since >= 2:
             attempts_since = 0
             cand = _try_reconstruct(acc, modulus, n_cols, n_rhs)
             if cand is not None:

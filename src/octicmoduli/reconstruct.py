@@ -200,7 +200,11 @@ def _all_triple_values(triple, f):
     return out
 
 
-def derive_triple_models(triple, seed=0xD0E):
+#: seed of the sample octics derive_triple_models interpolates on
+_TRIPLE_SEED = 0xD0E
+
+
+def derive_triple_models(triple):
     """Interpolate R, all A_ij and all h_M for a triple of order-2
     catalogue covariants; writes the disk cache.
 
@@ -229,7 +233,7 @@ def derive_triple_models(triple, seed=0xD0E):
         jobs.append((program_factory(names[-1]),
                      1 + sum(degs[i] for i in mset)))
 
-    results = express_many(jobs, seed=seed)
+    results = express_many(jobs, seed=_TRIPLE_SEED)
     named = list(zip(names, [r.polynomial for r in results]))
     store.write_artifact(_triple_identifier(triple), named)
     return TripleModels.from_named_list(triple, named)

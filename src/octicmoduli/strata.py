@@ -14,13 +14,12 @@ import functools
 from fractions import Fraction
 
 from . import store, unipoly
-from .covariants import shioda
+from .covariants import has_invariants
 from .errors import (
     ExhaustedCandidates, GuardInconsistency, SingularLocus, Unresolved,
 )
-from .fields import ExtField, PrimeField, QQ, QuadExtQ, sqrt_opt
+from .fields import ExtField, QQ, QuadExtQ, sqrt_opt
 from .forms import BinaryForm, embed_field
-from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
 #: detection order: dimension 0 strata first, then up the lattice; a tuple
 #: is classified by the first system it satisfies
@@ -108,15 +107,8 @@ class FieldContext:
         return embed_one
 
     def _extend_degree(self, factor_degree):
-        f = self.field
-        if isinstance(f, PrimeField):
-            new = ExtField(f.p, factor_degree)
-            return self._grow(new, lambda x: new(x.value))
-        if isinstance(f, ExtField):
-            new = ExtField(f.p, f.k * factor_degree)
-            emb = embed_field(f, new)
-            return self._grow(new, emb)
-        raise Unresolved("cannot extend %r" % (f,))
+        new = ExtField(self.field.p, self.field.k * factor_degree)
+        return self._grow(new, embed_field(self.field, new))
 
     def sqrt(self, name):
         """Replace nothing; return sqrt of self.v[name], extending the
@@ -168,7 +160,7 @@ def _even8(field, a8, a6, a4, a2, a0):
                                  field.zero, a6, field.zero, a8])
 
 
-def reconstruct_stratum(stratum, field, jtuple, _redispatch=True):
+def reconstruct_stratum(stratum, field, jtuple):
     """A model octic whose invariants are WPS-equal to the tuple, using the
     closed form of the stratum's lemma; may move to a bounded extension.
 
@@ -195,9 +187,7 @@ def reconstruct_stratum(stratum, field, jtuple, _redispatch=True):
         elif j4:
             a4 = j5 * 35 / (j4 * 3)
         else:
-            if _redispatch:
-                return reconstruct_stratum("C2xS4", field, jtuple)
-            raise GuardInconsistency("both branch guards vanish")
+            return reconstruct_stratum("C2xS4", field, jtuple)
         a0 = -a4 * a4 / field(140) + j2 / field(2)
         return _even8(field, one, zero, a4, zero, a0)
 
@@ -208,9 +198,7 @@ def reconstruct_stratum(stratum, field, jtuple, _redispatch=True):
         elif j4:
             a4 = j5 * 35 / (j4 * 3)
         else:
-            if _redispatch:
-                return reconstruct_stratum("C2xS4", field, jtuple)
-            raise GuardInconsistency("both branch guards vanish")
+            return reconstruct_stratum("C2xS4", field, jtuple)
         a1 = a4 * a4 * 2 / field(35) - j2 * 4
         return BinaryForm(field, 8, [0, a1, 0, 0, a4, 0, 0, 1, 0])
 
@@ -221,13 +209,9 @@ def reconstruct_stratum(stratum, field, jtuple, _redispatch=True):
         g4 = j4 * 147 - j2 * j2 * 2
         g5 = j6 * 3087 - j2 ** 3 * 2
         if not g1 and not g2:
-            if _redispatch:
-                return reconstruct_stratum("V8", field, jtuple)
-            raise GuardInconsistency("V8 point inside the C2xC4 stratum")
+            return reconstruct_stratum("V8", field, jtuple)
         if not g3:
-            if _redispatch:
-                return reconstruct_stratum("U6", field, jtuple)
-            raise GuardInconsistency("U6 point inside the C2xC4 stratum")
+            return reconstruct_stratum("U6", field, jtuple)
         if not g4 and not g5:
             raise SingularLocus("no smooth curve has these invariants")
         if not g1:
@@ -245,10 +229,7 @@ def reconstruct_stratum(stratum, field, jtuple, _redispatch=True):
     if stratum == "C2p3":
         dd = (j6 * (-18) + j4 * j2 * 9 + j3 * j3 * 60 - j2 ** 3 * 2)
         if not dd:
-            if _redispatch:
-                return reconstruct_stratum("C2xD8", field, jtuple,
-                                           _redispatch=True)
-            raise GuardInconsistency("cubic denominator vanishes")
+            return reconstruct_stratum("C2xD8", field, jtuple)
         cubic = _c2p3_cubic_coeffs()
         ctx = FieldContext(field, {("j", i): v for i, v in enumerate(jt)})
         ctx.v["dd"] = dd
@@ -370,17 +351,9 @@ def _reconstruct_d4(field, jt):
         wf = ctx.field
         for a6 in a6s:
             model = _even8(wf, a0c, a6, a4c, a2c, a0c)
-            if _reproduces(model, lj):
+            if has_invariants(model, lj):
                 return model
     return _reconstruct_d4_singular(field, jt)
-
-
-def _reproduces(model, jt):
-    """Whether the model's invariants are WPS-equal to jt over its field."""
-    jv = shioda(model)
-    return any(jv) and wps_equal(
-        WeightedPoint(model.field, SHIODA_WEIGHTS, jv),
-        WeightedPoint(model.field, SHIODA_WEIGHTS, jt))
 
 
 def _reconstruct_d4_singular(field, jt):
@@ -396,7 +369,7 @@ def _reconstruct_d4_singular(field, jt):
           + jt[1] * 392 / field(9))
     model = BinaryForm(field, 8, [field.zero, field.zero, a2, field.zero,
                                   a4, field.zero, a6, field.zero, a8])
-    if not _reproduces(model, jt):
+    if not has_invariants(model, jt):
         raise ExhaustedCandidates("every D4 candidate model has other "
                                   "invariants")
     return model

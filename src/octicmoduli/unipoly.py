@@ -103,29 +103,20 @@ def derivative(field, f):
     return trim([f[i] * i for i in range(1, len(f))])
 
 
-def _field_order(field):
-    if isinstance(field, PrimeField):
-        return field.p
-    if isinstance(field, ExtField):
-        return field.order
-    raise TypeError("factorization needs a finite field, got %r" % (field,))
-
-
 def _poly_seed(field, f):
     if isinstance(field, ExtField):
         flat = tuple(c for e in f for c in e.coeffs)
     else:
         flat = tuple(c.value for c in f)
-    return hash((_field_order(field),) + flat) & 0x7FFFFFFF
+    return hash((field.order,) + flat) & 0x7FFFFFFF
 
 
 def _random_poly(field, deg, rng):
-    q = _field_order(field)
     if isinstance(field, ExtField):
         p, k = field.p, field.k
         return trim([field([rng.randrange(p) for _ in range(k)])
                      for _ in range(deg + 1)])
-    return trim([field(rng.randrange(q)) for _ in range(deg + 1)])
+    return trim([field(rng.randrange(field.p)) for _ in range(deg + 1)])
 
 
 def squarefree_part_factors(field, f):
@@ -152,7 +143,7 @@ def squarefree_part_factors(field, f):
 
 def distinct_degree_factors(field, f):
     """[(product of irreducible factors of degree d, d)] for squarefree f."""
-    q = _field_order(field)
+    q = field.order
     out = []
     x = [field.zero, field.one]
     h = list(x)
@@ -173,7 +164,7 @@ def distinct_degree_factors(field, f):
 
 def equal_degree_split(field, f, d, rng):
     """Cantor-Zassenhaus split of a squarefree product of degree-d primes."""
-    q = _field_order(field)
+    q = field.order
     n = degree(f)
     if n == d:
         return [f]

@@ -6,7 +6,9 @@ from octicmoduli.census import (
     CensusReport, _read_checkpoint, class_model, descend, expected_counts,
     find_isomorphism, run_census,
 )
-from octicmoduli.covariants import is_isomorphic, random_octic, shioda
+from octicmoduli.covariants import (
+    has_invariants, is_isomorphic, random_octic, shioda,
+)
 from octicmoduli.errors import CompositeModulus, MultipleRoot
 from octicmoduli.fields import ExtField, PrimeField
 from octicmoduli.forms import BinaryForm, Gl2Matrix, disc_resultant, gl2_act
@@ -93,6 +95,17 @@ def test_class_model_descends_extension_strata(stratum, F11):
                          WeightedPoint(F11, SHIODA_WEIGHTS, jt))
         done += 1
     assert done >= 2
+
+
+def test_class_model_descends_through_a_scalar_norm_power(F11):
+    """A Klein-four class whose closed-form model splits over F_{11^4},
+    where every Frobenius twisting matrix has a twisted norm that is a
+    nontrivial automorphism of the model; its square is scalar, so the
+    model descends from F_{11^8}."""
+    jt = [F11(v) for v in (0, 5, 5, 7, 8, 2, 8, 7, 9)]
+    model, extdeg = class_model(F11, jt)
+    assert extdeg == 4 and model.field == F11
+    assert disc_resultant(model) and has_invariants(model, jt)
 
 
 def test_expected_counts_sum_to_p5():

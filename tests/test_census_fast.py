@@ -1,7 +1,8 @@
 """The vectorized census kernel: output pins at p = 11 and 13, stratum
-counts at 11, 13 and 17, a pin of the per-class models at 11, sampled
-oracles built from the scalar solvers, the J8 quintic and the detection
-cascade, and the batch J-polynomial evaluator."""
+counts at 11, 13 and 17, a pin of the per-class models at 11, models of
+sampled Klein-four classes at 13, sampled oracles built from the scalar
+solvers, the J8 quintic and the detection cascade, and the batch
+J-polynomial evaluator."""
 
 import hashlib
 import random
@@ -14,10 +15,11 @@ from octicmoduli.census import class_model, expected_counts
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
     SyzygyCoefficients, derive_syzygies, discriminant_J, discriminant_poly,
-    j8_candidates, j8_determinant, j8_quintic, j9_j10_closed_form,
-    solve_j9_j10,
+    has_invariants, j8_candidates, j8_determinant, j8_quintic,
+    j9_j10_closed_form, solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField
+from octicmoduli.forms import disc_resultant
 from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.strata import detect_group, stratum_systems
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
@@ -38,6 +40,11 @@ def labels_p11(rows_p11):
     return classify_rows(PrimeField(11), rows_p11)
 
 
+@pytest.fixture(scope="module")
+def rows_p13():
+    return moduli_rows(PrimeField(13))
+
+
 def _check_counts(p, labels):
     counts = {name: int((labels == k).sum())
               for k, name in enumerate(strata_labels())}
@@ -55,9 +62,24 @@ def test_moduli_rows_pin_p11(rows_p11, labels_p11):
 
 
 @pytest.mark.slow
-def test_moduli_rows_pin_p13():
-    rows = moduli_rows(PrimeField(13))
-    _check_pins(13, rows, classify_rows(PrimeField(13), rows))
+def test_moduli_rows_pin_p13(rows_p13):
+    _check_pins(13, rows_p13, classify_rows(PrimeField(13), rows_p13))
+
+
+@pytest.mark.slow
+def test_class_model_covers_sampled_d4_classes_p13(rows_p13):
+    """Every sampled Klein-four class at p = 13 gets a smooth F_13 model
+    with its invariants; some need descent from a larger extension."""
+    F = PrimeField(13)
+    labels = classify_rows(F, rows_p13)
+    d4 = rows_p13[labels == strata_labels().index("D4")]
+    seed = zlib.crc32(b"D4 descent p13")
+    print("seed", seed)
+    for row in random.Random(seed).sample(list(d4), 30):
+        jt = [F(int(v)) for v in row]
+        model, _ = class_model(F, jt, "D4")
+        assert model.field == F and disc_resultant(model)
+        assert has_invariants(model, jt)
 
 
 @pytest.mark.slow

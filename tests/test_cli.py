@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from octicmoduli.cli import dispatch
@@ -97,6 +99,15 @@ def test_output_is_byte_stable(capsys):
         assert code == 0
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+def test_census_model_lines_are_pinned(capsys):
+    """census stdout with 12 model lines, byte for byte: the counts, and
+    per class its invariants, stratum, F_11 model and extension degree."""
+    code, out, _ = run_cli(capsys, "census", "--field", "Fp:11", "--models",
+                           "--model-limit", "12")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "69c31aa93694"
 
 
 def test_census_refuses_oversized_prime(capsys):

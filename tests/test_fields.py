@@ -36,6 +36,11 @@ def test_field_make_rejects():
         ExtField(11, 2, (1, 0, 2))          # not monic
 
 
+def test_prime_field_is_the_degree_one_field():
+    assert PrimeField(11).k == 1
+    assert ExtField(11, 3).k == 3
+
+
 def test_small_characteristic_opt_in():
     F7 = field_make("Fp:7", allow_small=True)
     assert F7(9) == F7(2)

@@ -1,4 +1,5 @@
 import random
+import zlib
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from octicmoduli.errors import (
 )
 from octicmoduli.fields import ExtField, QQ
 from octicmoduli.forms import (
-    BinaryForm, Gl2Matrix, disc_resultant, gl2_act,
+    BinaryForm, Gl2Matrix, disc_resultant, embed_field, gl2_act,
     roots_in_splitting_field, transvect,
 )
 
@@ -171,3 +172,22 @@ def test_form_serialization_roundtrip(F11):
     E = ExtField(11, 2)
     h = g.to_field(E, lambda a: E(a.value))
     assert BinaryForm.deserialize(h.serialize()) == h
+
+
+def test_embed_field(F11):
+    """The identity on (F, F), coercion from F_11, and a ring map
+    F_{11^2} -> F_{11^4} that is one-to-one."""
+    E2, E3, E4 = ExtField(11, 2), ExtField(11, 3), ExtField(11, 4)
+    for F in (F11, E2, QQ):
+        assert embed_field(F, F) is F
+    assert embed_field(F11, E3)(F11(7)) == E3(7)
+    emb = embed_field(E2, E4)
+    assert emb(E2.one) == E4.one and emb(E2.gen()) ** 2 == emb(E2(-1))
+    seed = zlib.crc32(b"embed F_11^2 into F_11^4")
+    print("seed", seed)
+    rng = random.Random(seed)
+    for _ in range(20):
+        a, b = (E2([rng.randrange(11), rng.randrange(11)]) for _ in "ab")
+        assert emb(a + b) == emb(a) + emb(b)
+        assert emb(a * b) == emb(a) * emb(b)
+        assert (emb(a) == emb(b)) == (a == b)

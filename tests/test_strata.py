@@ -224,6 +224,6 @@ def test_d4_returns_only_a_verified_model(F11, monkeypatch):
     jt = [F11(v) for v in (0, 7, 7, 6, 2, 2, 2, 8, 7)]
     assert detect_group(F11, jt) == "D4"
     assert roundtrip_ok(F11, jt, "D4")
-    monkeypatch.setattr(strata, "_reproduces", lambda model, jt: False)
+    monkeypatch.setattr(strata, "has_invariants", lambda model, jt: False)
     with pytest.raises(ExhaustedCandidates):
         reconstruct_stratum("D4", F11, jt)
