@@ -80,20 +80,11 @@ def _isomorphisms_from_roots(big, fb, gb, rf, rg):
     roots of f makes f(Mx) and g share their (simple) root divisor, hence
     be proportional; the scalar is read off at one non-root point."""
     base_m = _triple_matrix(big, rf[0], rf[1], rf[2]).inverse()
-    key = big.element_key
-    root_set = {(key(x), key(z)) for x, z in _scaled_points(rf)}
-    seen = set()
+    root_set = {_point_key(big, x, z) for x, z in rf}
     from itertools import permutations
     for s_tuple in permutations(range(len(rg)), 3):
         s1, s2, s3 = (rg[i] for i in s_tuple)
-        m2 = _triple_matrix(big, s1, s2, s3)
-        if not m2.det():
-            continue
-        mat = base_m * m2
-        canon = _canonical_matrix(mat)
-        if canon in seen:
-            continue
-        seen.add(canon)
+        mat = base_m * _triple_matrix(big, s1, s2, s3)
         if not _maps_roots(mat, rg, root_set):
             continue
         e = _scalar_at_point(big, fb, gb, mat)
@@ -126,38 +117,19 @@ def _scalar_at_point(big, fb, gb, mat):
     return e
 
 
-def _scaled_points(points):
-    """Projective canonical scaling: last nonzero coordinate = 1."""
-    out = []
-    for x, z in points:
-        if z:
-            out.append((x / z, z / z))
-        else:
-            out.append((x / x, z * 0))
-    return out
+def _point_key(field, x, z):
+    """Key of the projective point (x : z): that of x/z, None at
+    infinity."""
+    return field.element_key(x / z) if z else None
 
 
 def _maps_roots(mat, sources, target_set):
-    key = mat.field.element_key
     for x, z in sources:
         ix = mat.a * x + mat.b * z
         iz = mat.c * x + mat.d * z
-        if iz:
-            pt = (key(ix / iz), key(iz / iz))
-        else:
-            pt = (key(ix / ix), key(iz * 0))
-        if pt not in target_set:
+        if _point_key(mat.field, ix, iz) not in target_set:
             return False
     return True
-
-
-def _canonical_matrix(mat):
-    for entry in (mat.a, mat.b, mat.c, mat.d):
-        if entry:
-            m2 = mat.scale(mat.field.one / entry)
-            return tuple(mat.field.element_key(x)
-                         for x in (m2.a, m2.b, m2.c, m2.d))
-    raise ValueError("zero matrix")
 
 
 def _frobenius_form(f, times=1):

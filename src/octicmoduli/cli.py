@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import store
 from .errors import ModuliError, OffModuliVariety
-from .fields import ExtField, PrimeField, field_make
+from .fields import QQ, ExtField, PrimeField, field_make
 
 VERBS = ("shioda", "disc", "isiso", "wps-eq", "wps-enum", "moduli-enum",
          "autgroup", "reconstruct", "express", "derive-cache", "census",
@@ -30,7 +30,11 @@ def _fmt(value):
 def _parse_coeff(field, text):
     if isinstance(field, ExtField) and "." in text:
         return field([int(c) for c in text.split(".")])
-    return field(Fraction(text) if "/" in text else int(text))
+    try:
+        return field(Fraction(text) if "/" in text else int(text))
+    except ZeroDivisionError:
+        raise ValueError("coefficient %s has no value in %r"
+                         % (text, field)) from None
 
 
 def _parse_form(field, text):
@@ -213,7 +217,8 @@ def _run(args):
         for payload in _stdin_records(args.tuple):
             t = _parse_moduli_point(field, payload)
             if order is not None:
-                hint = tuple(Fraction(c) for c in args.point.split(",")) \
+                hint = tuple(_parse_coeff(QQ, c)
+                             for c in args.point.split(",")) \
                     if args.point else None
                 model = reconstruct_generic(field, t, triple_order=order,
                                             conic_point_hint=hint)

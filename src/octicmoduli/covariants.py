@@ -26,7 +26,7 @@ from .jpoly import (
     JPolyX, JPolynomial, _residue, monomial_basis, monomial_matrix, wdeg,
 )
 from .linsolve import solve_rational
-from .unipoly import evaluate, rational_roots, roots as field_roots
+from .unipoly import rational_roots, roots as field_roots
 from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
 # ---------------------------------------------------------------------------
@@ -574,9 +574,6 @@ def j8_candidates(field, j27):
         raise IdenticallyZeroQuintic("quintic vanished identically")
     if field.characteristic == 0:
         rts = rational_roots(coeffs)
-    elif isinstance(field, PrimeField) and field.p <= 1000:
-        rts = [(x, 1) for x in field.elements()
-               if not evaluate(field, coeffs, x)]
     else:
         rts = field_roots(field, coeffs)
     return [r for r, _ in rts]

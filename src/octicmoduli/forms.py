@@ -25,8 +25,13 @@ def _falling(n, k):
     return out
 
 
-def _over_prime_field(f, g):
-    return isinstance(f.field, PrimeField) and isinstance(g.field, PrimeField)
+def _operands(f, g):
+    """The coefficient lists a product or transvectant of f and g runs
+    on: over a prime field the residues as plain ints, which the
+    BinaryForm constructor reduces mod p; else the coefficients."""
+    if isinstance(f.field, PrimeField) and isinstance(g.field, PrimeField):
+        return [a.value for a in f.coeffs], [b.value for b in g.coeffs]
+    return f.coeffs, g.coeffs
 
 
 class BinaryForm:
@@ -74,22 +79,12 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        if _over_prime_field(self, other):
-            # convolution of the residues; the constructor reduces mod p
-            out = [0] * (self.degree + other.degree + 1)
-            bs = [b.value for b in other.coeffs]
-            for i, a in enumerate(self.coeffs):
-                a = a.value
-                if a:
-                    for j, b in enumerate(bs):
-                        out[i + j] += a * b
-            return BinaryForm(self.field, self.degree + other.degree, out)
-        zero = self.field.zero
-        out = [zero] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+        a, b = _operands(self, other)
+        out = [0] * (self.degree + other.degree + 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    out[i + j] += x * y
         return BinaryForm(self.field, self.degree + other.degree, out)
 
     __rmul__ = scale
@@ -107,22 +102,6 @@ class BinaryForm:
                 acc = acc + a * xp * zpows[n - i]
             xp = xp * x
         return acc
-
-    def diff_x(self, times=1):
-        c = list(self.coeffs)
-        deg = self.degree
-        for _ in range(times):
-            c = [c[i + 1] * (i + 1) for i in range(deg)]
-            deg -= 1
-        return BinaryForm(self.field, deg, c)
-
-    def diff_z(self, times=1):
-        c = list(self.coeffs)
-        deg = self.degree
-        for _ in range(times):
-            c = [c[i] * (deg - i) for i in range(deg)]
-            deg -= 1
-        return BinaryForm(self.field, deg, c)
 
     def to_field(self, field, embed=None):
         """Move coefficients to another field; embed maps one element."""
@@ -217,7 +196,8 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one.
-    Over a prime field the sum runs on the residues as plain ints.
+    One loop serves every coefficient ring: over a prime field it runs on
+    the residues as plain ints, over any other ring on the coefficients.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
@@ -228,25 +208,20 @@ def transvect(f, g, h):
         from .errors import SmallCharacteristic
         raise SmallCharacteristic(
             "covariant formulas need characteristic 0 or >= 11")
-    field = f.field
-    norm = field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
-    if _over_prime_field(f, g):
-        return BinaryForm(field, r1 + r2 - 2 * h, _transvect_mod(
-            field.p, [a.value for a in f.coeffs], [b.value for b in g.coeffs],
-            h, norm.value))
-    zero = field.zero
-    out = [zero] * (r1 + r2 - 2 * h + 1)
+    norm = f.field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
+    a, b = _operands(f, g)
+    if a is not f.coeffs:   # residues: normalize by a residue too
+        norm = norm.value
+    out = [0] * (r1 + r2 - 2 * h + 1)
     for k in range(h + 1):
-        fk = f.diff_x(h - k).diff_z(k)
-        gk = g.diff_x(k).diff_z(h - k)
-        sign = -1 if k % 2 else 1
-        cf = field(sign * comb(h, k))
-        for i, a in enumerate(fk.coeffs):
-            if a:
-                for j, b in enumerate(gk.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + cf * a * b
-    return BinaryForm(field, r1 + r2 - 2 * h, [c * norm for c in out])
+        signed = -comb(h, k) if k % 2 else comb(h, k)
+        fk, gk = _partial(a, h - k, k), _partial(b, k, h - k)
+        for i, x in enumerate(fk):
+            if x:
+                x = x * signed
+                for j, y in enumerate(gk):
+                    out[i + j] += x * y
+    return BinaryForm(f.field, r1 + r2 - 2 * h, [c * norm for c in out])
 
 
 @functools.cache
@@ -257,22 +232,11 @@ def _partial_weights(n, m, l):
                  for i in range(n - m - l + 1))
 
 
-def _transvect_mod(p, a, b, h, norm):
-    """transvect on the residue lists a, b; norm is the residue of the
-    factorial normalization, applied once to each coefficient."""
-    r1, r2 = len(a) - 1, len(b) - 1
-    out = [0] * (r1 + r2 - 2 * h + 1)
-    for k in range(h + 1):
-        signed = -comb(h, k) if k % 2 else comb(h, k)
-        fk = [x * w for x, w in
-              zip(a[h - k:], _partial_weights(r1, h - k, k))]
-        gk = [y * w for y, w in zip(b[k:], _partial_weights(r2, k, h - k))]
-        for i, x in enumerate(fk):
-            if x:
-                x *= signed
-                for j, y in enumerate(gk):
-                    out[i + j] += x * y
-    return [c * norm % p for c in out]
+def _partial(coeffs, m, l):
+    """Coefficients of d^m/dX^m d^l/dZ^l of the form with coefficients
+    coeffs (a_0, ..., a_n)."""
+    return [a * w for a, w in
+            zip(coeffs[m:], _partial_weights(len(coeffs) - 1, m, l))]
 
 
 def omega_pair(f, g):
@@ -362,7 +326,10 @@ def disc_resultant(f):
     """
     if f.degree < 2:
         raise DegreeTooSmall("discriminant needs degree >= 2")
-    return sylvester_resultant(f.diff_x(), f.diff_z())
+    n = f.degree - 1
+    return sylvester_resultant(
+        BinaryForm(f.field, n, _partial(f.coeffs, 1, 0)),
+        BinaryForm(f.field, n, _partial(f.coeffs, 0, 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -423,17 +423,13 @@ def conic_parametrize(conic, point):
 
 def substitute_quartic(field, quartic_values, chis):
     """Plug three (T, U)-quadratics into a ternary quartic; degree-8 form."""
-    prods = {}
     out = BinaryForm(field, 8, [field.zero] * 9)
     for mset, h in quartic_values.items():
-        if not h:
-            continue
-        if mset not in prods:
+        if h:
             form = BinaryForm(field, 0, [field.one])
             for i in mset:
                 form = form * chis[i - 1]
-            prods[mset] = form
-        out = out + prods[mset].scale(h)
+            out = out + form.scale(h)
     return out
 
 

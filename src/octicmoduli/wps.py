@@ -15,17 +15,26 @@ from .fields import ext_gcd_multi
 SHIODA_WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
 
+def _check_weights(weights):
+    """The weights as a tuple of ints: at least two, all positive."""
+    weights = tuple(int(w) for w in weights)
+    if len(weights) < 2:
+        raise WeightMismatch("a weighted projective space needs m >= 2")
+    if min(weights) < 1:
+        raise WeightMismatch("weights must be positive, got %s"
+                             % ",".join(map(str, weights)))
+    return weights
+
+
 class WeightedPoint:
     __slots__ = ("field", "weights", "coords")
 
     def __init__(self, field, weights, coords):
-        weights = tuple(int(w) for w in weights)
+        weights = _check_weights(weights)
         coords = tuple(field(c) for c in coords)
         if len(weights) != len(coords):
             raise WeightMismatch("%d weights for %d coordinates"
                                  % (len(weights), len(coords)))
-        if len(weights) < 2:
-            raise WeightMismatch("a weighted projective space needs m >= 2")
         if not any(coords):
             raise WeightMismatch("the zero vector is not a point")
         self.field = field
@@ -99,9 +108,7 @@ def wps_enumerate(field, weights):
     x^{c_last} built once per support.  Each class with that support
     appears exactly once.
     """
-    weights = tuple(int(w) for w in weights)
-    if len(weights) < 2:
-        raise WeightMismatch("a weighted projective space needs m >= 2")
+    weights = _check_weights(weights)
     if not hasattr(field, "order") or not hasattr(field, "elements"):
         raise WeightMismatch("enumeration needs a finite field")
     order = field.order - 1

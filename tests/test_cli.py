@@ -127,6 +127,35 @@ def test_wps_verbs_need_weights(capsys, verb):
     assert "--weights" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("wps-enum", "--weights", "0,1"),
+    ("wps-eq", "--weights=-2,3", "--tuple", "1,1", "--tuple", "1,1"),
+    ("wps-eq", "--weights", "0,0", "--tuple", "1,1", "--tuple", "1,1"),
+])
+def test_wps_verbs_refuse_weights_that_are_not_positive(capsys, argv):
+    code, out, err = run_cli(capsys, argv[0], "--field", "Fp:7", *argv[1:])
+    assert code == 26 and "WeightMismatch" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("shioda", "--field", "Q", "--form", "1/0,1"),
+    ("disc", "--field", "Fp:11", "--form", "1/11,1"),
+    ("reconstruct", "--field", "Fp:11", "--tuple", "1/11,0,0,0,0,0,0,0,1"),
+    # the invariants of the octic 1,2,0,3,0,1,0,0,1: on the relations
+    ("reconstruct", "--field", "Q", "--tuple", "53/28,-9/28,2626381/3687936,"
+     "-62003/307328,-3496392647/17348050944,176243821/1445670912,"
+     "-885176009623/26446139883520,-105866887249/3400217985024,"
+     "686915715658559/124402642012078080",
+     "--triple-order", "C5_2,C6_2,C7_2", "--point", "1/0,1,1"),
+])
+def test_coefficient_without_a_value_is_a_usage_error(capsys, argv):
+    """A denominator that is 0, or divisible by p, names no element, in
+    a form, a tuple or a conic point hint."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and err.startswith("usage error: coefficient 1/")
+    assert out == ""
+
+
 @pytest.mark.parametrize("verb", ["reconstruct", "disc", "autgroup"])
 @pytest.mark.parametrize("tup", ["1,2", "1,0,0,0,0,0,8,2,7,0",
                                  "0,0,0,0,0,0,0,0,0"])

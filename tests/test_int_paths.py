@@ -1,6 +1,8 @@
-"""The plain-int F_p paths of JPolynomial.evaluate, transvect and
-BinaryForm products, checked against the field-object path over Q at the
-integer lifts, reduced mod p; and two properties that run through them.
+"""JPolynomial.evaluate, transvect and BinaryForm products over F_p,
+where they run on the residues as plain ints, checked against the same
+computation over Q at the integer lifts, reduced mod p; transvect and
+products over F_{p^2}, where the same loop runs on field elements,
+checked against F_p; and properties that run through them.
 """
 
 import random
@@ -12,10 +14,12 @@ from hypothesis import assume, given, strategies as st
 
 from octicmoduli import covariants
 from octicmoduli.census import class_model
-from octicmoduli.census_fast import classify_rows, strata_labels
+from octicmoduli.census_fast import (
+    _ModCtx, classify_rows, normalize_rows, strata_labels,
+)
 from octicmoduli.covariants import CATALOGUE, covariant_eval, shioda
 from octicmoduli.errors import InterpolationFailure
-from octicmoduli.fields import PrimeField, QQ
+from octicmoduli.fields import ExtField, PrimeField, QQ
 from octicmoduli.forms import (
     BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
 )
@@ -23,7 +27,9 @@ from octicmoduli.reconstruct import (
     TRIPLES_19, TRIPLES_C4, conic_quartic_models, r_polynomial,
 )
 from octicmoduli.strata import stratum_systems
-from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
+from octicmoduli.wps import (
+    SHIODA_WEIGHTS, WeightedPoint, wps_equal, wps_normalize,
+)
 
 PRIMES = (11, 13, 1048573)
 
@@ -146,6 +152,21 @@ def test_transvect_and_products_match_the_rational_path(p):
             assert fp * gp == (fq * gq).to_field(F)
 
 
+def test_transvect_and_products_over_an_extension_match_the_prime_field():
+    """The element path over F_{11^2}, on forms with F_11 coefficients,
+    for every shape of the test above: the F_11 results embedded."""
+    F, E = PrimeField(11), ExtField(11, 2)
+    seed = zlib.crc32(b"element path transvect")
+    print("seed", seed)
+    rng = random.Random(seed)
+    for r1, r2, h in _transvectant_shapes():
+        fp = BinaryForm(F, r1, [rng.randrange(11) for _ in range(r1 + 1)])
+        gp = BinaryForm(F, r2, [rng.randrange(11) for _ in range(r2 + 1)])
+        fe, ge = fp.to_field(E), gp.to_field(E)
+        assert transvect(fe, ge, h) == transvect(fp, gp, h).to_field(E)
+        assert fe * ge == (fp * gp).to_field(E)
+
+
 # ---------------------------------------------------------------------------
 # properties over F_11 and F_13
 
@@ -170,6 +191,20 @@ def test_shioda_is_gl2_invariant(p, coeffs, entries):
         return
     assert wps_equal(WeightedPoint(F, SHIODA_WEIGHTS, jf),
                      WeightedPoint(F, SHIODA_WEIGHTS, jg))
+
+
+@given(p=st.sampled_from([11, 13]), coords=_coeffs)
+def test_normalization_is_idempotent(p, coords):
+    """wps_normalize is a representative of its class, normalizing it
+    again changes nothing, and normalize_rows gives the same one."""
+    assume(any(c % p for c in coords))
+    F = PrimeField(p)
+    u = WeightedPoint(F, SHIODA_WEIGHTS, coords)
+    n = wps_normalize(u)
+    assert wps_equal(u, n)
+    assert wps_normalize(n).coords == n.coords
+    fast = normalize_rows(_ModCtx(p), np.array([[c % p for c in coords]]))
+    assert [c.value for c in n.coords] == fast[0].tolist()
 
 
 def _walk_ends_shipped(F, jt):

@@ -37,6 +37,14 @@ def test_wps_point_validation(F7):
                   WeightedPoint(F7, (5, 6), [1, 1]))
 
 
+@pytest.mark.parametrize("weights", [(0, 1), (-2, 3), (0, 0)])
+def test_weights_must_be_positive(F7, weights):
+    with pytest.raises(WeightMismatch):
+        WeightedPoint(F7, weights, [1, 1])
+    with pytest.raises(WeightMismatch):
+        next(wps_enumerate(F7, weights))
+
+
 def test_wps_normalize_examples(F7):
     W = (5, 7)
     n = wps_normalize(WeightedPoint(F7, W, [5, 3]))
