@@ -10,11 +10,11 @@ largest formulas are flagged, not hard-failed, on mismatch; the total is a
 hard failure.
 """
 
+import contextlib
 import random
 import time
+from itertools import permutations
 from math import lcm
-
-import numpy as np
 
 from . import census_fast
 from .covariants import has_invariants, shioda
@@ -27,6 +27,7 @@ from .forms import (
     roots_in_splitting_field,
 )
 from .strata import detect_group, reconstruct_stratum
+from .unipoly import random_element
 from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
 
 
@@ -78,18 +79,39 @@ def _isomorphisms_from_roots(big, fb, gb, rf, rg):
     """Root-matching search, yielding every verified (M, e); they differ
     by automorphisms of f.  A Mobius map carrying all roots of g onto
     roots of f makes f(Mx) and g share their (simple) root divisor, hence
-    be proportional; the scalar is read off at one non-root point."""
+    be proportional; the scalar is read off at one non-root point.
+    M = T_f^-1 T(s) (triple matrices of g's roots s and f's first three)
+    is formed only when T(s) sends g's roots onto T_f's images of f's."""
     base_m = _triple_matrix(big, rf[0], rf[1], rf[2]).inverse()
-    root_set = {_point_key(big, x, z) for x, z in rf}
-    from itertools import permutations
-    for s_tuple in permutations(range(len(rg)), 3):
-        s1, s2, s3 = (rg[i] for i in s_tuple)
-        mat = base_m * _triple_matrix(big, s1, s2, s3)
-        if not _maps_roots(mat, rg, root_set):
-            continue
-        e = _scalar_at_point(big, fb, gb, mat)
-        if e is not None:
-            yield mat, e
+    key = big.element_key
+    targets = {None, key(big.zero), key(big.one)}
+    targets.update(_frame_keys(key, *_pair_dets(rf), (0, 1, 2)))
+    dets, invs = _pair_dets(rg)
+    for s in permutations(range(len(rg)), 3):
+        if all(k in targets for k in _frame_keys(key, dets, invs, s)):
+            mat = base_m * _triple_matrix(big, *(rg[i] for i in s))
+            e = _scalar_at_point(big, fb, gb, mat)
+            if e is not None:
+                yield mat, e
+
+
+def _pair_dets(roots):
+    """D[i][j] = z_i x_j - x_i z_j for the points (x : z) of roots, and
+    the inverses of the entries off the diagonal (the roots are simple)."""
+    dets = [[ri[1] * rj[0] - ri[0] * rj[1] for rj in roots] for ri in roots]
+    invs = [[d.inverse() if i != j else None for j, d in enumerate(row)]
+            for i, row in enumerate(dets)]
+    return dets, invs
+
+
+def _frame_keys(key, dets, invs, s):
+    """Keys of the images under T(s) of the roots outside the triple s,
+    T(s) sending its roots to (1:0), (0:1) and (1:1): the cross-ratios
+    D[s1][s3] D[s2][j] / (D[s2][s3] D[s1][j])."""
+    s1, s2, s3 = s
+    c = dets[s1][s3] * invs[s2][s3]
+    return (key(c * dets[s2][j] * invs[s1][j])
+            for j in range(len(dets)) if j not in s)
 
 
 def _scalar_at_point(big, fb, gb, mat):
@@ -117,30 +139,9 @@ def _scalar_at_point(big, fb, gb, mat):
     return e
 
 
-def _point_key(field, x, z):
-    """Key of the projective point (x : z): that of x/z, None at
-    infinity."""
-    return field.element_key(x / z) if z else None
-
-
-def _maps_roots(mat, sources, target_set):
-    for x, z in sources:
-        ix = mat.a * x + mat.b * z
-        iz = mat.c * x + mat.d * z
-        if _point_key(mat.field, ix, iz) not in target_set:
-            return False
-    return True
-
-
-def _frobenius_form(f, times=1):
-    p = f.field.characteristic
-    return BinaryForm(f.field, f.degree,
-                      [c ** (p ** times) for c in f.coeffs])
-
-
 def _frobenius_matrix(m, times=1):
-    p = m.field.characteristic
-    return m.apply_entrywise(lambda x: x ** (p ** times))
+    return Gl2Matrix(m.field, *(m.field.frobenius(x, times)
+                                for x in (m.a, m.b, m.c, m.d)))
 
 
 #: seed of the random matrices descend averages through its cocycle
@@ -177,9 +178,9 @@ def descend(f, base):
         raise MultipleRoot("descent needs simple roots")
     rf = [(x, z) for (x, z), _ in roots_f]
     # the Frobenius image of f has the Frobenius images of the roots
-    rg = [(x ** p, z ** p) for x, z in rf]
+    rg = [(big.frobenius(x), big.frobenius(z)) for x, z in rf]
     fb = f.to_field(big, embed_field(f.field, big))
-    gb = _frobenius_form(fb)
+    gb = BinaryForm(big, fb.degree, [big.frobenius(c) for c in fb.coeffs])
     candidates = [(mat,) + _scalar_norm_power(mat, big.k) for mat, _e in
                   _isomorphisms_from_roots(big, fb, gb, rf, rg)]
     if not candidates:
@@ -218,16 +219,16 @@ def _average_descent(mat, lam, fb, base, rng):
     ext = fb.field
     m = ext.k
     mprime = mat.scale(ext.one / norm_solve(ext, lam))
+    # the cocycle M' M'^sigma ... M'^(sigma^(i-1)) for i = 1..m-1
+    cocycle = [mprime]
+    for i in range(1, m - 1):
+        cocycle.append(cocycle[-1] * _frobenius_matrix(mprime, i))
     # average a random matrix through the cocycle until invertible
     for _ in range(64):
-        pmat = Gl2Matrix(ext, *[_random_elt(ext, rng) for _ in range(4)])
+        pmat = Gl2Matrix(ext, *[random_element(ext, rng) for _ in range(4)])
         avg = pmat
-        cof = mprime
-        cur = pmat
-        for i in range(1, m):
-            cur = _frobenius_matrix(cur)
-            avg = avg + cof * cur
-            cof = cof * _frobenius_matrix(mprime, i)
+        for i, cof in enumerate(cocycle, 1):
+            avg = avg + cof * _frobenius_matrix(pmat, i)
         if avg.det():
             g0 = gl2_act(avg, fb)
             lead = next(c for c in g0.coeffs if c)
@@ -237,10 +238,6 @@ def _average_descent(mat, lam, fb, base, rng):
                 if disc_resultant(out):
                     return out
     return None
-
-
-def _random_elt(field, rng):
-    return field([rng.randrange(field.p) for _ in range(field.k)])
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +275,8 @@ def run_census(p, want_models=False, jobs=1, model_limit=None,
     Raises CountMismatch when the grand total differs from p^5; stratum
     counts with unproven closed forms only flag.  With a report_path the
     per-class model lines are appended as they finish and already-recorded
-    classes are skipped on resume.
+    classes are skipped on resume; the models come back in the order of a
+    fresh run.
     """
     t0 = time.time()
     field = PrimeField(p)
@@ -307,27 +305,20 @@ def run_census(p, want_models=False, jobs=1, model_limit=None,
     if want_models:
         picked = list(range(total)) if model_limit is None else \
             list(_spread_indices(total, model_limit))
+        keys = [",".join(str(int(v)) for v in rows[i]) for i in picked]
         done = _read_checkpoint(report_path)
-        work = []
-        models = []
-        for i in picked:
-            key = ",".join(str(int(v)) for v in rows[i])
-            if key in done:
-                models.append(done[key])
-            else:
-                work.append((p, tuple(int(v) for v in rows[i]),
-                             names[int(labels[i])]))
+        work = [(p, tuple(int(v) for v in rows[i]), names[int(labels[i])])
+                for i, key in zip(picked, keys) if key not in done]
+        results, pool = map(_model_worker, work), contextlib.nullcontext()
         if jobs > 1 and len(work) > 1:
             import multiprocessing
-            with multiprocessing.Pool(jobs) as pool:
-                for rec in pool.imap(_model_worker, work, chunksize=16):
-                    models.append(rec)
-                    _append_checkpoint(report_path, rec)
-        else:
-            for item in work:
-                rec = _model_worker(item)
-                models.append(rec)
+            pool = multiprocessing.Pool(jobs)
+            results = pool.imap(_model_worker, work, chunksize=16)
+        with pool:
+            for rec in results:
                 _append_checkpoint(report_path, rec)
+                done[rec[0]] = rec
+        models = [done[key] for key in keys]
     return CensusReport(p, counts, total, flags, time.time() - t0, models)
 
 
@@ -342,27 +333,35 @@ def _model_worker(item):
 
 def _read_checkpoint(path):
     """Finished model records by class key; a line that does not parse,
-    such as a last line torn by an interrupted run, is skipped."""
+    such as a last line torn by an interrupted run, is skipped and ended,
+    so the next line appended starts a line of its own."""
     import os
     done = {}
     if path and os.path.exists(path):
         with open(path) as fh:
-            for line in fh:
-                parts = line.rstrip("\n").split("; ")
-                if len(parts) != 4:
-                    continue
-                try:
-                    ext = int(parts[3].split()[-1])
-                except (IndexError, ValueError):
-                    continue
-                done[parts[0]] = (parts[0], parts[1], parts[2], ext)
+            text = fh.read()
+        if text and not text.endswith("\n"):
+            with open(path, "a") as fh:
+                fh.write("\n")
+        for line in text.splitlines():
+            parts = line.split("; ")
+            if len(parts) != 4:
+                continue
+            try:
+                ext = int(parts[3].split()[-1])
+            except (IndexError, ValueError):
+                continue
+            done[parts[0]] = (parts[0], parts[1], parts[2], ext)
     return done
 
 
 def _append_checkpoint(path, rec):
+    """Append one model line in a single write, flushed at once, so an
+    interrupted run leaves at most a torn last line."""
     if path:
         with open(path, "a") as fh:
             fh.write("%s; %s; %s; ext-degree %d\n" % rec)
+            fh.flush()
 
 
 def _spread_indices(total, limit):

@@ -104,6 +104,8 @@ def build_parser():
     ap.add_argument("--cache-dir")
     ap.add_argument("--models", action="store_true")
     ap.add_argument("--model-limit", type=int)
+    ap.add_argument("--report",
+                    help="census: file of model lines; a rerun resumes")
     ap.add_argument("--triple-order",
                     help="semicolon-separated comma-triples of covariants")
     ap.add_argument("--point", help="conic point hint x1,x2,x3 (over Q)")
@@ -263,7 +265,8 @@ def _run(args):
         if not isinstance(field, PrimeField):
             raise ValueError("census runs over a prime field")
         report = run_census(field.p, want_models=args.models,
-                            jobs=args.jobs, model_limit=args.model_limit)
+                            jobs=args.jobs, model_limit=args.model_limit,
+                            report_path=args.report)
         print("# %s" % store.CATALOGUE_VERSION)
         for line in report.lines():
             print(line)

@@ -329,6 +329,9 @@ class PrimeField:
 
     sqrt = _finite_sqrt
 
+    def frobenius(self, a, times=1):
+        return a
+
     def element_key(self, a):
         return a.value
 
@@ -355,13 +358,17 @@ def _poly_trim(f):
     return f
 
 
-def _poly_mulmod(f, g, mod, p):
+def _poly_mul(f, g, p):
     res = [0] * (len(f) + len(g) - 1) if f and g else []
     for i, fi in enumerate(f):
         if fi:
             for j, gj in enumerate(g):
                 res[i + j] = (res[i + j] + fi * gj) % p
-    return _poly_rem(res, mod, p)
+    return res
+
+
+def _poly_mulmod(f, g, mod, p):
+    return _poly_rem(_poly_mul(f, g, p), mod, p)
 
 
 def _poly_rem(f, mod, p):
@@ -510,8 +517,8 @@ class ExtElement(_Element):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExtElement(self.field,
-                          [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _ext(self.field, tuple([(a + b) % self.field.p for a, b
+                                       in zip(self.coeffs, other.coeffs)]))
 
     __radd__ = __add__
 
@@ -519,46 +526,47 @@ class ExtElement(_Element):
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        return ExtElement(self.field,
-                          [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _ext(self.field, tuple([(a - b) % self.field.p for a, b
+                                       in zip(self.coeffs, other.coeffs)]))
 
     def __mul__(self, other):
-        other = self._lift(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prod = _poly_mulmod(list(self.coeffs), list(other.coeffs),
-                            list(self.field.modulus), self.field.p)
-        return ExtElement(self.field, prod)
+        """Convolution, t^(k+j) folded in by field.fold, one reduction."""
+        if type(other) is not ExtElement:
+            other = self._lift(other)
+            if other is NotImplemented:
+                return NotImplemented
+        field = self.field
+        k = field.k
+        out = [0] * (2 * k - 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(other.coeffs, i):
+                    out[j] += x * y
+        for h, row in zip(out[k:], field.fold):
+            if h:
+                for i, r in enumerate(row):
+                    out[i] += h * r
+        p = field.p
+        return _ext(field, tuple([c % p for c in out[:k]]))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return ExtElement(self.field, [-a for a in self.coeffs])
+        p = self.field.p
+        return _ext(self.field, tuple([-a % p for a in self.coeffs]))
 
     def inverse(self):
         p = self.field.p
-        f = _poly_trim(list(self.coeffs))
-        if not f:
+        if not any(self.coeffs):
             raise ZeroDivisionError("inverse of zero in %r" % (self.field,))
-        # extended Euclid on (f, modulus)
-        r0, r1 = list(self.field.modulus), f
+        # extended Euclid on (modulus, a), keeping s1 * a = r1 mod modulus
+        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coeffs))
         s0, s1 = [], [1]
-        while _poly_trim(list(r1)):
+        while r1:
             q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            # s_new = s0 - q*s1
-            qs1 = [0] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, qi in enumerate(q):
-                if qi:
-                    for j, sj in enumerate(s1):
-                        qs1[i + j] = (qs1[i + j] + qi * sj) % p
-            s_new = [( (s0[i] if i < len(s0) else 0)
-                       - (qs1[i] if i < len(qs1) else 0)) % p
-                     for i in range(max(len(s0), len(qs1)))]
-            s0, s1 = s1, s_new
-        r0 = _poly_trim(list(r0))
+            r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
         inv_c = pow(r0[0], -1, p)
-        return ExtElement(self.field, [c * inv_c % p for c in s0])
+        return ExtElement(self.field, [c * inv_c for c in s0])
 
     def __eq__(self, other):
         if isinstance(other, (int, FpElement, Fraction)):
@@ -574,6 +582,28 @@ class ExtElement(_Element):
 
     def __repr__(self):
         return "ext(%s)" % ",".join(str(c) for c in self.coeffs)
+
+
+def _ext(field, coeffs):
+    """The element with a tuple of k coefficients already reduced mod p."""
+    out = object.__new__(ExtElement)
+    out.field, out.coeffs = field, coeffs
+    return out
+
+
+@functools.cache
+def _power_rows(p, modulus, first, step):
+    """The k coefficients of t^(first + j step) mod modulus for j < k: with
+    first = k, step = 1 the reductions of the high terms of a product; with
+    first = 0, step = p^s the matrix of the F_p-linear map a -> a^(p^s)."""
+    k, mod = len(modulus) - 1, list(modulus)
+    cur = _poly_powmod([0, 1], first, mod, p)
+    step = _poly_powmod([0, 1], step, mod, p)
+    rows = []
+    for _ in range(k):
+        rows.append(tuple(cur + [0] * (k - len(cur))))
+        cur = _poly_mulmod(cur, step, mod, p)
+    return tuple(rows)
 
 
 class ExtField:
@@ -602,6 +632,7 @@ class ExtField:
         self.characteristic = p
         self.order = p ** k
         self.prime_field = PrimeField(p)
+        self.fold = _power_rows(p, modulus, k, 1)
 
     def __call__(self, value):
         if isinstance(value, ExtElement) and value.field == self:
@@ -631,6 +662,18 @@ class ExtField:
 
     def gen(self):
         return ExtElement(self, [0, 1])
+
+    def frobenius(self, a, times=1):
+        """a^(p^times), through the table of the F_p-linear map
+        t^j -> t^(j p^times)."""
+        p, k = self.p, self.k
+        out = [0] * k
+        for c, row in zip(a.coeffs, _power_rows(p, self.modulus, 0,
+                                                p ** (times % k))):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return _ext(self, tuple([x % p for x in out]))
 
     def elements(self):
         """All elements, in canonical (lexicographic coefficient) order."""

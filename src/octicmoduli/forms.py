@@ -178,10 +178,6 @@ class Gl2Matrix:
         return Gl2Matrix(self.field, self.a * c, self.b * c,
                          self.c * c, self.d * c)
 
-    def apply_entrywise(self, fn):
-        return Gl2Matrix(self.field, fn(self.a), fn(self.b),
-                         fn(self.c), fn(self.d))
-
     def __eq__(self, other):
         return (isinstance(other, Gl2Matrix) and (self.a, self.b, self.c,
                 self.d) == (other.a, other.b, other.c, other.d))
@@ -336,24 +332,26 @@ def disc_resultant(f):
 # projective roots over a splitting field
 
 
-@functools.cache
 def embed_field(small, big):
     """The embedding of a field into a finite field containing it.
 
     big itself, which coerces, when small is big, F_p or Q; otherwise
-    F_{p^k} -> F_{p^K} (k | K) through the first root of small's modulus
-    in big, a deterministic choice.
+    F_{p^k} -> F_{p^K} (k | K) through the least root of small's modulus
+    in big (by element_key), a deterministic choice.
     """
     if small == big or not isinstance(small, ExtField):
         return big
+    return _ext_embedding(small, big)
+
+
+@functools.cache
+def _ext_embedding(small, big):
     if big.k % small.k:
         raise ValueError("no embedding F_%d^%d -> F_%d^%d"
                          % (small.p, small.k, big.p, big.k))
-    modulus = [big(c) for c in small.modulus]
-    rts = unipoly.roots(big, modulus)
-    if not rts:
-        raise ValueError("modulus has no root in the bigger field")
-    root = rts[0][0]
+    root = unipoly.one_root(big, [big(c) for c in small.modulus], small.k)
+    root = min((big.frobenius(root, i) for i in range(small.k)),
+               key=big.element_key)
     return lambda a: unipoly.evaluate(big, a.coeffs, root)
 
 
@@ -370,7 +368,9 @@ def roots_in_splitting_field(f):
     deterministic extension containing the splitting field.
 
     The root at infinity (1 : 0) appears when the top coefficient vanishes.
-    Returns (ext_field, [((x, z), multiplicity), ...]).
+    Returns (ext_field, [((x, z), multiplicity), ...]), the roots of each
+    irreducible factor over f's field F_q sorted by element_key: one root
+    and its conjugates under x -> x^q.
     """
     if f.is_zero():
         raise ZeroForm("zero form has no root divisor")
@@ -390,7 +390,9 @@ def roots_in_splitting_field(f):
     if n - d > 0:
         out.append(((ext.one, ext.zero), n - d))
     for g, mult in facs:
-        gg = [emb(c) for c in g]
-        for r, m2 in unipoly.roots(ext, gg):
-            out.append(((r, ext.one), mult * m2))
+        d = unipoly.degree(g)
+        root = unipoly.one_root(ext, [emb(c) for c in g], field.k * d)
+        for r in sorted((ext.frobenius(root, field.k * i) for i in range(d)),
+                        key=ext.element_key):
+            out.append(((r, ext.one), mult))
     return ext, out

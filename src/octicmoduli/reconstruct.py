@@ -462,12 +462,11 @@ def reconstruct_generic(field, jtuple, triple_order=None,
         work_field, point = _quadratic_point(conic)
         conic = EvaluatedConic(work_field, {
             key: work_field(Fraction(c)) for key, c in conic.coeffs.items()})
-        jt = tuple(work_field(Fraction(v)) for v in jtuple)
     else:
         point = conic_point(conic, supplied=conic_point_hint)
-        jt = jtuple
     chis = conic_parametrize(conic, point)
-    quartic_values = {mset: poly.evaluate(work_field, jt)
+    # the tuple is over field: evaluate there, then lift the values
+    quartic_values = {mset: work_field(poly.evaluate(field, jtuple))
                       for mset, poly in models.quartic.items()}
     octic = substitute_quartic(work_field, quartic_values, chis)
     if octic.is_zero():

@@ -111,12 +111,10 @@ def _poly_seed(field, f):
     return hash((field.order,) + flat) & 0x7FFFFFFF
 
 
-def _random_poly(field, deg, rng):
+def random_element(field, rng):
     if isinstance(field, ExtField):
-        p, k = field.p, field.k
-        return trim([field([rng.randrange(p) for _ in range(k)])
-                     for _ in range(deg + 1)])
-    return trim([field(rng.randrange(field.p)) for _ in range(deg + 1)])
+        return field([rng.randrange(field.p) for _ in range(field.k)])
+    return field(rng.randrange(field.p))
 
 
 def squarefree_part_factors(field, f):
@@ -169,7 +167,8 @@ def equal_degree_split(field, f, d, rng):
     if n == d:
         return [f]
     while True:
-        r = _random_poly(field, rng.randrange(1, n), rng)
+        r = trim([random_element(field, rng)
+                  for _ in range(rng.randrange(1, n) + 1)])
         if degree(r) < 1:
             continue
         g = gcd(field, f, r)
@@ -199,6 +198,46 @@ def factor(field, f):
             for irr in equal_degree_split(field, prod, d, rng):
                 out.append((monic(field, irr), mult))
     out.sort(key=lambda fm: (degree(fm[0]), _sort_key(field, fm[0])))
+    return out
+
+
+def one_root(field, f, subfield=None):
+    """One root of a monic squarefree f whose roots all lie in F_{p^s},
+    s = subfield (default: the field itself).  Cantor-Zassenhaus on the
+    trace: for a random r over F_{p^s}, T = r + r^p + ... + r^(p^(s-1))
+    mod f is Tr(r(a)) in F_p at each root a, so gcd(f, T^((p-1)/2) - 1)
+    splits f; the smaller factor is kept until it is linear.  The seed
+    comes from the polynomial, as in factor."""
+    s = subfield or field.k
+    p = field.characteristic
+    rng = random.Random(_poly_seed(field, f))
+    while degree(f) > 1:
+        xps = [[field.one], powmod(field, [field.zero, field.one], p, f)]
+        while len(xps) < degree(f):
+            xps.append(rem(field, mul(field, xps[-1], xps[1]), f))
+        # random coefficients, traced down to F_{p^s}
+        r = [sum(field.frobenius(c, s * i) for i in range(field.k // s))
+             for c in (random_element(field, rng) for _ in xps)]
+        t = r
+        for _ in range(s - 1):
+            r = _frobenius_poly(field, r, xps)
+            t = [a + b for a, b in zip(t, r)]
+        g = gcd(field, f, sub(field, powmod(field, t, (p - 1) // 2, f),
+                              [field.one]))
+        if 0 < degree(g) < degree(f):
+            f = g if 2 * degree(g) <= degree(f) else \
+                divmod_poly(field, f, g)[0]
+    return -f[0] / f[1]
+
+
+def _frobenius_poly(field, r, xps):
+    """r^p mod f, from the powers xps[j] = x^(p j) mod f."""
+    out = [field.zero] * len(xps)
+    for c, xj in zip(r, xps):
+        if c:
+            c = field.frobenius(c)
+            for i, y in enumerate(xj):
+                out[i] = out[i] + c * y
     return out
 
 

@@ -1,4 +1,7 @@
+import hashlib
 import random
+import zlib
+from math import lcm
 
 import pytest
 
@@ -13,6 +16,7 @@ from octicmoduli.errors import CompositeModulus, MultipleRoot
 from octicmoduli.fields import ExtField, PrimeField
 from octicmoduli.forms import BinaryForm, Gl2Matrix, disc_resultant, gl2_act
 from octicmoduli.strata import detect_group
+from octicmoduli.unipoly import degree, factor
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
 from conftest import smooth_normal_model
@@ -51,6 +55,43 @@ def test_find_isomorphism_identity_and_negative(F11):
     sing = BinaryForm(F11, 8, [0, 0, 0, 0, 0, 0, 0, 0, 1])
     with pytest.raises(MultipleRoot):
         find_isomorphism(sing, f)
+
+
+def _split_degree(f):
+    d = max(i for i, c in enumerate(f.coeffs) if c)
+    return lcm(1, *(degree(g) for g, _ in
+                    factor(f.field, list(f.coeffs[:d + 1]))))
+
+
+def test_find_isomorphism_pin(F11):
+    """(M, e) of find_isomorphism(f, gl2_act(M0, f)) for crc32-seeded
+    smooth C2 octics f whose splitting fields have degree 4, 7, 8, 12 and
+    15 over F_11, and seeded invertible M0: this pins the root order and
+    the order of root matching over those fields."""
+    rng = random.Random(zlib.crc32(b"find_isomorphism pin"))
+    want = [4, 7, 8, 12, 15]
+    pairs = {}
+    while len(pairs) < len(want):
+        f = random_octic(rng, F11, 10)
+        if not disc_resultant(f):
+            continue
+        k = _split_degree(f)
+        if k not in want or k in pairs or \
+                detect_group(F11, shioda(f)) != "C2":
+            continue
+        while True:
+            m0 = Gl2Matrix(F11, *[rng.randrange(11) for _ in range(4)])
+            if m0.det():
+                break
+        pairs[k] = (f, m0)
+    digest = hashlib.sha256()
+    for k in want:
+        f, m0 = pairs[k]
+        mat, e = find_isomorphism(f, gl2_act(m0, f))
+        assert mat.field.k == k
+        digest.update(("%r %r %r %r; %r\n" % (
+            mat.a, mat.b, mat.c, mat.d, e)).encode())
+    assert digest.hexdigest()[:12] == "171b4fc7fca5"
 
 
 def test_descend_identity(F11):

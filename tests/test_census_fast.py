@@ -19,9 +19,11 @@ from octicmoduli.covariants import (
     j9_j10_closed_form, solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField
-from octicmoduli.forms import disc_resultant
+from octicmoduli.forms import disc_resultant, roots_in_splitting_field
 from octicmoduli.jpoly import JPolynomial, PolySet
-from octicmoduli.strata import detect_group, stratum_systems
+from octicmoduli.strata import (
+    detect_group, reconstruct_stratum, stratum_systems,
+)
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
 
 BLOCK_NAMES = SyzygyCoefficients.BLOCK_NAMES
@@ -163,6 +165,32 @@ def test_class_model_pin_p11(rows_p11, labels_p11):
         digest.update(("%s; %d\n" % (
             ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
     assert digest.hexdigest()[:12] == MODELS_SHA
+
+
+#: classes whose closed-form model splits over F_{11^s}: (stratum, class,
+#: s); 6 is the largest s of any C2p3 class at p = 11
+LARGE_SPLIT = (
+    ("C2p3", "0,3,3,6,10,8,4,1,7", 6), ("C2p3", "3,3,10,7,4,10,9,0,5", 6),
+    ("D4", "0,0,0,5,5,7,1,10,7", 8), ("D4", "0,2,0,4,0,0,0,0,0", 8),
+    ("D4", "0,0,5,5,0,7,9,4,2", 12), ("D4", "0,2,0,4,2,3,5,3,5", 12),
+    ("D4", "0,1,1,9,0,8,2,6,8", 24),
+)
+
+
+def test_class_model_pin_large_splitting_fields():
+    """The F_11 models (coefficients and extension degree) of C2p3 and D4
+    classes whose descent and root matching run over F_{11^6} to
+    F_{11^24}."""
+    F = PrimeField(11)
+    digest = hashlib.sha256()
+    for stratum, row, split in LARGE_SPLIT:
+        jt = [F(int(v)) for v in row.split(",")]
+        assert roots_in_splitting_field(
+            reconstruct_stratum(stratum, F, jt))[0].k == split
+        model, extdeg = class_model(F, jt, stratum)
+        digest.update(("%s; %d\n" % (
+            ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
+    assert digest.hexdigest()[:12] == "2f3d38d1b297"
 
 
 def test_moduli_rows_agree_with_scalar_solvers(rows_p11):

@@ -110,6 +110,25 @@ def test_census_model_lines_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == "69c31aa93694"
 
 
+def test_census_resumes_from_its_report(capsys, tmp_path):
+    """A census rerun on a report that holds some of its model lines, not
+    the first ones, and a torn last line prints the bytes of a fresh run
+    (the pin above) and completes the report."""
+    report = tmp_path / "report.txt"
+    argv = ("census", "--field", "Fp:11", "--models", "--model-limit", "12",
+            "--report", str(report))
+    code, fresh, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(fresh.encode()).hexdigest()[:12] == "69c31aa93694"
+    lines = report.read_text().splitlines(keepends=True)
+    assert len(lines) == 12 and all(line in fresh for line in lines)
+    report.write_text(lines[7] + lines[2] + lines[5][:30])
+    code, resumed, _ = run_cli(capsys, *argv)
+    assert code == 0 and resumed == fresh
+    assert sorted(report.read_text().splitlines(keepends=True)) == \
+        sorted(lines + [lines[5][:30] + "\n"])
+
+
 def test_census_refuses_oversized_prime(capsys):
     """The prefix enumeration at p = 1000003 would need about 4e31 bytes;
     the census is refused as a usage error before anything is allocated."""

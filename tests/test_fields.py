@@ -9,8 +9,12 @@ from octicmoduli.errors import (
     ZeroNorm,
 )
 from octicmoduli.fields import (
-    ExtField, PrimeField, QQ, QuadExtQ, ext_gcd_multi, field_make,
-    norm_solve, sqrt_opt,
+    ExtField, PrimeField, QQ, QuadExtQ, _poly_mulmod, ext_gcd_multi,
+    field_make, norm_solve, sqrt_opt,
+)
+from octicmoduli import unipoly
+from octicmoduli.forms import (
+    BinaryForm, roots_in_splitting_field, splitting_extension,
 )
 from octicmoduli.unipoly import rational_roots
 
@@ -173,3 +177,121 @@ def test_quadratic_extension_of_q():
     a = K(Fraction(1, 2)) + r
     assert a * (K.one / a) == K.one
     assert K.sqrt(K(5)) == r
+
+
+def _random_ext_field(p, k, rng):
+    """F_{p^k} on a seeded random monic irreducible modulus (the default
+    modulus search is slow for large p and some k)."""
+    while True:
+        try:
+            return ExtField(p, k, [rng.randrange(p) for _ in range(k)] + [1])
+        except ReducibleModulus:
+            continue
+
+
+@pytest.mark.parametrize("p", [11, 13, 1048573])
+def test_product_matches_poly_mulmod(p):
+    """The folded product against schoolbook multiplication and reduction
+    mod the modulus, for k = 1..16, on the default modulus and a random
+    one."""
+    seed = zlib.crc32(b"ext product %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for k in range(1, 17):
+        fields = [_random_ext_field(p, k, rng)]
+        if p < 100:
+            fields.append(ExtField(p, k))
+        for E in fields:
+            for _ in range(8):
+                a, b = ([rng.randrange(p) for _ in range(k)] for _ in "ab")
+                want = _poly_mulmod(a, b, list(E.modulus), p)
+                want += [0] * (k - len(want))
+                assert (E(a) * E(b)).coeffs == tuple(want), (k, E.modulus)
+            assert E(a) * E.zero == E.zero and E(a) * 1 == E(a)
+
+
+@pytest.mark.parametrize("p", [11, 13, 1048573])
+def test_frobenius_matches_powers(p):
+    """The linear Frobenius against powering by p^t."""
+    seed = zlib.crc32(b"ext frobenius %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for k in range(1, 17):
+        E = _random_ext_field(p, k, rng)
+        for _ in range(3):
+            a = E([rng.randrange(p) for _ in range(k)])
+            for t in sorted({1, k - 1, k, k + 1}):
+                assert E.frobenius(a, t) == a ** (p ** t), (k, t)
+
+
+def _partitions(n, largest=None):
+    largest = largest or n
+    if n == 0:
+        yield ()
+    for d in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - d, d):
+            yield (d,) + rest
+
+
+def _octic(field, degrees, rng, squared=(), infinity=0):
+    """c * (product of distinct random monic irreducibles of the given
+    degrees, those of degree in squared twice), with its top infinity
+    coefficients zero: a root at infinity of that multiplicity."""
+    poly, taken = [field(rng.randrange(1, field.characteristic))], []
+    for d in degrees:
+        while True:
+            g = [unipoly.random_element(field, rng) for _ in range(d)]
+            g.append(field.one)
+            if g not in taken and unipoly.factor(field, g) == [(g, 1)]:
+                break
+        taken.append(g)
+        for _ in range(2 if d in squared else 1):
+            poly = unipoly.mul(field, poly, g)
+    return BinaryForm(field, len(poly) - 1 + infinity,
+                      poly + [field.zero] * infinity)
+
+
+def _roots_by_factoring(f):
+    """roots_in_splitting_field as it was: every root of each factor from
+    a full factorization over the splitting field, which F_{p^k} enters
+    through the least root of its modulus found the same way."""
+    field = f.field
+    d = max(i for i, c in enumerate(f.coeffs) if c)
+    facs = unipoly.factor(field, list(f.coeffs[:d + 1]))
+    ext = splitting_extension(field, [unipoly.degree(g) for g, _ in facs])
+    emb = ext
+    if isinstance(field, ExtField) and ext != field:
+        root = unipoly.roots(ext, [ext(c) for c in field.modulus])[0][0]
+        emb = lambda a: unipoly.evaluate(ext, a.coeffs, root)
+    out = [((ext.one, ext.zero), f.degree - d)] if d < f.degree else []
+    for g, mult in facs:
+        out += [((r, ext.one), mult * m)
+                for r, m in unipoly.roots(ext, [emb(c) for c in g])]
+    return ext, out
+
+
+ROOT_CASES = (
+    [("Fp:11", pattern, (), 0) for pattern in _partitions(8)]
+    + [("Fp:13", pattern, (), 0) for pattern in
+       ((8,), (5, 3), (4, 3, 1), (6, 1, 1), (2, 2, 2, 2), (1,) * 8)]
+    + [("Fpk:11:2", pattern, (), 0) for pattern in
+       ((4, 4), (4, 2, 1, 1), (3, 3, 2), (2, 2, 2, 1, 1), (1,) * 8)]
+    + [(spec, (3, 2), (), 3) for spec in ("Fp:11", "Fp:13", "Fpk:11:2")]
+    + [(spec, (2, 3, 1), (2,), 0) for spec in ("Fp:11", "Fp:13", "Fpk:11:2")]
+    + [("Fp:11", (1, 4), (1,), 2), ("Fp:13", (1,) * 7, (), 1)])
+
+
+def test_roots_in_splitting_field_match_a_full_factorization():
+    """One root per irreducible factor plus its conjugates, sorted, gives
+    the ordered output of a full factorization over the splitting field:
+    every factor-degree pattern of an octic over F_11, some over F_13 and
+    F_{11^2}, roots at infinity and repeated roots."""
+    for spec, degrees, squared, infinity in ROOT_CASES:
+        field = field_make(spec)
+        seed = zlib.crc32(("roots %s %s %s %d" % (
+            spec, degrees, squared, infinity)).encode())
+        f = _octic(field, degrees, random.Random(seed), squared, infinity)
+        assert f.degree == 8
+        ext, got = roots_in_splitting_field(f)
+        want_ext, want = _roots_by_factoring(f)
+        assert ext == want_ext and got == want, (spec, degrees, seed)
