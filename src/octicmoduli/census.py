@@ -13,7 +13,7 @@ hard failure.
 import contextlib
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 
 from . import census_fast
@@ -97,10 +97,13 @@ def _isomorphisms_from_roots(big, fb, gb, rf, rg):
 
 def _pair_dets(roots):
     """D[i][j] = z_i x_j - x_i z_j for the points (x : z) of roots, and
-    the inverses of the entries off the diagonal (the roots are simple)."""
+    the inverses of the entries off the diagonal (the roots are simple),
+    one inversion per pair."""
     dets = [[ri[1] * rj[0] - ri[0] * rj[1] for rj in roots] for ri in roots]
-    invs = [[d.inverse() if i != j else None for j, d in enumerate(row)]
-            for i, row in enumerate(dets)]
+    invs = [[None] * len(roots) for _ in roots]
+    for i, j in combinations(range(len(roots)), 2):
+        invs[i][j] = dets[i][j].inverse()
+        invs[j][i] = -invs[i][j]            # D[j][i] = -D[i][j]
     return dets, invs
 
 

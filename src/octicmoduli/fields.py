@@ -470,19 +470,16 @@ def _prime_factors(n):
 def _default_modulus(p, k):
     """Smallest monic irreducible t^k + c_{k-1} t^{k-1} + ... + c_0, the
     coefficient tuples ordered lexicographically with c_0 varying fastest
-    (low-degree coefficients move first, so sparse moduli come early)."""
-    def candidates():
-        def rec(i, cur):
-            if i < 0:
-                yield list(cur) + [1]
-                return
-            for c in range(p):
-                cur[i] = c
-                yield from rec(i - 1, cur)
-            cur[i] = 0
-        yield from rec(k - 1, [0] * k)
-
-    for mod in candidates():
+    (low-degree coefficients move first, so sparse moduli come early):
+    candidate n has the base-p digits of n as (c_0, ..., c_{k-1}).  The
+    first p candidates are the binomials t^k + c_0, skipped when none of
+    them can be irreducible."""
+    # an irreducible t^k - a needs every prime factor of k to divide
+    # p - 1, and p = 1 mod 4 when 4 divides k (Lidl-Niederreiter 3.75)
+    binomials = (all((p - 1) % q == 0 for q in _prime_factors(k))
+                 and (k % 4 or p % 4 == 1))
+    for n in range(0 if binomials else p, p ** k):
+        mod = [n // p ** i % p for i in range(k)] + [1]
         if _is_irreducible(mod, p):
             return tuple(mod)
     raise ReducibleModulus("no irreducible modulus found (impossible)")

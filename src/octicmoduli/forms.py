@@ -25,13 +25,23 @@ def _falling(n, k):
     return out
 
 
-def _operands(f, g):
-    """The coefficient lists a product or transvectant of f and g runs
-    on: over a prime field the residues as plain ints, which the
-    BinaryForm constructor reduces mod p; else the coefficients."""
-    if isinstance(f.field, PrimeField) and isinstance(g.field, PrimeField):
-        return [a.value for a in f.coeffs], [b.value for b in g.coeffs]
-    return f.coeffs, g.coeffs
+def _operands(*forms):
+    """The coefficient lists a product or transvectant of forms runs on:
+    over a prime field the residues as plain ints, which the BinaryForm
+    constructor reduces mod p; else the coefficients."""
+    if all(isinstance(f.field, PrimeField) for f in forms):
+        return [[a.value for a in f.coeffs] for f in forms]
+    return [f.coeffs for f in forms]
+
+
+def _convolve(a, b):
+    """The coefficients of the product of forms with coefficients a, b."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
 
 
 class BinaryForm:
@@ -79,13 +89,8 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        a, b = _operands(self, other)
-        out = [0] * (self.degree + other.degree + 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        return BinaryForm(self.field, self.degree + other.degree, out)
+        return BinaryForm(self.field, self.degree + other.degree,
+                          _convolve(*_operands(self, other)))
 
     __rmul__ = scale
 

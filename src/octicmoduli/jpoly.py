@@ -5,10 +5,10 @@ coefficients; every monomial shares the declared weighted degree
 sum(w * e_w).  These polynomials are what the interpolation layer produces
 and what the stratum systems, syzygies and reconstruction caches are made
 of.  They evaluate over any field of characteristic 0 or >= 11, one point
-at a time (JPolynomial.evaluate), or mod p on arrays of points (PolySet).
+at a time (JPolynomial.evaluate, or PolySet.at for a list of them), or
+mod p on arrays of points (PolySet.evaluate_mod).
 """
 
-import functools
 from fractions import Fraction
 
 import numpy as np
@@ -61,16 +61,51 @@ def _residue(c, p):
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-@functools.cache
-def _pair(v, e):
-    return (v, e)
+class _Chain:
+    """Every monomial a list of JPolynomials uses, and those on the way to
+    it, each one product mod p from its parent: the monomial with one unit
+    taken off its last variable, earlier in the order by total degree.
+    The steps are two flat int lists (parent index, variable); each
+    polynomial, its coefficient residues and their monomials' indices.
+    """
 
+    __slots__ = ("p", "parents", "variables", "terms")
 
-@functools.cache
-def _sparse(ev):
-    """The (variable, exponent) pairs of an exponent vector's nonzero
-    entries; shared by every polynomial that has the monomial."""
-    return tuple(_pair(v, e) for v, e in enumerate(ev) if e)
+    def __init__(self, polys, p):
+        steps = {}                      # monomial -> (parent, variable)
+        for poly in polys:
+            for ev in poly.terms:
+                while any(ev) and ev not in steps:
+                    v = max(i for i, e in enumerate(ev) if e)
+                    parent = ev[:v] + (ev[v] - 1,) + ev[v + 1:]
+                    steps[ev] = (parent, v)
+                    ev = parent
+        index = {(0,) * 9: 0}
+        self.p, self.parents, self.variables = p, [], []
+        for ev in sorted(steps, key=lambda ev: (sum(ev), ev)):
+            parent, v = steps[ev]
+            self.parents.append(index[parent])
+            self.variables.append(v)
+            index[ev] = len(index)
+        self.terms = []
+        for poly in polys:
+            residues, monomials = [], []
+            for ev, c in poly.terms.items():
+                r = _residue(c, p)
+                if r:
+                    residues.append(r)
+                    monomials.append(index[ev])
+            self.terms.append((residues, monomials))
+
+    def values(self, xs):
+        """Each polynomial at the residues xs, as a sum of terms each
+        reduced mod p: an int below len(terms) * p, still to be reduced."""
+        p = self.p
+        vals = [1]
+        for parent, v in zip(self.parents, self.variables):
+            vals.append(vals[parent] * xs[v] % p)
+        return [sum([c * vals[j] % p for c, j in zip(residues, monomials)])
+                for residues, monomials in self.terms]
 
 
 class JPolynomial:
@@ -79,10 +114,10 @@ class JPolynomial:
     def __init__(self, degree, terms=None):
         self.degree = degree
         self.terms = {}
-        # p -> (coefficient residues, sparse monomials, top exponent per
-        # variable), built on the first evaluation over F_p; terms is
-        # only ever set here, so an entry cannot go stale
-        self._by_prime = None
+        # p -> the _Chain of this polynomial, built on the first
+        # evaluation over F_p; terms is only ever set here, so an entry
+        # cannot go stale
+        self._by_prime = {}
         if terms:
             for ev, c in terms.items():
                 c = Fraction(c)
@@ -162,12 +197,14 @@ class JPolynomial:
     def evaluate(self, field, jvals):
         """Evaluate at a 9-tuple of field elements (j2, ..., j10).
 
-        Over a prime field the sum runs on the residues as plain ints;
-        over any other field, on field elements.
+        Over a prime field the sum runs on the residues as plain ints,
+        through the polynomial's own monomial chain; over any other
+        field, on field elements.
         """
         if isinstance(field, PrimeField):
-            return field(self._evaluate_mod(field.p,
-                                            [field(v).value for v in jvals]))
+            chain = (self._by_prime.get(field.p) or self._by_prime.setdefault(
+                field.p, _Chain([self], field.p)))
+            return field(chain.values([field(v).value for v in jvals])[0])
         jvals = [field(v) for v in jvals]
         maxe = [0] * 9
         for ev in self.terms:
@@ -187,40 +224,6 @@ class JPolynomial:
                 if e:
                     t = t * pows[i][e]
             acc = acc + t
-        return acc
-
-    def _compiled(self, p):
-        if self._by_prime is None:
-            self._by_prime = {}
-        entry = self._by_prime.get(p)
-        if entry is None:
-            residues, monomials, tops = [], [], [0] * 9
-            for ev, c in self.terms.items():
-                r = _residue(c, p)
-                if r:
-                    residues.append(r)
-                    monomials.append(_sparse(ev))
-                    for v, e in enumerate(ev):
-                        if e > tops[v]:
-                            tops[v] = e
-            entry = self._by_prime[p] = (residues, monomials, tops)
-        return entry
-
-    def _evaluate_mod(self, p, vals):
-        """The polynomial at the residues vals, as a sum of terms each
-        reduced mod p: an int below len(terms) * p, still to be reduced."""
-        residues, monomials, tops = self._compiled(p)
-        pows = []
-        for x, top in zip(vals, tops):
-            row = [1]
-            for _ in range(top):
-                row.append(row[-1] * x % p)
-            pows.append(row)
-        acc = 0
-        for t, mono in zip(residues, monomials):
-            for v, e in mono:
-                t = t * pows[v][e]
-            acc += t % p
         return acc
 
     def serialize(self):
@@ -298,7 +301,8 @@ CHUNK_ROWS = 4096
 
 
 class PolySet:
-    """A list of JPolynomials evaluated together on arrays of residues.
+    """A list of JPolynomials evaluated together: on arrays of residues
+    (evaluate_mod), or at one point of a field (at).
 
     The union of their monomials is evaluated once per chunk of rows by
     monomial_matrix and combined with the coefficients in one float64
@@ -306,13 +310,26 @@ class PolySet:
     products of two residues, so it is exact while
     n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.  The
     monomial list and the coefficient matrix for a prime are built on the
-    first evaluation that needs them.
+    first evaluation that needs them, and so is the monomial chain that
+    at runs on for a prime.
     """
 
     def __init__(self, polys):
         self.polys = list(polys)
         self._monomials = None
         self._coeffs = {}             # p -> (n_polys, n_monomials) float64
+        self._chains = {}             # p -> _Chain of all the polys
+
+    def at(self, field, jvals):
+        """Every polynomial at the 9-tuple jvals of field elements: over a
+        prime field through one monomial chain for the whole list, over
+        any other field by each polynomial's evaluate."""
+        if isinstance(field, PrimeField):
+            chain = (self._chains.get(field.p) or self._chains.setdefault(
+                field.p, _Chain(self.polys, field.p)))
+            return [field(v) for v in
+                    chain.values([field(v).value for v in jvals])]
+        return [poly.evaluate(field, jvals) for poly in self.polys]
 
     def evaluate_mod(self, rows, p):
         """(N, len(polys)) int64: every polynomial at every row of the

@@ -21,7 +21,8 @@ from .errors import (
     PointNotOnConic, SingularConic,
 )
 from .fields import QQ, QuadExtQ, sqrt_opt
-from .forms import BinaryForm, omega_pair, transvect
+from .forms import BinaryForm, _convolve, _operands, omega_pair, transvect
+from .jpoly import PolySet
 
 #: default walk order for the generic method: the nineteen determinants
 #: whose simultaneous vanishing characterizes reduced automorphism groups
@@ -57,6 +58,7 @@ TRIPLES_C4 = [
     ("C5_2", "C6_2", "C9_2pp"),
 ]
 
+CONIC_PAIRS = list(combinations_with_replacement((1, 2, 3), 2))
 QUARTIC_MULTISETS = list(combinations_with_replacement((1, 2, 3), 4))
 
 
@@ -124,6 +126,10 @@ class TripleModels:
         self.r_poly = r_poly                  # JPolynomial
         self.conic = conic                    # dict (i, j) i<=j -> JPolynomial
         self.quartic = quartic                # dict multiset -> JPolynomial
+        # the conic in CONIC_PAIRS order, then the quartic in
+        # QUARTIC_MULTISETS order: evaluated at one tuple together
+        self.polys = PolySet([conic[k] for k in CONIC_PAIRS]
+                             + [quartic[m] for m in QUARTIC_MULTISETS])
 
     def to_named_list(self):
         out = [("R", self.r_poly)]
@@ -279,11 +285,14 @@ class EvaluatedConic:
 
     @classmethod
     def from_models(cls, models, field, jtuple):
-        coeffs = {}
-        for (i, j), poly in models.conic.items():
-            val = poly.evaluate(field, jtuple)
-            coeffs[(i, j)] = val if i == j else val + val
-        return cls(field, coeffs)
+        return cls.from_values(field, models.polys.at(field, jtuple))
+
+    @classmethod
+    def from_values(cls, field, values):
+        """The conic whose A_ij (CONIC_PAIRS order) are the first 6 of
+        values."""
+        return cls(field, {(i, j): val if i == j else val + val
+                           for (i, j), val in zip(CONIC_PAIRS, values)})
 
     def matrix(self):
         """Symmetric matrix of the associated bilinear form."""
@@ -301,14 +310,6 @@ class EvaluatedConic:
         acc = self.field.zero
         for (i, j), c in self.coeffs.items():
             acc = acc + c * point[i - 1] * point[j - 1]
-        return acc
-
-    def bilinear(self, u, v):
-        m = self.matrix()
-        acc = self.field.zero
-        for i in range(3):
-            for j in range(3):
-                acc = acc + u[i] * m[i][j] * v[j]
         return acc
 
     def det(self):
@@ -399,9 +400,11 @@ def conic_parametrize(conic, point):
     basis[0][others[0]] = field.one
     basis[1][others[1]] = field.one
     e1, e2 = basis
-    # direction D(T, U) = U * e1 - T * e2; chi = B(D, D) P - 2 B(P, D) D
-    bpp = [conic.bilinear(point, e) for e in (e1, e2)]
-    bee = [[conic.bilinear(a, b) for b in (e1, e2)] for a in (e1, e2)]
+    # direction D(T, U) = U * e1 - T * e2; chi = B(D, D) P - 2 B(P, D) D,
+    # B the bilinear form of the matrix m: B(P, e_k) = sum_i P_i m_ik
+    m = conic.matrix()
+    bpp = [sum(point[i] * m[i][k] for i in range(3)) for k in others]
+    bee = [[m[a][b] for b in others] for a in others]
     two = field.one + field.one
 
     # chi_i as quadratics in (T, U): coefficients of T^2, TU, U^2
@@ -422,15 +425,31 @@ def conic_parametrize(conic, point):
 
 
 def substitute_quartic(field, quartic_values, chis):
-    """Plug three (T, U)-quadratics into a ternary quartic; degree-8 form."""
-    out = BinaryForm(field, 8, [field.zero] * 9)
-    for mset, h in quartic_values.items():
-        if h:
-            form = BinaryForm(field, 0, [field.one])
-            for i in mset:
-                form = form * chis[i - 1]
-            out = out + form.scale(h)
-    return out
+    """Plug three (T, U)-quadratics into a ternary quartic; degree-8 form.
+
+    With P_ij = chi_i chi_j, the sum of h_ijkl chi_i chi_j chi_k chi_l
+    over the multisets i <= j <= k <= l is the sum over i <= j of
+    P_ij Q_ij, where Q_ij is the sum over j <= k <= l of h_ijkl P_kl.
+    The 12 products run on coefficient lists: the residues over F_p, as
+    forms._operands gives them, and the coefficients over any other field.
+    """
+    chi = _operands(*chis)
+    h = quartic_values
+    if chi[0] is not chis[0].coeffs:     # residues: the h values too
+        h = {mset: field(v).value for mset, v in h.items()}
+    prods = {(i, j): _convolve(chi[i - 1], chi[j - 1])
+             for i, j in CONIC_PAIRS}
+    out = [0] * 9
+    for i, j in CONIC_PAIRS:
+        q = [0] * 5
+        for k, l in CONIC_PAIRS:
+            c = h[(i, j, k, l)] if j <= k else 0
+            if c:
+                for n, x in enumerate(prods[(k, l)]):
+                    q[n] += c * x
+        for n, x in enumerate(_convolve(prods[(i, j)], q)):
+            out[n] += x
+    return BinaryForm(field, 8, out)
 
 
 def reconstruct_generic(field, jtuple, triple_order=None,
@@ -456,7 +475,8 @@ def reconstruct_generic(field, jtuple, triple_order=None,
         raise AllDeterminantsVanish(
             "all determinants vanish at this tuple")
     models = conic_quartic_models(chosen)
-    conic = EvaluatedConic.from_models(models, field, jtuple)
+    values = models.polys.at(field, jtuple)
+    conic = EvaluatedConic.from_values(field, values)
     work_field = field
     if field.characteristic == 0 and conic_point_hint is None:
         work_field, point = _quadratic_point(conic)
@@ -465,9 +485,9 @@ def reconstruct_generic(field, jtuple, triple_order=None,
     else:
         point = conic_point(conic, supplied=conic_point_hint)
     chis = conic_parametrize(conic, point)
-    # the tuple is over field: evaluate there, then lift the values
-    quartic_values = {mset: work_field(poly.evaluate(field, jtuple))
-                      for mset, poly in models.quartic.items()}
+    # the tuple is over field: evaluated there, the values are lifted
+    quartic_values = {mset: work_field(v)
+                      for mset, v in zip(QUARTIC_MULTISETS, values[6:])}
     octic = substitute_quartic(work_field, quartic_values, chis)
     if octic.is_zero():
         raise InterpolationFailure("reconstruction produced the zero form")

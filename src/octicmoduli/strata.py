@@ -20,6 +20,7 @@ from .errors import (
 )
 from .fields import ExtField, QQ, QuadExtQ, sqrt_opt
 from .forms import BinaryForm, embed_field
+from .wps import SHIODA_WEIGHTS, WeightedPoint
 
 #: detection order: dimension 0 strata first, then up the lattice; a tuple
 #: is classified by the first system it satisfies
@@ -74,9 +75,10 @@ def detect_group(field, jtuple):
     """First stratum in the cascade whose system vanishes; C2 otherwise.
 
     For singular tuples the answer is the label of the matched system; the
-    actual automorphism group of a singular orbit may be larger.
+    actual automorphism group of a singular orbit may be larger.  A tuple
+    that is not 9 coordinates, or is zero, is refused (WeightMismatch).
     """
-    jtuple = tuple(field(v) for v in jtuple)
+    jtuple = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
     for name in STRATA_ORDER:
         if name == "C14":
             # the vanishing pattern alone: j7 must be the only survivor
@@ -165,9 +167,10 @@ def reconstruct_stratum(stratum, field, jtuple):
     closed form of the stratum's lemma; may move to a bounded extension.
 
     Degenerate branch guards re-dispatch to the larger group exactly as
-    the lemmas direct.
+    the lemmas direct.  A tuple that is not 9 coordinates, or is zero, is
+    refused (WeightMismatch).
     """
-    jt = tuple(field(v) for v in jtuple)
+    jt = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
     j2, j3, j4, j5, j6, j7 = jt[0], jt[1], jt[2], jt[3], jt[4], jt[5]
     one, zero = field.one, field.zero
 

@@ -21,6 +21,7 @@ from octicmoduli.covariants import (
 from octicmoduli.fields import PrimeField
 from octicmoduli.forms import disc_resultant, roots_in_splitting_field
 from octicmoduli.jpoly import JPolynomial, PolySet
+from octicmoduli.reconstruct import TRIPLES_19, r_polynomial
 from octicmoduli.strata import (
     detect_group, reconstruct_stratum, stratum_systems,
 )
@@ -191,6 +192,45 @@ def test_class_model_pin_large_splitting_fields():
         digest.update(("%s; %d\n" % (
             ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
     assert digest.hexdigest()[:12] == "2f3d38d1b297"
+
+
+#: sha256 prefix of the lines test_class_model_pin_generic hashes
+C2_MODELS_SHA = "0b61cc7c7c89"
+
+
+def _c2_classes(p, rows, labels, counts):
+    """Seeded C2 classes at p, counts[k] of them whose triple walk ends
+    at TRIPLES_19[k]."""
+    seed = zlib.crc32(b"C2 class_model pin %d" % p)
+    print(p, "seed", seed)
+    rng = random.Random(seed)
+    c2 = np.nonzero(labels == strata_labels().index("C2"))[0]
+    nonzero = PolySet([r_polynomial(t) for t in TRIPLES_19[:len(counts)]]
+                      ).evaluate_mod(rows[c2], p) != 0
+    ends = np.where(nonzero.any(axis=1), np.argmax(nonzero, axis=1), -1)
+    picked = []
+    for k, n in enumerate(counts):
+        picked += rng.sample(list(c2[ends == k]), n)
+    return picked
+
+
+def test_class_model_pin_generic(rows_p11, labels_p11, rows_p13):
+    """The models (coefficients and extension degree) of 40 seeded C2
+    classes at p = 11 and 20 at p = 13, including walks that end at the
+    second and third triple: this pins the conic point, the
+    parametrization and the quartic substitution."""
+    digest = hashlib.sha256()
+    for p, rows, labels, counts in (
+            (11, rows_p11, labels_p11, (30, 5, 5)),
+            (13, rows_p13, classify_rows(PrimeField(13), rows_p13),
+             (14, 3, 3))):
+        F = PrimeField(p)
+        for i in _c2_classes(p, rows, labels, counts):
+            model, extdeg = class_model(F, [F(int(v)) for v in rows[i]], "C2")
+            digest.update(("%s; %d\n" % (
+                ",".join(str(c.value) for c in model.coeffs),
+                extdeg)).encode())
+    assert digest.hexdigest()[:12] == C2_MODELS_SHA
 
 
 def test_moduli_rows_agree_with_scalar_solvers(rows_p11):

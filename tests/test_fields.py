@@ -9,8 +9,8 @@ from octicmoduli.errors import (
     ZeroNorm,
 )
 from octicmoduli.fields import (
-    ExtField, PrimeField, QQ, QuadExtQ, _poly_mulmod, ext_gcd_multi,
-    field_make, norm_solve, sqrt_opt,
+    ExtField, PrimeField, QQ, QuadExtQ, _is_irreducible, _poly_mulmod,
+    ext_gcd_multi, field_make, norm_solve, sqrt_opt,
 )
 from octicmoduli import unipoly
 from octicmoduli.forms import (
@@ -153,6 +153,19 @@ def test_norm_solve_large_field():
     for lam in (2, 7, 10):
         a = norm_solve(E, PrimeField(11)(lam))
         assert a ** ((11 ** 5 - 1) // 10) == E(lam)
+
+
+def test_default_modulus_at_a_large_prime_skips_the_binomials():
+    """No t^5 + c is irreducible over F_1048573 (5 does not divide
+    p - 1), so the search goes on to t^5 + t + c at once: the first
+    irreducible one, below which every t^5 + t + c is reducible."""
+    p = 1048573
+    E = ExtField(p, 5)
+    c0 = E.modulus[0]
+    assert E.modulus == (c0, 1, 0, 0, 0, 1)
+    assert _is_irreducible(list(E.modulus), p)
+    assert not any(_is_irreducible([c, 1, 0, 0, 0, 1], p)
+                   for c in range(c0))
 
 
 def test_frobenius_fixes_prime_field_exactly():

@@ -1,12 +1,15 @@
-"""JPolynomial.evaluate, transvect and BinaryForm products over F_p,
-where they run on the residues as plain ints, checked against the same
-computation over Q at the integer lifts, reduced mod p; transvect and
-products over F_{p^2}, where the same loop runs on field elements,
-checked against F_p; and properties that run through them.
+"""JPolynomial.evaluate, PolySet.at, transvect and BinaryForm products
+over F_p, where they run on the residues as plain ints, checked against
+the same computation over Q at the integer lifts, reduced mod p;
+transvect, products and PolySet.at over F_{p^2}, where they run on field
+elements, checked against F_p; the quartic substitution of the conic
+method against the product per monomial; and properties that run
+through them.
 """
 
 import random
 import zlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,12 +22,14 @@ from octicmoduli.census_fast import (
 )
 from octicmoduli.covariants import CATALOGUE, covariant_eval, shioda
 from octicmoduli.errors import InterpolationFailure
-from octicmoduli.fields import ExtField, PrimeField, QQ
+from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
 from octicmoduli.forms import (
     BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
 )
+from octicmoduli.jpoly import PolySet
 from octicmoduli.reconstruct import (
-    TRIPLES_19, TRIPLES_C4, conic_quartic_models, r_polynomial,
+    QUARTIC_MULTISETS, TRIPLES_19, TRIPLES_C4, conic_quartic_models,
+    r_polynomial, substitute_quartic,
 )
 from octicmoduli.strata import stratum_systems
 from octicmoduli.wps import (
@@ -108,6 +113,95 @@ def test_evaluate_keeps_one_entry_per_prime():
     for p in (11, 13, 11):
         F = PrimeField(p)
         assert poly.evaluate(F, pt) == F(exact)
+
+
+def _triple_sets():
+    """The 22 polynomials (R, conic, quartic) of each shipped triple."""
+    return [PolySet([poly for _, poly in
+                     conic_quartic_models(t, derive_if_missing=False)
+                     .to_named_list()]) for t in TRIPLES_C4]
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_polyset_at_matches_the_rational_path(p):
+    """One monomial chain for all 22 polynomials of a triple gives each
+    polynomial's Q value reduced mod p, as field elements."""
+    F = PrimeField(p)
+    sets = _triple_sets()
+    assert [len(s.polys) for s in sets] == [22] * 5
+    for pt in _points(p, "polyset at"):
+        for polys in sets:
+            want = [F(poly.evaluate(QQ, pt)) for poly in polys.polys]
+            got = polys.at(F, pt)
+            assert all(v.field == F for v in got)
+            assert got == want
+
+
+def test_polyset_at_keeps_one_chain_per_prime():
+    """A set evaluated over F_11, then F_13, then F_11 again gives the Q
+    values reduced mod each prime every time."""
+    polys = _triple_sets()[2]
+    pt = _points(13, "polyset prime switch")[2]
+    exact = [poly.evaluate(QQ, pt) for poly in polys.polys]
+    for p in (11, 13, 11):
+        F = PrimeField(p)
+        assert polys.at(F, pt) == [F(v) for v in exact]
+
+
+def test_polyset_at_over_an_extension_is_the_element_path():
+    """Over F_{11^2}, PolySet.at gives each polynomial's evaluate: the
+    F_11 values embedded at points of F_11, and the element values at a
+    point with coordinates off F_11."""
+    F, E = PrimeField(11), ExtField(11, 2)
+    polys = _triple_sets()[0]
+    for pt in _points(11, "polyset at extension"):
+        got = polys.at(E, pt)
+        assert all(v.field == E for v in got)
+        assert got == [E(v) for v in polys.at(F, pt)]
+    seed = zlib.crc32(b"polyset at extension point")
+    print("seed", seed)
+    rng = random.Random(seed)
+    pt = [E([rng.randrange(11), rng.randrange(1, 11)]) for _ in range(9)]
+    assert polys.at(E, pt) == [poly.evaluate(E, pt) for poly in polys.polys]
+
+
+def _substitute_per_monomial(field, quartic_values, chis):
+    """The quartic substitution as one form product per monomial: the
+    oracle for substitute_quartic's shared products."""
+    out = BinaryForm(field, 8, [field.zero] * 9)
+    for mset, h in quartic_values.items():
+        form = BinaryForm(field, 0, [field.one])
+        for i in mset:
+            form = form * chis[i - 1]
+        out = out + form.scale(h)
+    return out
+
+
+@pytest.mark.parametrize("label", ["F11", "F13", "F11^2", "Q(sqrt 5)"])
+def test_substitute_quartic_matches_the_product_per_monomial(label):
+    """Seeded chis and quartic values, a fifth of the values zero: over
+    F_p on residues, over F_{11^2} and Q(sqrt 5) on elements."""
+    field = {"F11": PrimeField(11), "F13": PrimeField(13),
+             "F11^2": ExtField(11, 2), "Q(sqrt 5)": QuadExtQ(5)}[label]
+    seed = zlib.crc32(("substitute quartic %s" % label).encode())
+    print("seed", seed)
+    rng = random.Random(seed)
+    if label == "F11^2":
+        elt = lambda: field([rng.randrange(11), rng.randrange(11)])
+    elif label == "Q(sqrt 5)":
+        gen = field.gen()
+        elt = lambda: (field(Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                       + field(rng.randint(-9, 9)) * gen)
+    else:
+        elt = lambda: field(rng.randrange(field.p))
+    for _ in range(12):
+        chis = tuple(BinaryForm(field, 2, [elt() for _ in range(3)])
+                     for _ in range(3))
+        values = {mset: elt() if rng.random() < 0.8 else field.zero
+                  for mset in QUARTIC_MULTISETS}
+        got = substitute_quartic(field, values, chis)
+        assert got.field == field and got.degree == 8
+        assert got == _substitute_per_monomial(field, values, chis)
 
 
 def _transvectant_shapes():

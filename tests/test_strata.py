@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from octicmoduli.covariants import random_octic, shioda
-from octicmoduli.errors import ExhaustedCandidates, SingularLocus
+from octicmoduli.errors import (
+    ExhaustedCandidates, SingularLocus, WeightMismatch,
+)
 from octicmoduli.fields import PrimeField, QQ
 from octicmoduli import strata
 from octicmoduli.forms import BinaryForm, disc_resultant
@@ -61,6 +63,18 @@ def test_detect_group_examples():
     d12 = BinaryForm(QQ, 8, [0, Fraction(-48) - Fraction(8, 81), 0, 0,
                              Fraction(-7, 9), 0, 0, 1, 0])
     assert detect_group(QQ, shioda(d12)) == "D12"
+
+
+@pytest.mark.parametrize("coords", [[0] * 9, [1, 2], list(range(1, 11))],
+                         ids=["zero", "two-coordinates", "ten-coordinates"])
+def test_library_refuses_a_tuple_that_is_not_a_point(coords, F11):
+    """The zero tuple and tuples of the wrong arity are refused, as the
+    CLI refuses them, not classified or given a model."""
+    with pytest.raises(WeightMismatch):
+        detect_group(F11, coords)
+    for stratum in ("C2", "C2xS4"):
+        with pytest.raises(WeightMismatch):
+            reconstruct_stratum(stratum, F11, coords)
 
 
 def test_stratum_lattice_consistency():
