@@ -20,6 +20,7 @@ from . import census_fast
 from .covariants import has_invariants, shioda
 from .errors import (
     CountMismatch, ExhaustedCandidates, MultipleRoot, NotRationalClass,
+    WeightMismatch,
 )
 from .fields import ExtField, PrimeField, norm_solve
 from .forms import (
@@ -160,7 +161,8 @@ def descend(f, base):
     norm of M over the degree-r extension of f's splitting field.  There
     M is rescaled by a norm preimage, a random matrix is averaged through
     the cocycle until invertible, and the transported form is normalized
-    to base coefficients.  Matrices with r = 1 are tried first.
+    to base coefficients.  Matrices with r = 1 are tried first.  The zero
+    form, over any field, has no invariant class (WeightMismatch).
     """
     if not isinstance(base, PrimeField):
         raise NotRationalClass("descent targets the prime field")
@@ -168,6 +170,8 @@ def descend(f, base):
     if f.field.characteristic != p:
         raise NotRationalClass("the form is not over an extension of F_%d"
                                % p)
+    if f.is_zero():
+        raise WeightMismatch("the zero form has no invariant class")
     if isinstance(f.field, PrimeField):
         return f
     # the class must be rational: normalized invariants in the base field
@@ -279,8 +283,10 @@ def run_census(p, want_models=False, jobs=1, model_limit=None,
     counts with unproven closed forms only flag.  With a report_path the
     per-class model lines are appended as they finish and already-recorded
     classes are skipped on resume; the models come back in the order of a
-    fresh run.
+    fresh run.  A model_limit below 1 is refused (ValueError).
     """
+    if model_limit is not None and model_limit < 1:
+        raise ValueError("model limit %d is below 1" % model_limit)
     t0 = time.time()
     field = PrimeField(p)
     rows = census_fast.moduli_rows(field, filter_singular=True)

@@ -135,9 +135,7 @@ def moduli_rows(field, filter_singular=True):
         raise ValueError("prime too large for the census engine")
     _check_memory(p)
     ctx = _ModCtx(p)
-    syz = derive_syzygies()
-    block_set = PolySet([syz[name]
-                         for name, _ in SyzygyCoefficients.BLOCK_NAMES])
+    block_set = derive_syzygies().block_set
 
     out_rows = []
     for rows6, delta in _enumerate_prefix_reps(ctx):

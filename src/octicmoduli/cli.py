@@ -275,6 +275,8 @@ def _run(args):
 
     if verb == "descend":
         from .census import descend
+        if not field.characteristic:
+            raise ValueError("descend runs over a finite field")
         base = PrimeField(field.characteristic)
         for payload in _stdin_records(args.form):
             f = _parse_form(field, payload)

@@ -12,6 +12,7 @@ entries, which keeps every formula valid in characteristic 0 and >= 11.
 import functools
 import random
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .errors import (
 from .fields import ExtField, PrimeField, QQ
 from .forms import BinaryForm, transvect
 from .jpoly import (
-    JPolyX, JPolynomial, _residue, monomial_basis, monomial_matrix, wdeg,
+    JPolyX, JPolynomial, PolySet, _residue, monomial_basis, monomial_matrix,
+    wdeg,
 )
 from .linsolve import solve_rational
 from .unipoly import rational_roots, roots as field_roots
@@ -440,31 +442,24 @@ class SyzygyCoefficients:
             if self.blocks[name].degree != d and not self.blocks[name].is_zero():
                 raise ValueError("block %s has degree %d, expected %d"
                                  % (name, self.blocks[name].degree, d))
+        #: the blocks in BLOCK_NAMES order, evaluated together
+        self.block_set = PolySet([self.blocks[name]
+                                  for name, _ in self.BLOCK_NAMES])
 
     def __getitem__(self, name):
         return self.blocks[name]
 
     def evaluate_blocks(self, field, j27):
-        """All blocks at a (j2...j7) prefix; returns a name -> value dict."""
+        """All blocks at a (j2...j7) prefix, through one PolySet.at call;
+        returns a name -> value dict."""
         jt = tuple(j27) + (field.zero,) * 3
-        return {name: poly.evaluate(field, jt)
-                for name, poly in self.blocks.items()}
+        return dict(zip((name for name, _ in self.BLOCK_NAMES),
+                        self.block_set.at(field, jt)))
 
     def relations_residuals(self, field, jtuple):
         """The five relation values at a full 9-tuple (zero on real orbits)."""
         jt = [field(x) for x in jtuple]
-        v = self.evaluate_blocks(field, jt[:6])
-
-        def mono(ev):
-            out = field.one
-            for x, e in zip(jt, ev):
-                for _ in range(e):
-                    out = out * x
-            return out
-
-        return tuple(mono(lead) + sum((v[name] * mono(mult)
-                                       for name, mult in terms), field.zero)
-                     for lead, terms in RELATIONS)
+        return _relation_values(field, jt, self.evaluate_blocks(field, jt[:6]))
 
     def to_named_list(self):
         return [(name, self.blocks[name]) for name, _ in self.BLOCK_NAMES]
@@ -472,6 +467,17 @@ class SyzygyCoefficients:
     @classmethod
     def from_named_list(cls, named):
         return cls(dict(named))
+
+
+def _relation_values(field, jt, v):
+    """The five relation values at the 9-tuple jt of field elements, given
+    the block values v (a name -> value mapping) of its prefix."""
+    def mono(ev):
+        return prod((x ** e for x, e in zip(jt, ev) if e), start=field.one)
+
+    return tuple(mono(lead) + sum((v[name] * mono(mult)
+                                   for name, mult in terms), field.zero)
+                 for lead, terms in RELATIONS)
 
 
 _SYZYGY_ID = "syzygies-R1..R5"
@@ -589,8 +595,8 @@ def solve_j9_j10(field, j28):
     """
     s = derive_syzygies()
     j28 = tuple(field(v) for v in j28)
-    delta, n9, n10 = j9_j10_closed_form(s.evaluate_blocks(field, j28[:6]),
-                                        j28[6])
+    v = s.evaluate_blocks(field, j28[:6])
+    delta, n9, n10 = j9_j10_closed_form(v, j28[6])
     if delta:
         pairs = [(n9 / delta, n10 / delta)]
     elif not isinstance(field, (PrimeField, ExtField)):
@@ -600,4 +606,4 @@ def solve_j9_j10(field, j28):
     else:
         pairs = ((a, b) for a in field.elements() for b in field.elements())
     return [pair for pair in pairs
-            if not any(s.relations_residuals(field, j28 + pair))]
+            if not any(_relation_values(field, j28 + pair, v))]

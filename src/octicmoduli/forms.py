@@ -354,9 +354,8 @@ def _ext_embedding(small, big):
     if big.k % small.k:
         raise ValueError("no embedding F_%d^%d -> F_%d^%d"
                          % (small.p, small.k, big.p, big.k))
-    root = unipoly.one_root(big, [big(c) for c in small.modulus], small.k)
-    root = min((big.frobenius(root, i) for i in range(small.k)),
-               key=big.element_key)
+    root = unipoly.conjugate_roots(big, [big(c) for c in small.modulus],
+                                   1)[0]
     return lambda a: unipoly.evaluate(big, a.coeffs, root)
 
 
@@ -380,9 +379,7 @@ def roots_in_splitting_field(f):
     if f.is_zero():
         raise ZeroForm("zero form has no root divisor")
     field = f.field
-    if isinstance(field, (PrimeField, ExtField)):
-        pass
-    else:
+    if not isinstance(field, (PrimeField, ExtField)):
         raise TypeError("splitting fields implemented for finite fields only")
     n = f.degree
     # affine part: u(x) = sum a_i x^i, top coefficient index d
@@ -395,9 +392,6 @@ def roots_in_splitting_field(f):
     if n - d > 0:
         out.append(((ext.one, ext.zero), n - d))
     for g, mult in facs:
-        d = unipoly.degree(g)
-        root = unipoly.one_root(ext, [emb(c) for c in g], field.k * d)
-        for r in sorted((ext.frobenius(root, field.k * i) for i in range(d)),
-                        key=ext.element_key):
+        for r in unipoly.conjugate_roots(ext, [emb(c) for c in g], field.k):
             out.append(((r, ext.one), mult))
     return ext, out

@@ -149,8 +149,8 @@ class FieldContext:
             return []
         g = facs[0][0]
         emb = self._extend_degree(unipoly.degree(g))
-        gg = [emb(c) for c in g]
-        return [r for r, _ in unipoly.roots(self.field, gg)]
+        return unipoly.conjugate_roots(self.field, [emb(c) for c in g],
+                                       field.k)
 
 
 # ---------------------------------------------------------------------------

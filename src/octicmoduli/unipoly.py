@@ -1,10 +1,11 @@
 """Generic dense univariate polynomials over a field object.
 
 Coefficient lists are stored low-degree first.  The factorization routines
-(squarefree / distinct-degree / equal-degree) are for finite fields only and
-use a deterministically seeded splitting sequence so results are stable
-across runs.  Degrees here never exceed ~20, so schoolbook arithmetic is
-plenty.
+(squarefree / distinct-degree / equal-degree) and the root search are for
+finite fields only; both split with one Cantor-Zassenhaus trace split,
+whose random polynomials come from a fixed seed, not from the input, and
+neither result depends on the draws.  Degrees here never exceed ~20, so
+schoolbook arithmetic is plenty.
 """
 
 import random
@@ -103,12 +104,9 @@ def derivative(field, f):
     return trim([f[i] * i for i in range(1, len(f))])
 
 
-def _poly_seed(field, f):
-    if isinstance(field, ExtField):
-        flat = tuple(c for e in f for c in e.coeffs)
-    else:
-        flat = tuple(c.value for c in f)
-    return hash((field.order,) + flat) & 0x7FFFFFFF
+#: seed of the random polynomials _split draws; the factors and roots found
+#: do not depend on it
+_SPLIT_SEED = 0x5B117
 
 
 def random_element(field, rng):
@@ -160,74 +158,73 @@ def distinct_degree_factors(field, f):
     return out
 
 
-def equal_degree_split(field, f, d, rng):
-    """Cantor-Zassenhaus split of a squarefree product of degree-d primes."""
-    q = field.order
-    n = degree(f)
-    if n == d:
-        return [f]
-    while True:
-        r = trim([random_element(field, rng)
-                  for _ in range(rng.randrange(1, n) + 1)])
-        if degree(r) < 1:
-            continue
-        g = gcd(field, f, r)
-        if 0 < degree(g) < n:
-            pass
-        else:
-            h = powmod(field, r, (q ** d - 1) // 2, f)
-            g = gcd(field, f, sub(field, h, [field.one]))
-        if 0 < degree(g) < n:
-            f1, _ = divmod_poly(field, f, g)
-            return (equal_degree_split(field, g, d, rng)
-                    + equal_degree_split(field, f1, d, rng))
-
-
-def factor(field, f):
-    """Full factorization over a finite field: [(monic irreducible, mult)].
-
-    Deterministic: the internal randomness is seeded from the polynomial.
-    """
-    f = trim(list(f))
-    if degree(f) < 1:
-        return []
-    rng = random.Random(_poly_seed(field, f))
-    out = []
-    for sqf, mult in squarefree_part_factors(field, f):
-        for prod, d in distinct_degree_factors(field, sqf):
-            for irr in equal_degree_split(field, prod, d, rng):
-                out.append((monic(field, irr), mult))
-    out.sort(key=lambda fm: (degree(fm[0]), _sort_key(field, fm[0])))
-    return out
-
-
-def one_root(field, f, subfield=None):
-    """One root of a monic squarefree f whose roots all lie in F_{p^s},
-    s = subfield (default: the field itself).  Cantor-Zassenhaus on the
-    trace: for a random r over F_{p^s}, T = r + r^p + ... + r^(p^(s-1))
-    mod f is Tr(r(a)) in F_p at each root a, so gcd(f, T^((p-1)/2) - 1)
-    splits f; the smaller factor is kept until it is linear.  The seed
-    comes from the polynomial, as in factor."""
-    s = subfield or field.k
-    p = field.characteristic
-    rng = random.Random(_poly_seed(field, f))
-    while degree(f) > 1:
+def _split(field, f, s, rng):
+    """A proper monic factor of a monic squarefree f of degree >= 2 whose
+    roots all lie in F_{p^s}.  Cantor-Zassenhaus on the trace: for a
+    random r with coefficients in F_{p^g}, g = gcd(k, s), the polynomial
+    T = r + r^p + ... + r^(p^(s-1)) mod f is Tr(r(a)) in F_p at each root
+    a, so gcd(f, T^((p-1)/2) - 1) splits f about half the time."""
+    p, k, n = field.characteristic, field.k, degree(f)
+    g = igcd(k, s)
+    if s > 1:
         xps = [[field.one], powmod(field, [field.zero, field.one], p, f)]
-        while len(xps) < degree(f):
+        while len(xps) < n:
             xps.append(rem(field, mul(field, xps[-1], xps[1]), f))
-        # random coefficients, traced down to F_{p^s}
-        r = [sum(field.frobenius(c, s * i) for i in range(field.k // s))
-             for c in (random_element(field, rng) for _ in xps)]
+    while True:
+        r = [random_element(field, rng) for _ in range(n)]
+        if g < k:
+            r = [sum(field.frobenius(c, g * i) for i in range(k // g))
+                 for c in r]
         t = r
         for _ in range(s - 1):
             r = _frobenius_poly(field, r, xps)
             t = [a + b for a, b in zip(t, r)]
-        g = gcd(field, f, sub(field, powmod(field, t, (p - 1) // 2, f),
+        h = gcd(field, f, sub(field, powmod(field, t, (p - 1) // 2, f),
                               [field.one]))
-        if 0 < degree(g) < degree(f):
-            f = g if 2 * degree(g) <= degree(f) else \
-                divmod_poly(field, f, g)[0]
-    return -f[0] / f[1]
+        if 0 < degree(h) < n:
+            return h
+
+
+def factor(field, f):
+    """Full factorization over a finite field F_{p^k}: [(monic
+    irreducible, mult)], sorted by degree, then coefficients.  Each
+    product of the degree-d factors is split with _split (roots in
+    F_{p^(k d)}) until every piece has degree d; a factorization into
+    monic irreducibles is unique, so the seed does not show."""
+    f = trim(list(f))
+    if degree(f) < 1:
+        return []
+    rng = random.Random(_SPLIT_SEED)
+    out = []
+    for sqf, mult in squarefree_part_factors(field, f):
+        for prod, d in distinct_degree_factors(field, sqf):
+            todo = [prod]
+            while todo:
+                g = todo.pop()
+                if degree(g) == d:
+                    out.append((g, mult))
+                else:
+                    h = _split(field, g, field.k * d, rng)
+                    todo += [h, divmod_poly(field, g, h)[0]]
+    out.sort(key=lambda fm: (degree(fm[0]),
+                             [field.element_key(c) for c in fm[0]]))
+    return out
+
+
+def conjugate_roots(field, f, step):
+    """The roots of an f irreducible over F_{p^step}, in a field that
+    holds them, sorted by element_key: one root a, split off with _split
+    (keeping the smaller factor until it is linear), and its images
+    a^(p^(step i)), i < deg f."""
+    n = degree(f)
+    rng = random.Random(_SPLIT_SEED)
+    g = monic(field, f)
+    while degree(g) > 1:
+        h = _split(field, g, step * n, rng)
+        g = h if 2 * degree(h) <= degree(g) else divmod_poly(field, g, h)[0]
+    root = -g[0]
+    return sorted((field.frobenius(root, step * i) for i in range(n)),
+                  key=field.element_key)
 
 
 def _frobenius_poly(field, r, xps):
@@ -239,10 +236,6 @@ def _frobenius_poly(field, r, xps):
             for i, y in enumerate(xj):
                 out[i] = out[i] + c * y
     return out
-
-
-def _sort_key(field, f):
-    return tuple(field.element_key(c) for c in f)
 
 
 def roots(field, f):

@@ -12,8 +12,8 @@ from octicmoduli.census import (
 from octicmoduli.covariants import (
     has_invariants, is_isomorphic, random_octic, shioda,
 )
-from octicmoduli.errors import CompositeModulus, MultipleRoot
-from octicmoduli.fields import ExtField, PrimeField
+from octicmoduli.errors import CompositeModulus, MultipleRoot, WeightMismatch
+from octicmoduli.fields import ExtField, PrimeField, field_make
 from octicmoduli.forms import BinaryForm, Gl2Matrix, disc_resultant, gl2_act
 from octicmoduli.strata import detect_group
 from octicmoduli.unipoly import degree, factor
@@ -100,6 +100,14 @@ def test_descend_identity(F11):
     assert descend(f, F11) is f
 
 
+@pytest.mark.parametrize("spec", ["Fp:11", "Fpk:11:2"])
+def test_descend_refuses_the_zero_form(spec):
+    """The zero form has no invariant class, over F_11 as over F_{11^2}."""
+    field = field_make(spec)
+    with pytest.raises(WeightMismatch):
+        descend(BinaryForm(field, 8, [0] * 9), PrimeField(11))
+
+
 def test_descend_twisted_form(F11):
     rng = random.Random(33)
     f = _random_smooth(F11, rng)
@@ -157,6 +165,14 @@ def test_expected_counts_sum_to_p5():
 def test_run_census_rejects_composite():
     with pytest.raises(CompositeModulus):
         run_census(10)
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_run_census_refuses_a_model_limit_below_one(limit):
+    """Refused before the enumeration starts: 0 used to divide by zero,
+    -3 to drop the last three classes and model all the others."""
+    with pytest.raises(ValueError, match="below 1"):
+        run_census(11, want_models=True, model_limit=limit)
 
 
 def test_report_lines_hold_no_timing():

@@ -168,6 +168,24 @@ def test_class_model_pin_p11(rows_p11, labels_p11):
     assert digest.hexdigest()[:12] == MODELS_SHA
 
 
+def test_class_model_pin_c2p3_cubic_extensions(rows_p11, labels_p11):
+    """The F_11 models of all 40 C2p3 classes at p = 11 whose cubic has
+    no root in F_11: reconstruction moves to F_{11^3}, and the order of
+    the cubic's roots there decides the model."""
+    F = PrimeField(11)
+    digest, count = hashlib.sha256(), 0
+    for i in np.nonzero(labels_p11 == strata_labels().index("C2p3"))[0]:
+        model, extdeg = class_model(F, [F(int(v)) for v in rows_p11[i]],
+                                    "C2p3")
+        if extdeg == 3:
+            count += 1
+            digest.update(("%s; %d\n" % (
+                ",".join(str(c.value) for c in model.coeffs),
+                extdeg)).encode())
+    assert count == 40
+    assert digest.hexdigest()[:12] == "52969a6934dd"
+
+
 #: classes whose closed-form model splits over F_{11^s}: (stratum, class,
 #: s); 6 is the largest s of any C2p3 class at p = 11
 LARGE_SPLIT = (

@@ -129,6 +129,28 @@ def test_census_resumes_from_its_report(capsys, tmp_path):
         sorted(lines + [lines[5][:30] + "\n"])
 
 
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_census_refuses_a_model_limit_below_one(capsys, limit):
+    code, out, err = run_cli(capsys, "census", "--field", "Fp:11",
+                             "--models", "--model-limit", limit)
+    assert code == 2 and err.startswith("usage error: model limit")
+    assert out == ""
+
+
+def test_descend_over_q_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "descend", "--field", "Q",
+                             "--form", "1,0,0,0,0,0,0,0,1")
+    assert code == 2 and err.startswith("usage error: descend runs over")
+    assert out == ""
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fpk:11:2"])
+def test_descend_refuses_the_zero_form(capsys, spec):
+    code, out, err = run_cli(capsys, "descend", "--field", spec,
+                             "--form", "0,0,0,0,0,0,0,0,0")
+    assert code == 26 and "WeightMismatch" in err and out == ""
+
+
 def test_census_refuses_oversized_prime(capsys):
     """The prefix enumeration at p = 1000003 would need about 4e31 bytes;
     the census is refused as a usage error before anything is allocated."""

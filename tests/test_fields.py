@@ -14,9 +14,12 @@ from octicmoduli.fields import (
 )
 from octicmoduli import unipoly
 from octicmoduli.forms import (
-    BinaryForm, roots_in_splitting_field, splitting_extension,
+    BinaryForm, embed_field, roots_in_splitting_field, splitting_extension,
 )
+from octicmoduli.strata import FieldContext
 from octicmoduli.unipoly import rational_roots
+
+from conftest import polymul
 
 
 def test_field_make_specs():
@@ -308,3 +311,155 @@ def test_roots_in_splitting_field_match_a_full_factorization():
         ext, got = roots_in_splitting_field(f)
         want_ext, want = _roots_by_factoring(f)
         assert ext == want_ext and got == want, (spec, degrees, seed)
+
+
+# ---------------------------------------------------------------------------
+# oracles for the trace split that share no code with it: plain integer
+# products, fields._is_irreducible and scans of whole fields
+
+
+def _scan_roots(field, polys, elements):
+    """For each polynomial (coefficients low first), its zeros among
+    elements by Horner's rule, in element_key order."""
+    out = [[] for _ in polys]
+    for a in elements:
+        for f, zeros in zip(polys, out):
+            acc = field.zero
+            for c in reversed(f):
+                acc = acc * a + c
+            if not acc:
+                zeros.append(a)
+    return [sorted(zeros, key=field.element_key) for zeros in out]
+
+
+def _irreducible(field, rng, d):
+    """A random monic irreducible of degree d over F_11 (checked on its
+    residues) or over F_{11^2} (d <= 3: no root in a scan)."""
+    while True:
+        g = [unipoly.random_element(field, rng) for _ in range(d)]
+        g.append(field.one)
+        if field.k == 1:
+            if _is_irreducible([c.value for c in g], field.p):
+                return g
+        elif not _scan_roots(field, [g], field.elements())[0]:
+            return g
+
+
+class _CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+@pytest.mark.parametrize("spec, d", [("Fp:11", 1), ("Fp:11", 2),
+                                     ("Fp:11", 3), ("Fpk:11:2", 2)])
+def test_split_finds_a_factor_about_every_other_draw(spec, d):
+    """_split of g1 g2, two distinct monic irreducibles of degree d over F
+    = F_{11^k} (roots in F_{11^(k d)}), returns g1 or g2.  Its trace lies
+    in F_11 and takes each value on all the roots of g1, and on all of g2,
+    so a draw splits with probability 2 (5/11)(6/11), about 1/2: 15
+    splits take fewer than 4 draws each on average."""
+    field = field_make(spec)
+    seed = zlib.crc32(("split %s %d" % (spec, d)).encode())
+    rng = random.Random(seed)
+    count = _CountingRandom(seed)
+    for _ in range(15):
+        g1 = _irreducible(field, rng, d)
+        g2 = g1
+        while g2 == g1:
+            g2 = _irreducible(field, rng, d)
+        f = unipoly.mul(field, g1, g2)
+        assert unipoly._split(field, f, field.k * d, count) in (g1, g2)
+    assert count.draws / (2 * d * field.k) < 4 * 15, (spec, d, seed)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_factor_multiplies_back_to_irreducibles(p):
+    """Over F_p the factors of factor, raised to their multiplicities and
+    multiplied as integer lists mod p, give the monic input, and each is
+    a distinct monic polynomial that fields._is_irreducible accepts: for
+    products of random pieces of degree <= 4 with multiplicities <= 3, of
+    total degree below p."""
+    F = PrimeField(p)
+    seed = zlib.crc32(b"factor oracle %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for _ in range(40):
+        f = [rng.randrange(1, p)]
+        while True:
+            piece = [rng.randrange(p) for _ in range(rng.randint(1, 4))] + [1]
+            mult = rng.randint(1, 3)
+            if len(f) - 1 + mult * (len(piece) - 1) >= p:
+                break
+            for _ in range(mult):
+                f = [c % p for c in polymul(f, piece)]
+        facs = unipoly.factor(F, [F(c) for c in f])
+        prod = [1]
+        for g, mult in facs:
+            res = [c.value for c in g]
+            assert res[-1] == 1 and _is_irreducible(res, p), f
+            for _ in range(mult):
+                prod = [c % p for c in polymul(prod, res)]
+        assert prod == [c * pow(f[-1], -1, p) % p for c in f]
+        assert len({tuple(g) for g, _ in facs}) == len(facs)
+
+
+def test_linear_factors_over_f121_are_the_scanned_roots():
+    """Over F_{11^2} the roots of the linear factors of factor are the
+    zeros a scan of all 121 elements finds: for products of random
+    linear factors (some repeated) and random pieces of degree 2 and 3."""
+    E = ExtField(11, 2)
+    seed = zlib.crc32(b"factor oracle F121")
+    print("seed", seed)
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(12):
+        f = [E.one]
+        for d in [1] * rng.randint(0, 5) + rng.sample([1, 2, 3], 2):
+            piece = [unipoly.random_element(E, rng) for _ in range(d)]
+            f = unipoly.mul(E, f, piece + [E.one])
+        polys.append(f)
+    for f, zeros in zip(polys, _scan_roots(E, polys, E.elements())):
+        got = sorted((-g[0] for g, _ in unipoly.factor(E, f)
+                      if unipoly.degree(g) == 1), key=E.element_key)
+        assert got == zeros, f
+
+
+def test_conjugate_roots_are_the_scanned_roots():
+    """conjugate_roots of an irreducible g over F_11 (cubics in F_{11^3},
+    quadratics in F_{11^4}) and over F_{11^2} (quadratics in F_{11^4}),
+    against a scan of the whole big field."""
+    rng = random.Random(zlib.crc32(b"conjugate roots"))
+    F, E2 = PrimeField(11), ExtField(11, 2)
+    E3, E4 = ExtField(11, 3), ExtField(11, 4)
+    cases = [(E3, F, _irreducible(F, rng, 3)) for _ in range(3)]
+    cases += [(E4, F, _irreducible(F, rng, 2)) for _ in range(2)]
+    cases += [(E4, E2, _irreducible(E2, rng, 2)) for _ in range(2)]
+    for big in (E3, E4):
+        todo = [(small, g) for b, small, g in cases if b == big]
+        polys = [[embed_field(small, big)(c) for c in g] for small, g in todo]
+        for (small, _), g, zeros in zip(
+                todo, polys, _scan_roots(big, polys, big.elements())):
+            assert len(zeros) == len(g) - 1
+            assert unipoly.conjugate_roots(big, g, small.k) == zeros
+
+
+def test_field_context_roots_of_an_irreducible_cubic():
+    """FieldContext(F_11).roots of an irreducible cubic moves the working
+    field to F_{11^3} and returns the cubic's three roots there in
+    element_key order; with a root in F_11 it stays."""
+    F = PrimeField(11)
+    rng = random.Random(zlib.crc32(b"field context roots"))
+    cubics = [_irreducible(F, rng, 3) for _ in range(3)]
+    for g in cubics:
+        ctx = FieldContext(F)
+        got = ctx.roots(g)
+        assert ctx.field == ExtField(11, 3)
+        big = ctx.field
+        assert got == _scan_roots(big, [[big(c) for c in g]],
+                                  big.elements())[0]
+    ctx = FieldContext(F)
+    assert ctx.roots(unipoly.mul(F, [F(3), F.one], cubics[0])) == [F(8)]
+    assert ctx.field == F

@@ -116,3 +116,23 @@ def test_solve_j9_j10_random():
         j = shioda(f)
         sols = solve_j9_j10(QQ, j[:7])
         assert (j[7], j[8]) in sols
+
+
+def test_degenerate_scan_evaluates_the_blocks_once(F11, monkeypatch):
+    """delta = 0 at the prefix (1,0,0,0,0,0) with J8 = 8, so every pair
+    of F_11^2 is tried: the blocks are evaluated once for the prefix, in
+    one PolySet.at call, and the pairs kept are those relations_residuals
+    zeroes."""
+    syz = derive_syzygies()
+    z = F11.zero
+    j28 = [F11(1), z, z, z, z, z, F11(8)]
+    calls = []
+    at = type(syz.block_set).at
+    monkeypatch.setattr(syz.block_set, "at",
+                        lambda *a: calls.append(a) or at(syz.block_set, *a))
+    sols = solve_j9_j10(F11, j28)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    want = [(a, b) for a in F11.elements() for b in F11.elements()
+            if not any(syz.relations_residuals(F11, j28 + [a, b]))]
+    assert sols == want == [(F11(2), F11(7)), (F11(9), F11(7))]
