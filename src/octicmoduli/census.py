@@ -161,8 +161,10 @@ def descend(f, base):
     norm of M over the degree-r extension of f's splitting field.  There
     M is rescaled by a norm preimage, a random matrix is averaged through
     the cocycle until invertible, and the transported form is normalized
-    to base coefficients.  Matrices with r = 1 are tried first.  The zero
-    form, over any field, has no invariant class (WeightMismatch).
+    to base coefficients.  Matrices with r = 1 are tried first.  Over
+    F_p and its extensions alike, a form whose invariants all vanish has
+    no invariant class (WeightMismatch) and a form with a multiple root is
+    refused (MultipleRoot); any other form over F_p is its own model.
     """
     if not isinstance(base, PrimeField):
         raise NotRationalClass("descent targets the prime field")
@@ -172,17 +174,16 @@ def descend(f, base):
                                % p)
     if f.is_zero():
         raise WeightMismatch("the zero form has no invariant class")
-    if isinstance(f.field, PrimeField):
-        return f
     # the class must be rational: normalized invariants in the base field
-    jt = shioda(f)
-    norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS, jt))
-    if any(any(c.coeffs[1:]) for c in norm_pt.coords):
+    norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS, shioda(f)))
+    if f.field.k > 1 and any(any(c.coeffs[1:]) for c in norm_pt.coords):
         raise NotRationalClass("invariant class is not rational")
 
     big, roots_f = roots_in_splitting_field(f)
     if any(mlt > 1 for _, mlt in roots_f):
         raise MultipleRoot("descent needs simple roots")
+    if f.field.k == 1:
+        return f
     rf = [(x, z) for (x, z), _ in roots_f]
     # the Frobenius image of f has the Frobenius images of the roots
     rg = [(big.frobenius(x), big.frobenius(z)) for x, z in rf]

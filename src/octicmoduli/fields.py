@@ -7,6 +7,11 @@ their field.  All operations are pure, hence safe to share between workers.
 
 Characteristics 2, 3, 5 and 7 are rejected outright: the covariant formulae
 of this package carry denominators divisible by those primes.
+
+F_{p^k} = F_p[t]/(m) needs no polynomial toolkit of its own: a modulus
+is checked by Rabin's test in the ring F_p[t]/(m), with that ring's own
+product and unit test, and an inverse is extended Euclid on the
+coefficient lists.
 """
 
 import functools
@@ -349,108 +354,29 @@ class PrimeField:
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomial helpers over F_p (coefficient lists, low first)
-
-
-def _poly_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
-
-
-def _poly_mul(f, g, p):
-    res = [0] * (len(f) + len(g) - 1) if f and g else []
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                res[i + j] = (res[i + j] + fi * gj) % p
-    return res
-
-
-def _poly_mulmod(f, g, mod, p):
-    return _poly_rem(_poly_mul(f, g, p), mod, p)
-
-
-def _poly_rem(f, mod, p):
-    f = list(f)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], -1, p)
-    while len(f) > dm:
-        c = f[-1] * inv_lead % p
-        if c:
-            off = len(f) - 1 - dm
-            for i, mi in enumerate(mod):
-                f[off + i] = (f[off + i] - c * mi) % p
-        f.pop()
-    return _poly_trim(f)
-
-
-def _poly_powmod(f, n, mod, p):
-    result = [1]
-    f = _poly_rem(f, mod, p)
-    while n:
-        if n & 1:
-            result = _poly_mulmod(result, f, mod, p)
-        f = _poly_mulmod(f, f, mod, p)
-        n >>= 1
-    return result
-
-
-def _poly_gcd(f, g, p):
-    f, g = _poly_trim(list(f)), _poly_trim(list(g))
-    while g:
-        f, g = g, _poly_rem(f, g, p)
-        g = _poly_trim(list(g))
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = [c * inv % p for c in f]
-    return f
-
-def _poly_divmod(f, g, p):
-    f = _poly_trim(list(f))
-    g = _poly_trim(list(g))
-    q = [0] * max(0, len(f) - len(g) + 1)
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) >= len(g) and f:
-        c = f[-1] * inv_lead % p
-        off = len(f) - len(g)
-        q[off] = c
-        for i, gi in enumerate(g):
-            f[off + i] = (f[off + i] - c * gi) % p
-        _poly_trim(f)
-    return q, f
-
-
-def _poly_sub(f, g, p):
-    n = max(len(f), len(g))
-    out = [((f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0)) % p
-           for i in range(n)]
-    return _poly_trim(out)
+# extension fields
 
 
 def _is_irreducible(mod, p):
-    """Test irreducibility of a monic polynomial over F_p.
-
-    Walks the Frobenius chain x^(p^j) mod f once, so each candidate costs
-    k small power computations regardless of how many divisors k has.
-    """
+    """Rabin's irreducibility test of a monic modulus of degree k over F_p,
+    in the ring F_p[t]/(mod): t^(p^k) = t, and t^(p^(k/q)) - t is a unit
+    for every prime q dividing k.  Walks the chain t^(p^j) once."""
     k = len(mod) - 1
     if k <= 0:
         return False
     if k == 1:
         return True
-    x = [0, 1]
-    crit = {k // q for q in set(_prime_factors(k))}
-    xp = x
+    ring = ExtField._ring(p, mod)
+    t = xp = ring.gen()
+    crit = {k // q for q in _prime_factors(k)}
     for j in range(1, k + 1):
-        xp = _poly_powmod(xp, p, mod, p)
+        xp = xp ** p
         if j in crit:
-            if len(_poly_gcd(_poly_sub(xp, x, p), mod, p)) != 1:
+            try:
+                (xp - t).inverse()
+            except ZeroDivisionError:
                 return False
-        if j == k:
-            if _poly_sub(xp, x, p):
-                return False
-    return True
+    return xp == t
 
 
 def _prime_factors(n):
@@ -479,14 +405,10 @@ def _default_modulus(p, k):
     binomials = (all((p - 1) % q == 0 for q in _prime_factors(k))
                  and (k % 4 or p % 4 == 1))
     for n in range(0 if binomials else p, p ** k):
-        mod = [n // p ** i % p for i in range(k)] + [1]
+        mod = tuple(n // p ** i % p for i in range(k)) + (1,)
         if _is_irreducible(mod, p):
-            return tuple(mod)
+            return mod
     raise ReducibleModulus("no irreducible modulus found (impossible)")
-
-
-# ---------------------------------------------------------------------------
-# extension fields
 
 
 class ExtElement(_Element):
@@ -494,12 +416,11 @@ class ExtElement(_Element):
 
     def __init__(self, field, coeffs):
         k = field.k
+        if len(coeffs) > k:
+            raise ValueError("%d coordinates for an element of %r"
+                             % (len(coeffs), field))
         c = [x % field.p for x in coeffs]
-        if len(c) < k:
-            c += [0] * (k - len(c))
-        elif len(c) > k:
-            c = _poly_rem(c, list(field.modulus), field.p)
-            c += [0] * (k - len(c))
+        c += [0] * (k - len(c))
         self.field = field
         self.coeffs = tuple(c)
 
@@ -553,17 +474,35 @@ class ExtElement(_Element):
         return _ext(self.field, tuple([-a % p for a in self.coeffs]))
 
     def inverse(self):
-        p = self.field.p
-        if not any(self.coeffs):
-            raise ZeroDivisionError("inverse of zero in %r" % (self.field,))
-        # extended Euclid on (modulus, a), keeping s1 * a = r1 mod modulus
-        r0, r1 = list(self.field.modulus), _poly_trim(list(self.coeffs))
+        """Extended Euclid on (modulus, a) over F_p, keeping s_i a = r_i
+        mod modulus; ZeroDivisionError unless the gcd is a constant."""
+        field, p = self.field, self.field.p
+        r0, r1 = list(field.modulus), list(self.coeffs)
         s0, s1 = [], [1]
+        while r1 and not r1[-1]:
+            r1.pop()
+        if not r1:
+            raise ZeroDivisionError("inverse of zero in %r" % (field,))
         while r1:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1, s0, s1 = r1, r, s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
+            # r0 -= c t^off r1 and s0 -= c t^off s1 until deg r0 < deg r1
+            inv_lead = pow(r1[-1], -1, p)
+            while len(r0) >= len(r1):
+                c = r0[-1] * inv_lead % p
+                off = len(r0) - len(r1)
+                for i, x in enumerate(r1, off):
+                    r0[i] = (r0[i] - c * x) % p
+                s0 += [0] * (off + len(s1) - len(s0))
+                for i, x in enumerate(s1, off):
+                    s0[i] = (s0[i] - c * x) % p
+                while r0 and not r0[-1]:
+                    r0.pop()
+                while s0 and not s0[-1]:
+                    s0.pop()
+            r0, r1, s0, s1 = r1, r0, s1, s0
+        if len(r0) > 1:
+            raise ZeroDivisionError("%r is not a unit in %r" % (self, field))
         inv_c = pow(r0[0], -1, p)
-        return ExtElement(self.field, [c * inv_c for c in s0])
+        return ExtElement(field, [c * inv_c for c in s0])
 
     def __eq__(self, other):
         if isinstance(other, (int, FpElement, Fraction)):
@@ -588,18 +527,29 @@ def _ext(field, coeffs):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _fold_rows(p, modulus):
+    """Rows t^(k + j) mod the monic modulus, j < k, by shift and subtract;
+    bounded, as the modulus search builds a ring for every candidate."""
+    k = len(modulus) - 1
+    row = [-c % p for c in modulus[:k]]
+    rows = [tuple(row)]
+    for _ in range(k - 1):
+        top = row[-1]
+        row = [(x - top * c) % p for x, c in zip([0] + row[:-1], modulus)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 @functools.cache
-def _power_rows(p, modulus, first, step):
-    """The k coefficients of t^(first + j step) mod modulus for j < k: with
-    first = k, step = 1 the reductions of the high terms of a product; with
-    first = 0, step = p^s the matrix of the F_p-linear map a -> a^(p^s)."""
-    k, mod = len(modulus) - 1, list(modulus)
-    cur = _poly_powmod([0, 1], first, mod, p)
-    step = _poly_powmod([0, 1], step, mod, p)
-    rows = []
-    for _ in range(k):
-        rows.append(tuple(cur + [0] * (k - len(cur))))
-        cur = _poly_mulmod(cur, step, mod, p)
+def _frobenius_rows(p, modulus, s):
+    """Row j is t^(j p^s) mod modulus: the matrix of the F_p-linear map
+    a -> a^(p^s)."""
+    ring = ExtField._ring(p, modulus)
+    step, cur, rows = ring.gen() ** p ** s, ring.one, []
+    for _ in range(ring.k):
+        rows.append(cur.coeffs)
+        cur = cur * step
     return tuple(rows)
 
 
@@ -621,15 +571,25 @@ class ExtField:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ReducibleModulus("modulus must be monic of degree k")
-            if not _is_irreducible(list(modulus), p):
+            if not _is_irreducible(modulus, p):
                 raise ReducibleModulus("modulus is reducible over F_%d" % p)
+        self._set(p, modulus)
+
+    @classmethod
+    def _ring(cls, p, modulus):
+        """F_p[t]/(modulus) for any monic modulus, not checked."""
+        ring = object.__new__(cls)
+        ring._set(p, tuple(modulus))
+        return ring
+
+    def _set(self, p, modulus):
         self.p = p
-        self.k = k
+        self.k = len(modulus) - 1
         self.modulus = modulus
         self.characteristic = p
-        self.order = p ** k
-        self.prime_field = PrimeField(p)
-        self.fold = _power_rows(p, modulus, k, 1)
+        self.order = p ** self.k
+        self.prime_field = PrimeField(p, allow_small=True)
+        self.fold = _fold_rows(p, modulus)
 
     def __call__(self, value):
         if isinstance(value, ExtElement) and value.field == self:
@@ -658,6 +618,9 @@ class ExtField:
         return not any(a.coeffs)
 
     def gen(self):
+        """t, the class of the variable: -c_0 when the modulus is linear."""
+        if self.k == 1:
+            return ExtElement(self, [-self.modulus[0]])
         return ExtElement(self, [0, 1])
 
     def frobenius(self, a, times=1):
@@ -665,8 +628,8 @@ class ExtField:
         t^j -> t^(j p^times)."""
         p, k = self.p, self.k
         out = [0] * k
-        for c, row in zip(a.coeffs, _power_rows(p, self.modulus, 0,
-                                                p ** (times % k))):
+        for c, row in zip(a.coeffs, _frobenius_rows(p, self.modulus,
+                                                    times % k)):
             if c:
                 for i, r in enumerate(row):
                     out[i] += c * r

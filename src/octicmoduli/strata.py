@@ -95,16 +95,25 @@ def detect_group(field, jtuple):
 
 
 class FieldContext:
-    """A working field plus a bag of named values that follow it through
-    extensions.  Each extension re-embeds every live value, so arithmetic
-    can freely mix values created at different stages."""
+    """A working field that grows through bounded extensions.  ctx(x)
+    lifts a value made over any field the context has held into the
+    working field, one embedding at a time, so arithmetic can mix values
+    created at different stages."""
 
-    def __init__(self, field, values=None):
+    def __init__(self, field):
         self.field = field
-        self.v = dict(values or {})
+        self._steps = []        # (a field held before, its embedding)
+
+    def __call__(self, x):
+        held = getattr(x, "field", QQ)
+        start = next((i for i, (old, _) in enumerate(self._steps)
+                      if old == held), len(self._steps))
+        for _, emb in self._steps[start:]:
+            x = emb(x)
+        return x
 
     def _grow(self, new_field, embed_one):
-        self.v = {k: embed_one(x) for k, x in self.v.items()}
+        self._steps.append((self.field, embed_one))
         self.field = new_field
         return embed_one
 
@@ -112,19 +121,18 @@ class FieldContext:
         new = ExtField(self.field.p, self.field.k * factor_degree)
         return self._grow(new, embed_field(self.field, new))
 
-    def sqrt(self, name):
-        """Replace nothing; return sqrt of self.v[name], extending the
-        working field when the value is not a square in it."""
-        a = self.v[name]
+    def sqrt(self, a):
+        """A square root of a, extending the working field when a is not
+        a square in it."""
+        a = self(a)
         r = sqrt_opt(self.field, a)
         if r is not None:
             return r
-        f = self.field
-        if f is QQ:
+        if self.field is QQ:
             new = QuadExtQ(a)
             self._grow(new, lambda x: new(x))
             return new.gen()
-        if isinstance(f, QuadExtQ):
+        if isinstance(self.field, QuadExtQ):
             raise Unresolved("square root needs a degree-4 extension of Q")
         emb = self._extend_degree(2)
         r = sqrt_opt(self.field, emb(a))
@@ -234,20 +242,16 @@ def reconstruct_stratum(stratum, field, jtuple):
         if not dd:
             return reconstruct_stratum("C2xD8", field, jtuple)
         cubic = _c2p3_cubic_coeffs()
-        ctx = FieldContext(field, {("j", i): v for i, v in enumerate(jt)})
-        ctx.v["dd"] = dd
+        ctx = FieldContext(field)
         roots = ctx.roots([cubic[e].evaluate(field, jt) for e in range(4)])
+        wf = ctx.field
+        lj2, lj3, lj4, lj5, lj6, lj7, dd = (ctx(v) for v in (*jt[:6], dd))
         last_err = None
-        for idx, _ in enumerate(roots):
-            ctx.v["a4"] = roots[idx]
-            wf = ctx.field
-            a4 = ctx.v["a4"]
-            lj2, lj3, lj4 = ctx.v[("j", 0)], ctx.v[("j", 1)], ctx.v[("j", 2)]
-            lj5, lj6, lj7 = ctx.v[("j", 3)], ctx.v[("j", 4)], ctx.v[("j", 5)]
+        for a4 in roots:
             nu_num = (lj6 * 18 - lj4 * lj2 * 9 - lj3 * lj3 * 60
                       + lj2 ** 3 * 2) * a4 \
                 - lj7 * 810 + lj5 * lj2 * 270 - lj4 * lj3 * 810
-            nu = nu_num / (ctx.v["dd"] * 10)
+            nu = nu_num / (dd * 10)
             a6 = nu * nu * (-28) - a4 * a4 / wf(5) + lj2 * 14
             if not a6:
                 last_err = SingularLocus("vanishing sextic coefficient")
@@ -299,61 +303,40 @@ def _reconstruct_d4(field, jt):
     if a4 is None or a0sq is None:
         return _reconstruct_d4_singular(field, jt)
 
-    ctx = FieldContext(field, {("j", i): v for i, v in enumerate(jt)})
-    ctx.v["a4"] = a4
-    ctx.v["a0sq"] = a0sq
-    ctx.v["a0"] = ctx.sqrt("a0sq")
-
-    pairs = []          # (a2 candidates construction)
-    if ctx.v["a0"]:
-        a0, a4v = ctx.v["a0"], ctx.v["a4"]
-        j2l, j3l, j4l = ctx.v[("j", 0)], ctx.v[("j", 1)], ctx.v[("j", 2)]
-        ctx.v["p4"] = a0 * 15750
-        ctx.v["p2"] = (a0 * a0 * a4v * 105000 + a4v ** 3 * 510
-                       - a4v * j2l * 23100 - j3l * 686000)
-        p0 = (a0 ** 3 * a4v * a4v * 705600 - a0 ** 3 * j2l * 10804500
-              + a0 * a4v ** 4 * 3024 - a0 * a4v * a4v * j2l * 244755
-              - a0 * a4v * j3l * 1440600 + a0 * j4l * 15126300
-              + a0 * j2l * j2l * 2881200)
-        ctx.v["disc"] = ctx.v["p2"] * ctx.v["p2"] - ctx.v["p4"] * p0 * 4
-        ctx.v["rdisc"] = ctx.sqrt("disc")
-        for sgn, key in ((1, "y+"), (-1, "y-")):
-            ctx.v[key] = (-ctx.v["p2"] + ctx.v["rdisc"] * sgn) \
-                / (ctx.v["p4"] + ctx.v["p4"])
-        for key in ("y+", "y-"):
-            if ctx.v[key] or key == "y+":
-                ctx.v["a2" + key] = ctx.sqrt(key)
-                pairs.append("a2" + key)
+    ctx = FieldContext(field)
+    a0 = ctx.sqrt(a0sq)
+    if a0:
+        a4l, j2, j3, j4 = (ctx(v) for v in (a4, jt[0], jt[1], jt[2]))
+        p4 = a0 * 15750
+        p2 = (a0 * a0 * a4l * 105000 + a4l ** 3 * 510 - a4l * j2 * 23100
+              - j3 * 686000)
+        p0 = (a0 ** 3 * a4l * a4l * 705600 - a0 ** 3 * j2 * 10804500
+              + a0 * a4l ** 4 * 3024 - a0 * a4l * a4l * j2 * 244755
+              - a0 * a4l * j3 * 1440600 + a0 * j4 * 15126300
+              + a0 * j2 * j2 * 2881200)
+        rdisc = ctx.sqrt(p2 * p2 - p4 * p0 * 4)
+        p2, p4 = ctx(p2), ctx(p4)
+        ys = [(-p2 + rdisc * sgn) / (p4 + p4) for sgn in (1, -1)]
+        a2s = [ctx.sqrt(y) for n, y in enumerate(ys) if y or n == 0]
     else:
-        ctx.v["a2one"] = ctx.field.one
-        pairs.append("a2one")
+        a2s = [ctx.field.one]
 
-    candidate_keys = []
-    for n, key in enumerate(pairs):
-        ctx.v["cand%d+" % n] = ctx.v[key]
-        ctx.v["cand%d-" % n] = -ctx.v[key]
-        candidate_keys += ["cand%d+" % n, "cand%d-" % n]
-
-    for ck in candidate_keys:
-        a2c = ctx.v[ck]
-        a0c, a4c = ctx.v["a0"], ctx.v["a4"]
-        lj = [ctx.v[("j", i)] for i in range(9)]
-        if a2c:
-            a6_keys = None
-            a6s = [-(a0c * a0c * 140 + a4c * a4c - lj[0] * 70) / (a2c * 5)]
+    lj, a0, a4 = [ctx(v) for v in jt], ctx(a0), ctx(a4)
+    for a2 in [a2 for c in a2s for a2 in (c, -c)]:
+        a2 = ctx(a2)
+        if a2:
+            a6s = [-(a0 * a0 * 140 + a4 * a4 - lj[0] * 70) / (a2 * 5)]
         else:
-            if not a0c:
+            if not a0:
                 continue
-            ctx.v["a6sq"] = (a4c ** 3 * 24 - a4c * lj[0] * 2940
-                             + lj[1] * 68600) / (a0c * 1575)
-            r = ctx.sqrt("a6sq")
-            a2c = ctx.v[ck]
-            a0c, a4c = ctx.v["a0"], ctx.v["a4"]
-            lj = [ctx.v[("j", i)] for i in range(9)]
+            r = ctx.sqrt((a4 ** 3 * 24 - a4 * lj[0] * 2940 + lj[1] * 68600)
+                         / (a0 * 1575))
+            lj, a0, a4 = [ctx(v) for v in lj], ctx(a0), ctx(a4)
+            a2 = ctx(a2)
             a6s = [r, -r]
         wf = ctx.field
         for a6 in a6s:
-            model = _even8(wf, a0c, a6, a4c, a2c, a0c)
+            model = _even8(wf, a0, a6, a4, a2, a0)
             if has_invariants(model, lj):
                 return model
     return _reconstruct_d4_singular(field, jt)

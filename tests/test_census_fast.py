@@ -6,11 +6,13 @@ J-polynomial evaluator."""
 
 import hashlib
 import random
+import time
 import zlib
 
 import numpy as np
 import pytest
 
+from octicmoduli import census_fast
 from octicmoduli.census import class_model, expected_counts
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
@@ -58,6 +60,26 @@ def _check_pins(p, rows, labels):
     digest = hashlib.sha256(rows.astype(np.int64).tobytes()).hexdigest()
     assert digest[:12] == ROWS_SHA[p]
     _check_counts(p, labels)
+
+
+def test_memory_guard_bounds_the_whole_census(monkeypatch):
+    """On a machine with 7.8 GiB, p = 29 (20.5M classes, about 9.2 GiB)
+    is refused before anything is allocated, although its prefix grid
+    alone (688 MB) would fit; p = 11 and 23 pass the guard."""
+    pages = int(7.8 * 2 ** 30) // 4096
+    monkeypatch.setattr(census_fast.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
+
+    def started(p):
+        raise AssertionError("the census at p = %d started" % p)
+    # a guard that let p = 29 through fails here instead of running
+    monkeypatch.setattr(census_fast, "_ModCtx", started)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="physical memory is 7.8 GiB"):
+        moduli_rows(PrimeField(29))
+    assert time.perf_counter() - start < 1
+    census_fast._check_memory(11)
+    census_fast._check_memory(23)
 
 
 def test_moduli_rows_pin_p11(rows_p11, labels_p11):

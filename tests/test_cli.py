@@ -27,6 +27,25 @@ def test_wps_enum_f7(capsys):
         ["1,0", "0,1", "1,1", "1,6", "2,1", "2,6", "4,1", "4,6"])
 
 
+def test_wps_enum_over_an_extension_of_small_characteristic(capsys):
+    """wps-enum admits F_{7^2} as it admits F_7: P(1, 2) has q + 1 = 50
+    points over F_49.  The covariant verbs still refuse it."""
+    code, out, _ = run_cli(capsys, "wps-enum", "--field", "Fpk:7:2",
+                           "--weights", "1,2")
+    assert code == 0 and len(set(out.split())) == len(out.split()) == 50
+    code, _, err = run_cli(capsys, "shioda", "--field", "Fpk:7:2",
+                           "--form", "1,0,0,0,0,0,0,0,1")
+    assert code == 12 and "SmallCharacteristic" in err
+
+
+def test_extension_element_with_too_many_coordinates(capsys):
+    """1.2.3 has three coordinates, F_{11^2} elements two."""
+    code, out, err = run_cli(capsys, "shioda", "--field", "Fpk:11:2",
+                             "--form", "1.2.3,0,0,0,0,0,0,0,1")
+    assert code == 2 and err.startswith("usage error: 3 coordinates")
+    assert out == ""
+
+
 def test_wps_eq_verb(capsys):
     code, out, _ = run_cli(capsys, "wps-eq", "--field", "Fp:7",
                            "--weights", "5,7", "--tuple", "1,1",
@@ -151,9 +170,25 @@ def test_descend_refuses_the_zero_form(capsys, spec):
     assert code == 26 and "WeightMismatch" in err and out == ""
 
 
+@pytest.mark.parametrize("spec", ["Fp:11", "Fpk:11:2"])
+@pytest.mark.parametrize("form, code, error", [
+    ("1,0,0,0,0,0,0,0,0", 26, "WeightMismatch"),
+    ("1,2,1,0,0,0,0,0,0", 26, "WeightMismatch"),
+    ("0,0,1,0,0,0,0,0,1", 29, "MultipleRoot"),
+])
+def test_descend_refuses_alike_over_every_field(capsys, spec, form, code,
+                                                error):
+    """An eightfold or sixfold root leaves every invariant zero, and
+    x^2 (x^6 + z^6) has a double root at 0: refused over F_11 as over
+    F_{11^2}, where descent itself needs the simple roots."""
+    got, out, err = run_cli(capsys, "descend", "--field", spec,
+                            "--form", form)
+    assert got == code and error in err and out == ""
+
+
 def test_census_refuses_oversized_prime(capsys):
-    """The prefix enumeration at p = 1000003 would need about 4e31 bytes;
-    the census is refused as a usage error before anything is allocated."""
+    """The census at p = 1000003 would need about 5e32 bytes; it is
+    refused as a usage error before anything is allocated."""
     code, out, err = run_cli(capsys, "census", "--field", "Fp:1000003")
     assert code == 2
     assert err.startswith("usage error:") and "physical memory" in err

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 import zlib
 from fractions import Fraction
@@ -9,7 +11,7 @@ from octicmoduli.errors import (
     ZeroNorm,
 )
 from octicmoduli.fields import (
-    ExtField, PrimeField, QQ, QuadExtQ, _is_irreducible, _poly_mulmod,
+    ExtField, PrimeField, QQ, QuadExtQ, _default_modulus, _is_irreducible,
     ext_gcd_multi, field_make, norm_solve, sqrt_opt,
 )
 from octicmoduli import unipoly
@@ -171,6 +173,42 @@ def test_default_modulus_at_a_large_prime_skips_the_binomials():
                    for c in range(c0))
 
 
+#: sha256 prefix of the "p,k:c0,...,ck" lines of _default_modulus(p, k)
+#: for p = 11, 13 and k = 1..24
+DEFAULT_MODULI_SHA = "1a9a82330880"
+
+
+def test_default_moduli_pin():
+    text = "".join("%d,%d:%s\n" % (p, k, ",".join(
+        str(c) for c in _default_modulus(p, k)))
+        for p in (11, 13) for k in range(1, 25))
+    assert hashlib.sha256(text.encode()).hexdigest()[:12] == \
+        DEFAULT_MODULI_SHA
+
+
+def test_is_irreducible_matches_a_root_scan():
+    """A monic quadratic or cubic over F_11 is irreducible exactly when
+    it has no root in F_11: every one of them, Horner on plain ints."""
+    p = 11
+    for d in (2, 3):
+        for n in range(p ** d):
+            mod = [n // p ** i % p for i in range(d)] + [1]
+            rootless = all(functools.reduce(lambda acc, c: acc * x + c,
+                                            reversed(mod), 0) % p
+                           for x in range(p))
+            assert _is_irreducible(mod, p) == rootless, mod
+
+
+def test_inverse_of_a_non_unit_raises():
+    """In F_11[t]/(t^2), t is a nonzero non-unit, while 3 + 5t is a unit.
+    gen() of a degree-1 field is -c_0."""
+    R = ExtField._ring(11, (0, 0, 1))
+    with pytest.raises(ZeroDivisionError):
+        R.gen().inverse()
+    assert R([3, 5]).inverse() * R([3, 5]) == R.one
+    assert ExtField(11, 1, (3, 1)).gen() == 8
+
+
 def test_frobenius_fixes_prime_field_exactly():
     E = ExtField(11, 2)
     fixed = [x for x in E.elements() if x ** 11 == x]
@@ -207,20 +245,23 @@ def _random_ext_field(p, k, rng):
 
 @pytest.mark.parametrize("p", [11, 13, 1048573])
 def test_product_matches_poly_mulmod(p):
-    """The folded product against schoolbook multiplication and reduction
-    mod the modulus, for k = 1..16, on the default modulus and a random
-    one."""
+    """The folded product against unipoly's schoolbook multiplication and
+    reduction mod the modulus over F_p, for k = 1..16, on the default
+    modulus and a random one."""
     seed = zlib.crc32(b"ext product %d" % p)
     print("seed", seed)
     rng = random.Random(seed)
+    F = PrimeField(p)
     for k in range(1, 17):
         fields = [_random_ext_field(p, k, rng)]
         if p < 100:
             fields.append(ExtField(p, k))
         for E in fields:
+            mod = [F(c) for c in E.modulus]
             for _ in range(8):
                 a, b = ([rng.randrange(p) for _ in range(k)] for _ in "ab")
-                want = _poly_mulmod(a, b, list(E.modulus), p)
+                want = [c.value for c in unipoly.rem(F, unipoly.mul(
+                    F, [F(c) for c in a], [F(c) for c in b]), mod)]
                 want += [0] * (k - len(want))
                 assert (E(a) * E(b)).coeffs == tuple(want), (k, E.modulus)
             assert E(a) * E.zero == E.zero and E(a) * 1 == E(a)
@@ -463,3 +504,23 @@ def test_field_context_roots_of_an_irreducible_cubic():
     ctx = FieldContext(F)
     assert ctx.roots(unipoly.mul(F, [F(3), F.one], cubics[0])) == [F(8)]
     assert ctx.field == F
+
+
+def test_field_context_lifts_one_embedding_at_a_time():
+    """Two square roots of non-squares grow F_11 to F_{11^2} and then to
+    F_{11^4}; ctx(x) lifts a value of either earlier field through each
+    embedding in turn and leaves a working-field value alone."""
+    F = PrimeField(11)
+    ctx = FieldContext(F)
+    r2 = ctx.sqrt(F(2))
+    E2 = ctx.field
+    assert E2 == ExtField(11, 2) and r2 * r2 == E2(2)
+    x = E2([3, 7])
+    y = next(a for a in E2.elements() if a and sqrt_opt(E2, a) is None)
+    r4 = ctx.sqrt(y)
+    E4 = ctx.field
+    assert E4 == ExtField(11, 4)
+    lift = embed_field(E2, E4)
+    assert r4 * r4 == lift(y)
+    assert ctx(x) == lift(x) and ctx(F(5)) == E4(5)
+    assert ctx(r4) is r4

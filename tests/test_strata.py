@@ -1,3 +1,4 @@
+import hashlib
 import random
 import zlib
 from fractions import Fraction
@@ -241,3 +242,34 @@ def test_d4_returns_only_a_verified_model(F11, monkeypatch):
     monkeypatch.setattr(strata, "has_invariants", lambda model, jt: False)
     with pytest.raises(ExhaustedCandidates):
         reconstruct_stratum("D4", F11, jt)
+
+
+#: sha256 prefixes of the "repr(field);coefficients" lines (or the
+#: error's class name) of reconstruct_stratum on every C2p3 and D4 row of
+#: moduli_rows(F_11, filter_singular=False)
+CLOSED_FORM_SHA = {"C2p3": (120, "81fd506a703e"), "D4": (1312, "0b0854baa279")}
+
+
+@pytest.mark.slow
+def test_closed_form_models_pin_p11():
+    """The closed-form C2p3 and D4 models over F_11 and its extensions,
+    singular rows included: this pins the cubic's roots, every square
+    root and each embedding between the working fields."""
+    from octicmoduli.census_fast import (
+        classify_rows, moduli_rows, strata_labels,
+    )
+    F = PrimeField(11)
+    rows = moduli_rows(F, filter_singular=False)
+    labels = classify_rows(F, rows)
+    for name, (count, sha) in CLOSED_FORM_SHA.items():
+        digest, n = hashlib.sha256(), 0
+        for row in rows[labels == strata_labels().index(name)]:
+            try:
+                m = reconstruct_stratum(name, F, [F(int(v)) for v in row])
+                line = "%r;%s\n" % (m.field, ",".join(repr(c)
+                                                      for c in m.coeffs))
+            except (SingularLocus, ExhaustedCandidates) as exc:
+                line = "%s\n" % type(exc).__name__
+            digest.update(line.encode())
+            n += 1
+        assert (n, digest.hexdigest()[:12]) == (count, sha), name
