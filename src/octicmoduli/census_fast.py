@@ -8,17 +8,18 @@ weighted-projective constraints into affine arithmetic modulo p - 1.
 
 moduli_rows takes the (J2..J7) prefix representatives CHUNK_ROWS at a
 time and evaluates only the 22 syzygy blocks on them.  The J8 values of
-a prefix are the x in F_p where covariants.j8_determinant, the 4x4
-determinant that j8_quintic is built from, vanishes on the block values
-mod p; its leading coefficient is the constant -1, so it has the roots
-of the quintic at every p.  Where delta of the (J9, J10) closed form is
+a prefix are the x in F_p where covariants.j8_determinant, the
+determinant j8_quintic is built from, vanishes on the block values mod
+p; its leading coefficient is the constant -1, so it has the roots of
+the quintic at every p.  Where delta of the (J9, J10) closed form is
 nonzero, the closed form gives the one candidate; where it is zero, R1
 and R2 are evaluated at all p^2 points (J9, J10) and a row is built only
 where both vanish.  Every candidate is then checked on all five
-relations.  classify_rows walks the strata in the order of
-strata.detect_group and evaluates each stratum's equations one at a
-time, fewest terms first, each only on the rows where the ones before
-it vanished.
+relations by covariants._relation_values, the evaluator the scalar
+solvers use, run on the columns of the candidate rows.  classify_rows
+walks the strata in the order of strata.detect_group and evaluates each
+stratum's equations one at a time, fewest terms first, each only on the
+rows where the ones before it vanished.
 
 Primes are at most MAX_FAST_PRIME = 2^20, and a census that would not
 fit in physical memory is refused before anything is allocated.
@@ -37,11 +38,11 @@ from math import gcd
 import numpy as np
 
 from .covariants import (
-    RELATIONS, SyzygyCoefficients, derive_syzygies, discriminant_poly,
+    SyzygyCoefficients, _relation_values, derive_syzygies, discriminant_poly,
     j8_determinant, j9_j10_closed_form, r1_r2_linear,
 )
 from .fields import PrimeField, ext_gcd_multi, generates_units
-from .jpoly import CHUNK_ROWS, WEIGHTS, PolySet, monomial_matrix
+from .jpoly import CHUNK_ROWS, WEIGHTS, PolySet
 
 MAX_FAST_PRIME = 1 << 20
 
@@ -179,11 +180,11 @@ def _completions(ctx, block_set, prefixes):
 
     bvals = block_set.evaluate_mod(prefixes, p)
     # (prefix, j8) pairs: the roots of the J8 quintic
-    v = _block_columns(bvals)
+    v = SyzygyCoefficients.named(bvals.T)
     hits = [np.nonzero(j8_determinant(v, x, mod) == 0)[0] for x in range(p)]
     idx = np.concatenate(hits)
     j8 = np.repeat(np.arange(p, dtype=np.int64), [h.size for h in hits])
-    v = _block_columns(bvals[idx])
+    v = SyzygyCoefficients.named(bvals[idx].T)
     delta_v, n9, n10 = (a % p for a in j9_j10_closed_form(v, j8))
 
     # generic pairs: the closed form gives the one candidate
@@ -198,7 +199,9 @@ def _completions(ctx, block_set, prefixes):
     cand = np.column_stack([
         prefixes[idx[pair]], j8[pair],
         np.concatenate([generic, np.column_stack([j9, j10])])])
-    cand = cand[_relations_vanish(bvals[idx[pair]], cand, p)]
+    values = _relation_values(
+        cand.T, SyzygyCoefficients.named(bvals[idx[pair]].T), mod)
+    cand = cand[~np.any(values, axis=0)]
     return cand[cand.any(axis=1)]
 
 
@@ -221,33 +224,6 @@ def _r1_r2_zeros(v, j8, p):
         j9s.append(np.full(k.size, j9, dtype=np.int64))
         j10s.append(b)
     return np.concatenate(ks), np.concatenate(j9s), np.concatenate(j10s)
-
-
-def _block_columns(bvals):
-    """Block name -> column of an array of block values (BLOCK_NAMES
-    order)."""
-    return {name: bvals[:, k]
-            for k, (name, _) in enumerate(SyzygyCoefficients.BLOCK_NAMES)}
-
-
-#: the distinct leading monomials and multipliers of the relations
-_RELATION_MONOMIALS = sorted({ev for lead, terms in RELATIONS
-                              for ev in [lead] + [m for _, m in terms]})
-
-
-def _relations_vanish(bvals, rows, p):
-    """Mask of the rows on which all five RELATIONS vanish, given the
-    block values per row."""
-    mono = dict(zip(_RELATION_MONOMIALS,
-                    monomial_matrix(rows, _RELATION_MONOMIALS, p).T))
-    blocks = _block_columns(bvals)
-    ok = np.ones(rows.shape[0], dtype=bool)
-    for lead, terms in RELATIONS:
-        acc = mono[lead]
-        for name, mult in terms:
-            acc = (acc + blocks[name] * mono[mult]) % p
-        ok &= acc == 0
-    return ok
 
 
 def normalize_rows(ctx, rows):

@@ -24,8 +24,7 @@ from .errors import (
 from .fields import ExtField, PrimeField, QQ
 from .forms import BinaryForm, transvect
 from .jpoly import (
-    JPolyX, JPolynomial, PolySet, _residue, monomial_basis, monomial_matrix,
-    wdeg,
+    JPolynomial, PolySet, _residue, monomial_basis, monomial_matrix, wdeg,
 )
 from .linsolve import solve_rational
 from .unipoly import rational_roots, roots as field_roots
@@ -410,10 +409,10 @@ def j8_determinant(v, x, reduce=lambda a: a):
     (J9 - B9) R2 - B7 R4 (whose J9 J10 terms cancel).  The J9^2 entries
     of R1 and R2 are zero, so the expansion along their 2x2 minors,
     which are -n10, n9 and -delta of j9_j10_closed_form, has three
-    terms.  As a polynomial in x it is -1 times j8_quintic.  With block
-    values and x as int64 residues below 2^20, pass reduce = (mod p):
-    it is applied to every entry, so each term of the expansion stays
-    below 2^60.
+    terms.  It runs on field elements, on JPolynomials (the syzygy
+    blocks and x = J8 give -1 times the j8_quintic polynomial) and on
+    int64 residues below 2^20, with reduce = (mod p): it is applied to
+    every entry, so each term of the expansion stays below 2^60.
     """
     delta, n9, n10 = (reduce(t) for t in j9_j10_closed_form(v, x))
     a3, b3, c3, d3 = (reduce(t) for t in (
@@ -449,17 +448,22 @@ class SyzygyCoefficients:
     def __getitem__(self, name):
         return self.blocks[name]
 
+    @classmethod
+    def named(cls, values):
+        """Block name -> value, for values in BLOCK_NAMES order: the blocks
+        at one prefix, or the columns of an array of them (its .T)."""
+        return dict(zip((name for name, _ in cls.BLOCK_NAMES), values))
+
     def evaluate_blocks(self, field, j27):
         """All blocks at a (j2...j7) prefix, through one PolySet.at call;
         returns a name -> value dict."""
         jt = tuple(j27) + (field.zero,) * 3
-        return dict(zip((name for name, _ in self.BLOCK_NAMES),
-                        self.block_set.at(field, jt)))
+        return self.named(self.block_set.at(field, jt))
 
     def relations_residuals(self, field, jtuple):
         """The five relation values at a full 9-tuple (zero on real orbits)."""
         jt = [field(x) for x in jtuple]
-        return _relation_values(field, jt, self.evaluate_blocks(field, jt[:6]))
+        return _relation_values(jt, self.evaluate_blocks(field, jt[:6]))
 
     def to_named_list(self):
         return [(name, self.blocks[name]) for name, _ in self.BLOCK_NAMES]
@@ -469,14 +473,19 @@ class SyzygyCoefficients:
         return cls(dict(named))
 
 
-def _relation_values(field, jt, v):
-    """The five relation values at the 9-tuple jt of field elements, given
-    the block values v (a name -> value mapping) of its prefix."""
+def _relation_values(jt, v, reduce=lambda a: a):
+    """The five relation values at jt, given the block values v (a name ->
+    value mapping) of its prefix: jt is a 9-tuple of field elements, or
+    the nine int64 columns of rows of residues below 2^20 with reduce =
+    (mod p).  reduce is applied to every monomial and every value, so a
+    monomial stays below 2^60 (J2 J9^2) and a block times a monomial
+    below 2^40.
+    """
     def mono(ev):
-        return prod((x ** e for x, e in zip(jt, ev) if e), start=field.one)
+        return reduce(prod((x ** e for x, e in zip(jt, ev) if e), start=1))
 
-    return tuple(mono(lead) + sum((v[name] * mono(mult)
-                                   for name, mult in terms), field.zero)
+    return tuple(reduce(mono(lead) + sum((v[name] * mono(mult)
+                                          for name, mult in terms), 0))
                  for lead, terms in RELATIONS)
 
 
@@ -555,27 +564,28 @@ def derive_syzygies(force=False, seed=0x5E55):
 @functools.cache
 def j8_quintic():
     """The monic degree-5 polynomial in X = J8 with coefficients in
-    J2..J7, as a JPolyX: j8_determinant on the syzygy blocks, normalized
-    to leading coefficient 1.
+    J2..J7, as the list [c_0, ..., c_5] of JPolynomials (c_i of degree
+    40 - 8i multiplies X^i, c_5 = 1): j8_determinant on the syzygy blocks
+    with x = J8, one JPolynomial of degree 40, split by the exponent of
+    J8 and normalized to leading coefficient 1.
     """
-    s = derive_syzygies()
-    blocks = {name: JPolyX([s[name]])
-              for name, _ in SyzygyCoefficients.BLOCK_NAMES}
-    det = j8_determinant(
-        blocks, JPolyX([JPolynomial.zero(), JPolynomial.constant(1)]))
-    lead = det.coeffs[-1]
-    if len(det.coeffs) != 6 or lead.degree != 0:
+    det = j8_determinant(derive_syzygies().blocks, JPolynomial.generator(8))
+    split = {}                          # exponent of J8 -> terms
+    for ev, c in det.terms.items():
+        split.setdefault(ev[6], {})[ev[:6] + (0,) + ev[7:]] = c
+    if max(split, default=0) != 5:
         raise RankDeficiency("J8 elimination did not produce a quintic")
-    lead_c = lead.terms.get((0,) * 9, Fraction(0))
-    return JPolyX([c.scale(Fraction(1) / lead_c) for c in det.coeffs])
+    lead = split[5][(0,) * 9]
+    return [JPolynomial(40 - 8 * i, split.get(i)).scale(Fraction(1) / lead)
+            for i in range(6)]
 
 
 def j8_candidates(field, j27):
     """Values of J8 consistent with the prefix (j2, ..., j7): the roots in
-    the base field of the quintic specialized at the prefix."""
-    quintic = j8_quintic()
+    the base field of the quintic, its coefficients evaluated at the
+    prefix."""
     jt = tuple(field(v) for v in j27) + (field.zero,) * 3
-    coeffs = [c.evaluate(field, jt) for c in quintic.coeffs]
+    coeffs = [c.evaluate(field, jt) for c in j8_quintic()]
     if all(not c for c in coeffs):
         raise IdenticallyZeroQuintic("quintic vanished identically")
     if field.characteristic == 0:
@@ -606,4 +616,4 @@ def solve_j9_j10(field, j28):
     else:
         pairs = ((a, b) for a in field.elements() for b in field.elements())
     return [pair for pair in pairs
-            if not any(_relation_values(field, j28 + pair, v))]
+            if not any(_relation_values(j28 + pair, v))]

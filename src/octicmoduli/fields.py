@@ -85,7 +85,6 @@ def ext_gcd_multi(degrees):
 class Rationals:
     """The field Q; elements are fractions.Fraction values."""
 
-    kind = "Q"
     characteristic = 0
 
     def __call__(self, value):
@@ -104,9 +103,6 @@ class Rationals:
     @property
     def one(self):
         return Fraction(1)
-
-    def is_zero(self, a):
-        return a == 0
 
     def sqrt(self, a):
         """Square root of a perfect square, the non-negative one; else None."""
@@ -289,7 +285,6 @@ class PrimeField:
     them, while every covariant entry point re-checks the bound.
     """
 
-    kind = "Fp"
     #: the degree over the prime field, as ExtField.k
     k = 1
 
@@ -324,9 +319,6 @@ class PrimeField:
     @property
     def one(self):
         return FpElement(self, 1)
-
-    def is_zero(self, a):
-        return a.value == 0
 
     def elements(self):
         for v in range(self.p):
@@ -426,6 +418,9 @@ class ExtElement(_Element):
 
     def _lift(self, other):
         if isinstance(other, ExtElement):
+            if other.field is not self.field and other.field != self.field:
+                raise TypeError("cannot combine elements of %r and %r"
+                                % (self.field, other.field))
             return other
         if isinstance(other, (int, FpElement, Fraction)):
             return self.field(other)
@@ -449,11 +444,11 @@ class ExtElement(_Element):
 
     def __mul__(self, other):
         """Convolution, t^(k+j) folded in by field.fold, one reduction."""
-        if type(other) is not ExtElement:
+        field = self.field
+        if type(other) is not ExtElement or other.field is not field:
             other = self._lift(other)
             if other is NotImplemented:
                 return NotImplemented
-        field = self.field
         k = field.k
         out = [0] * (2 * k - 1)
         for i, x in enumerate(self.coeffs):
@@ -556,8 +551,6 @@ def _frobenius_rows(p, modulus, s):
 class ExtField:
     """F_{p^k} = F_p[t] / (modulus), modulus monic irreducible of degree k."""
 
-    kind = "Fpk"
-
     def __init__(self, p, k, modulus=None, allow_small=False):
         if p in _SMALL_PRIMES and not allow_small:
             raise SmallCharacteristic("characteristic %d not supported" % p)
@@ -613,9 +606,6 @@ class ExtField:
     @property
     def one(self):
         return ExtElement(self, [1])
-
-    def is_zero(self, a):
-        return not any(a.coeffs)
 
     def gen(self):
         """t, the class of the variable: -c_0 when the modulus is linear."""
@@ -744,7 +734,6 @@ class QuadExtQ:
     rational point is supplied; it deliberately stays out of field_make.
     """
 
-    kind = "Qsqrt"
     characteristic = 0
 
     def __init__(self, d):
@@ -768,9 +757,6 @@ class QuadExtQ:
     @property
     def one(self):
         return QuadElement(self, 1, 0)
-
-    def is_zero(self, a):
-        return not a
 
     def gen(self):
         return QuadElement(self, 0, 1)

@@ -132,11 +132,6 @@ class JPolynomial:
         return cls(degree, {})
 
     @classmethod
-    def constant(cls, c):
-        c = Fraction(c)
-        return cls(0, {(0,) * 9: c} if c else {})
-
-    @classmethod
     def generator(cls, w):
         ev = [0] * 9
         ev[w - 2] = 1
@@ -356,56 +351,3 @@ class PolySet:
             out[start:start + CHUNK_ROWS] = (coeffs @ mono % p).T
         return out
 
-
-class JPolyX:
-    """Polynomial in one extra variable X with JPolynomial coefficients.
-
-    Used to assemble the degree-5 equation satisfied by J8 out of the
-    syzygy blocks; coeffs[i] multiplies X^i.
-    """
-
-    def __init__(self, coeffs):
-        self.coeffs = list(coeffs)
-        while self.coeffs and self.coeffs[-1].is_zero():
-            self.coeffs.pop()
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else JPolynomial.zero()
-            b = other.coeffs[i] if i < len(other.coeffs) else JPolynomial.zero()
-            if a.is_zero():
-                out.append(b)
-            elif b.is_zero():
-                out.append(a)
-            else:
-                out.append(a + b)
-        return JPolyX(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        return JPolyX([jp.scale(c) for jp in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return JPolyX([])
-        out = [JPolynomial.zero() for _ in
-               range(len(self.coeffs) + len(other.coeffs) - 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b.is_zero():
-                    continue
-                prod = a * b
-                if out[i + j].is_zero():
-                    out[i + j] = prod
-                else:
-                    out[i + j] = out[i + j] + prod
-        return JPolyX(out)
-
-    def __neg__(self):
-        return self.scale(-1)

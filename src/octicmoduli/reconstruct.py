@@ -10,6 +10,7 @@ those polynomials at a target invariant tuple and parametrizing the conic
 returns an octic with the requested invariants.
 """
 
+import functools
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations
 from math import factorial
@@ -78,11 +79,16 @@ def clebsch_data(q1, q2, q3):
     qstar = (transvect(q2, q3, 1), transvect(q3, q1, 1), transvect(q1, q2, 1))
     A = [[transvect(qs[i], qs[j], 2).coeffs[0] for j in range(3)]
          for i in range(3)]
-    rows = [[q.coeffs[2], q.coeffs[1], q.coeffs[0]] for q in qs]
-    R = (rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
-         - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
-         + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
+    R = _det3([[q.coeffs[2], q.coeffs[1], q.coeffs[0]] for q in qs])
     return {"qstar": qstar, "A": A, "R": R, "field": field}
+
+
+def _det3(m):
+    """The determinant of a 3x3 matrix, by cofactors along the first
+    row."""
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def quartic_coefficients_on_form(f, q1, q2, q3):
@@ -156,9 +162,6 @@ class TripleModels:
         return cls(triple, r_poly, conic, quartic)
 
 
-_triple_cache = {}
-
-
 def _triple_identifier(triple):
     return "triple-models-%s" % "+".join(triple)
 
@@ -176,19 +179,23 @@ def conic_quartic_models(triple, derive_if_missing=True):
     """The cached (R, conic, quartic) J-polynomials of a covariant triple,
     derived by evaluation-interpolation on first use."""
     triple = tuple(triple)
-    if triple in _triple_cache:
-        return _triple_cache[triple]
-    ident = _triple_identifier(triple)
-    stored = store.read_artifact(ident)
-    if stored is not None:
-        models = TripleModels.from_named_list(triple, stored)
-        _triple_cache[triple] = models
-        return models
-    if not derive_if_missing:
+    try:
+        return _stored_models(triple)
+    except InterpolationFailure:
+        if not derive_if_missing:
+            raise
+    derive_triple_models(triple)
+    return _stored_models(triple)
+
+
+@functools.cache
+def _stored_models(triple):
+    """The models of a triple as its artifact stores them, read once;
+    InterpolationFailure (not memoized) while there is none."""
+    stored = store.read_artifact(_triple_identifier(triple))
+    if stored is None:
         raise InterpolationFailure("no cached models for %s" % (triple,))
-    models = derive_triple_models(triple)
-    _triple_cache[triple] = models
-    return models
+    return TripleModels.from_named_list(triple, stored)
 
 
 def _all_triple_values(triple, f):
@@ -245,19 +252,18 @@ def derive_triple_models(triple):
     return TripleModels.from_named_list(triple, named)
 
 
+@functools.cache
 def r_polynomial(triple):
-    """Just the determinant polynomial R of a triple (cheap to derive)."""
-    triple = tuple(triple)
-    models = _triple_cache.get(triple)
-    if models is not None:
-        return models.r_poly
+    """Just the determinant polynomial R of a triple (a tuple; cheap to
+    derive), read or derived once per process."""
     ident = _r_identifier(triple)
     stored = store.read_artifact(ident)
     if stored is not None:
         return stored[0][1]
-    full = store.read_artifact(_triple_identifier(triple))
-    if full is not None:
-        return TripleModels.from_named_list(triple, full).r_poly
+    try:
+        return conic_quartic_models(triple, derive_if_missing=False).r_poly
+    except InterpolationFailure:
+        pass
     d1, d2, d3 = triple_degrees(triple)
 
     def run(f):
@@ -313,10 +319,7 @@ class EvaluatedConic:
         return acc
 
     def det(self):
-        m = self.matrix()
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return _det3(self.matrix())
 
     def is_nonsingular(self):
         return bool(self.det())

@@ -16,12 +16,14 @@ from octicmoduli import census_fast
 from octicmoduli.census import class_model, expected_counts
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
-    SyzygyCoefficients, derive_syzygies, discriminant_J, discriminant_poly,
-    has_invariants, j8_candidates, j8_determinant, j8_quintic,
-    j9_j10_closed_form, solve_j9_j10,
+    SyzygyCoefficients, _relation_values, derive_syzygies, discriminant_J,
+    discriminant_poly, has_invariants, j8_candidates, j8_determinant,
+    j8_quintic, j9_j10_closed_form, shioda, solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField
-from octicmoduli.forms import disc_resultant, roots_in_splitting_field
+from octicmoduli.forms import (
+    BinaryForm, disc_resultant, roots_in_splitting_field,
+)
 from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.reconstruct import TRIPLES_19, r_polynomial
 from octicmoduli.strata import (
@@ -141,9 +143,38 @@ def test_j8_determinant_is_minus_the_quintic(p, n_prefixes):
         got = j8_determinant(v, x, lambda a: a % p)
         jt = [F(c) for c in prefix] + [F.zero] * 3
         want = np.zeros(p, dtype=np.int64)
-        for c in reversed(quintic.coeffs):
+        for c in reversed(quintic):
             want = (want * x + c.evaluate(F, jt).value) % p
         assert np.array_equal(got, -want % p), prefix
+
+
+@pytest.mark.parametrize("p", [11, 1048573])
+def test_relation_values_on_columns_equal_field_values(p):
+    """_relation_values on the int64 columns of rows of residues, with
+    reduce = mod p, equals the five relation values over F_p row by row:
+    zero on the invariants of seeded octics, not all zero on the same
+    rows with J10 moved and on random rows."""
+    F = PrimeField(p)
+    syz = derive_syzygies()
+    seed = zlib.crc32(b"relation values %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    on = []
+    while len(on) < 8:
+        jt = shioda(BinaryForm(F, 8, [rng.randrange(p) for _ in range(9)]))
+        if any(jt):
+            on.append([c.value for c in jt])
+    off = [row[:8] + [(row[8] + 1) % p] for row in on]
+    off += [[rng.randrange(p) for _ in range(9)] for _ in range(8)]
+    rows = np.array(on + off, dtype=np.int64)
+    bvals = syz.block_set.evaluate_mod(rows[:, :6], p)
+    got = np.array(_relation_values(
+        rows.T, SyzygyCoefficients.named(bvals.T), lambda a: a % p)).T
+    want = [[r.value for r in syz.relations_residuals(F, row)]
+            for row in rows.tolist()]
+    assert np.array_equal(got, np.array(want))
+    assert not got[:len(on)].any()
+    assert got[len(on):].any(axis=1).all()
 
 
 def test_classify_rows_matches_detect_group(rows_p11, labels_p11):

@@ -524,3 +524,21 @@ def test_field_context_lifts_one_embedding_at_a_time():
     assert r4 * r4 == lift(y)
     assert ctx(x) == lift(x) and ctx(F(5)) == E4(5)
     assert ctx(r4) is r4
+
+
+def test_ext_elements_of_two_fields_do_not_mix():
+    """+, -, * and / between F_{11^2} and F_{11^3} are refused both ways,
+    while two equal, separately built F_{11^2} objects still mix."""
+    a = ExtField(11, 2)([1, 2])
+    b = ExtField(11, 3)([1, 2, 3])
+    for x, y in ((a, b), (b, a)):
+        for op in (lambda u, v: u + v, lambda u, v: u - v,
+                   lambda u, v: u * v, lambda u, v: u / v):
+            with pytest.raises(TypeError):
+                op(x, y)
+    F, G = ExtField(11, 2), ExtField(11, 2)
+    assert F is not G
+    x, y = F([1, 2]), G([3, 4])
+    assert x + y == F([4, 6]) and x - y == F([9, 9])
+    assert x * y == F([1, 2]) * F([3, 4])
+    assert (x / y) * y == x

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -72,15 +73,21 @@ def test_syzygies_on_random_octics():
 
 def test_quintic_shape():
     q = j8_quintic()
-    assert len(q.coeffs) == 6
-    assert q.coeffs[5].terms == {(0,) * 9: Fraction(1)}
+    assert len(q) == 6
+    assert q[5].terms == {(0,) * 9: Fraction(1)}
     syz = derive_syzygies()
     # the printed quartic coefficient: A8 + 2 B8 + C8
     expect = syz["A8"] + syz["B8"].scale(2) + syz["C8"]
-    assert q.coeffs[4] == expect
-    for i, c in enumerate(q.coeffs):
+    assert q[4] == expect
+    for i, c in enumerate(q):
         if not c.is_zero():
             assert c.degree == 40 - 8 * i
+
+
+def test_quintic_pin():
+    """The six coefficients of the J8 quintic, serialized one a line."""
+    lines = "\n".join(c.serialize() for c in j8_quintic())
+    assert hashlib.sha256(lines.encode()).hexdigest()[:12] == "e787f12a30df"
 
 
 def test_j8_candidates_examples(F11):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from octicmoduli import store
 from octicmoduli.covariants import covariant_eval, random_octic, shioda
 from octicmoduli.errors import (
     AllDeterminantsVanish, PointNotOnConic, SingularConic,
@@ -10,8 +11,9 @@ from octicmoduli.errors import (
 from octicmoduli.fields import QQ
 from octicmoduli.forms import BinaryForm, disc_resultant, transvect
 from octicmoduli.reconstruct import (
-    EvaluatedConic, clebsch_data, conic_parametrize, conic_point,
-    conic_quartic_models, quartic_coefficients_on_form, reconstruct_generic,
+    TRIPLES_19, TRIPLES_C4, EvaluatedConic, clebsch_data, conic_parametrize,
+    conic_point, conic_quartic_models, quartic_coefficients_on_form,
+    r_polynomial, reconstruct_generic,
 )
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
@@ -316,3 +318,20 @@ def _solve_exact(A, b):
     for i, c in enumerate(piv):
         x[c] = rows[i][n]
     return x
+
+
+def test_triple_polynomials_are_read_once(monkeypatch):
+    """Once loaded, the models of the C4 triples and the R of every triple
+    of TRIPLES_19 come back without reading an artifact, as the same
+    objects."""
+    for t in TRIPLES_C4:
+        conic_quartic_models(t)
+    first = [r_polynomial(t) for t in TRIPLES_19]
+    reads = []
+    read = store.read_artifact
+    monkeypatch.setattr(store, "read_artifact",
+                        lambda ident: reads.append(ident) or read(ident))
+    for t in TRIPLES_C4:
+        conic_quartic_models(t, derive_if_missing=False)
+    assert all(r_polynomial(t) is r for t, r in zip(TRIPLES_19, first))
+    assert reads == []
