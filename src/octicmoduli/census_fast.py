@@ -6,20 +6,22 @@ scalar solvers j8_candidates, solve_j9_j10 and strata.detect_group.
 Discrete logarithms to a fixed primitive root turn the
 weighted-projective constraints into affine arithmetic modulo p - 1.
 
-moduli_rows takes the (J2..J7) prefix representatives CHUNK_ROWS at a
-time and evaluates only the 22 syzygy blocks on them.  The J8 values of
-a prefix are the x in F_p where covariants.j8_determinant, the
-determinant j8_quintic is built from, vanishes on the block values mod
-p; its leading coefficient is the constant -1, so it has the roots of
-the quintic at every p.  Where delta of the (J9, J10) closed form is
-nonzero, the closed form gives the one candidate; where it is zero, R1
-and R2 are evaluated at all p^2 points (J9, J10) and a row is built only
-where both vanish.  Every candidate is then checked on all five
-relations by covariants._relation_values, the evaluator the scalar
-solvers use, run on the columns of the candidate rows.  classify_rows
-walks the strata in the order of strata.detect_group and evaluates each
-stratum's equations one at a time, fewest terms first, each only on the
-rows where the ones before it vanished.
+_prefixes lists the (J2..J7) prefixes in one array, from one Bezout
+congruence on their exponents per support.  moduli_rows takes them
+CHUNK_ROWS at a time and evaluates only the 22 syzygy blocks on them.
+The J8 values of a prefix are the x in F_p where
+covariants.j8_determinant, the determinant j8_quintic is built from,
+vanishes on the block values mod p; its leading coefficient is the
+constant -1, so it has the roots of the quintic at every p.  Where delta
+of the (J9, J10) closed form is nonzero, the closed form gives the one
+candidate; where it is zero, R1 and R2 are evaluated at all p^2 points
+(J9, J10) and a row is built only where both vanish.  Every candidate is
+then checked on all five relations by covariants._relation_values, the
+evaluator the scalar solvers use, run on the columns of the candidate
+rows.  classify_rows walks the strata in the order of
+strata.detect_group and evaluates each stratum's equations one at a
+time, fewest terms first, each only on the rows where the ones before it
+vanished.
 
 Primes are at most MAX_FAST_PRIME = 2^20, and a census that would not
 fit in physical memory is refused before anything is allocated.
@@ -69,58 +71,41 @@ class _ModCtx:
         return self.POW[(-self.LOG[arr]) % (self.p - 1)]
 
 
-def _enumerate_prefix_reps(ctx):
-    """Representatives of the weight (2..7) projective space: rows of
-    residues (N, 6) plus the support gcd per row block."""
-    p = ctx.p
-    order = p - 1
-    blocks = []
+def _prefixes(ctx):
+    """Every (J2..J7) prefix the completions start from: rows (N, 6) of
+    residues, the rows of one support contiguous.
+
+    In exponents e to the primitive root g, a support with weight gcd d
+    and ext_gcd_multi coefficients c keeps the e with sum(c_i e_i) mod
+    (p - 1) < gcd(d, p - 1).  Sum 0 gives the canonical representatives
+    of P(2..7).  Sum t gives them rescaled by g^(t w_i / d), as
+    sum(c_i (e_i + t w_i / d)) = t: the same classes of P(2..7), whose
+    completions by J8, J9 and J10 reach other classes of P(2..10).
+    """
+    order = ctx.p - 1
+    out = []
     for size in range(1, 7):
         for supp in combinations(range(6), size):
-            ws = [WEIGHTS[i] for i in supp]
-            d, cs = ext_gcd_multi(ws)
+            d, cs = ext_gcd_multi([WEIGHTS[i] for i in supp])
             k = len(supp)
-            if k == 1:
-                rows_e = np.zeros((1, 1), dtype=np.int64)
-            else:
-                free = np.indices((order,) * (k - 1)).reshape(k - 1, -1).T
-                rhs = (-(free * np.array([c % order for c in cs[:-1]],
-                                         dtype=np.int64)).sum(axis=1)) % order
-                c_last = cs[-1] % order
-                g0 = gcd(c_last, order) if c_last else order
-                if c_last == 0:
-                    keep = rhs % order == 0
-                    free = free[keep]
-                    rows_e = np.concatenate(
-                        [np.repeat(free, order, axis=0),
-                         np.tile(np.arange(order, dtype=np.int64),
-                                 len(free)).reshape(-1, 1)], axis=1)
-                else:
-                    keep = rhs % g0 == 0
-                    free = free[keep]
-                    rhs = rhs[keep]
-                    sub = order // g0
-                    inv = pow(c_last // g0, -1, sub) if sub > 1 else 0
-                    base = (rhs // g0 * inv) % sub if sub > 1 else \
-                        np.zeros(len(rhs), dtype=np.int64)
-                    parts = [np.concatenate(
-                        [free, ((base + t * sub) % order).reshape(-1, 1)],
-                        axis=1) for t in range(g0)]
-                    rows_e = np.concatenate(parts, axis=0) if parts else \
-                        np.zeros((0, k), dtype=np.int64)
-            vals = ctx.POW[rows_e % order]
-            rows = np.zeros((len(vals), 6), dtype=np.int64)
-            for col, i in enumerate(supp):
-                rows[:, i] = vals[:, col]
-            blocks.append((rows, d))
-    return blocks
+            c = np.array(cs, dtype=np.int64) % order
+            free = np.indices((order,) * (k - 1)).reshape(
+                k - 1, order ** (k - 1))
+            partial = c[:-1] @ free % order
+            for last in range(order):
+                keep = (partial + c[-1] * last) % order < gcd(d, order)
+                rows = np.zeros((int(keep.sum()), 6), dtype=np.int64)
+                rows[:, list(supp[:-1])] = ctx.POW[free[:, keep]].T
+                rows[:, supp[-1]] = ctx.POW[last]
+                out.append(rows)
+    return np.concatenate(out)
 
 
 def _check_memory(p):
     """Refuse a census that cannot fit in physical memory.
 
     A census holds its p^5 classes at once (rows, sort permutations,
-    labels); BYTES_PER_CLASS each also covers the prefix grid.
+    labels); BYTES_PER_CLASS each also covers the prefix stage.
     """
     need = BYTES_PER_CLASS * p ** 5
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -141,23 +126,10 @@ def moduli_rows(field, filter_singular=True):
     ctx = _ModCtx(p)
     block_set = derive_syzygies().block_set
 
-    out_rows = []
-    for rows6, delta in _enumerate_prefix_reps(ctx):
-        gamma = gcd(delta, p - 1)
-        reps = []
-        for t in range(gamma):
-            pi = int(ctx.POW[t % (p - 1)])
-            scaled = rows6.copy()
-            for i in range(6):
-                w = WEIGHTS[i]
-                scaled[:, i] = scaled[:, i] * pow(pi, w // delta, p) % p
-            reps.append(scaled)
-        rows6x = np.concatenate(reps, axis=0)
-        for start in range(0, rows6x.shape[0], CHUNK_ROWS):
-            out_rows.append(_completions(
-                ctx, block_set, rows6x[start:start + CHUNK_ROWS]))
-
-    rows9 = np.concatenate(out_rows, axis=0)
+    prefixes = _prefixes(ctx)
+    rows9 = np.concatenate([
+        _completions(ctx, block_set, prefixes[start:start + CHUNK_ROWS])
+        for start in range(0, prefixes.shape[0], CHUNK_ROWS)])
     rows9 = normalize_rows(ctx, rows9)
     # sorted lexicographically, each row once
     rows9 = rows9[np.lexsort(rows9.T[::-1])]

@@ -328,7 +328,9 @@ class EvaluatedConic:
 def conic_point(conic, supplied=None):
     """A projective point on a nonsingular conic.
 
-    Over a finite field a deterministic chart scan always succeeds.  Over
+    Over a finite field a scan of x1 in the chart x3 = 1 always succeeds:
+    a nonsingular conic over F_q has q + 1 points, at most 2 of them on
+    x3 = 0, and the x1 of any other point solves for an x2.  Over
     Q the supplied point is validated and used; without one the caller
     must handle NoSuppliedRationalPoint (see conic_point_quadratic for the
     quadratic-extension fallback).
@@ -344,45 +346,30 @@ def conic_point(conic, supplied=None):
     if field.characteristic == 0:
         raise NoSuppliedRationalPoint(
             "over Q a rational conic point must be supplied")
-    # charts: (x1, x2, 1), then (x1, 1, 0), then (1, 0, 0)
-    one, zero = field.one, field.zero
-    for x1 in _field_scan(field):
-        pt = _solve_conic_coordinate(conic, x1, one)
+    for x1 in field.elements():
+        pt = _solve_conic_coordinate(conic, x1)
         if pt is not None:
             return pt
-    for x1 in _field_scan(field):
-        pt = (x1, one, zero)
-        if not conic.value(pt):
-            return pt
-    pt = (one, zero, zero)
-    if not conic.value(pt):
-        return pt
     raise SingularConic("no point found; conic must be singular")
 
 
-def _field_scan(field):
-    if hasattr(field, "elements"):
-        return field.elements()
-    raise NoSuppliedRationalPoint("cannot scan an infinite field")
-
-
-def _solve_conic_coordinate(conic, x1, x3):
-    """Solve for x2 with (x1, x2, x3) on the conic, smallest root first."""
+def _solve_conic_coordinate(conic, x1):
+    """Solve for x2 with (x1, x2, 1) on the conic, smallest root first."""
     field = conic.field
     c = conic.coeffs
     a = c[(2, 2)]
-    b = c[(1, 2)] * x1 + c[(2, 3)] * x3
-    d = (c[(1, 1)] * x1 * x1 + c[(1, 3)] * x1 * x3 + c[(3, 3)] * x3 * x3)
+    b = c[(1, 2)] * x1 + c[(2, 3)]
+    d = c[(1, 1)] * x1 * x1 + c[(1, 3)] * x1 + c[(3, 3)]
     if not a:
         if b:
-            return (x1, -d / b, x3)
+            return (x1, -d / b, field.one)
         return None
     disc = b * b - field(4) * a * d
     r = sqrt_opt(field, disc)
     if r is None:
         return None
     inv2a = field.one / (a + a)
-    return (x1, (-b + r) * inv2a, x3)
+    return (x1, (-b + r) * inv2a, field.one)
 
 
 def conic_parametrize(conic, point):

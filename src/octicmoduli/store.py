@@ -4,8 +4,8 @@ Derived artifacts (syzygy blocks, conic/quartic coefficient polynomials)
 are expensive to recompute, so they are written as line-oriented text files
 keyed by a content hash of (catalogue version, artifact identifier).  Reads
 consult the user cache directory first, then the data files shipped with
-the package.  A stale or tampered file fails the hash check and is treated
-as absent (or raises, for the packaged copies).
+the package.  A file whose header is missing or whose key is not the
+identifier's raises CacheCorrupt, in the cache as in the package.
 """
 
 import hashlib

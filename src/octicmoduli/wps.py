@@ -133,9 +133,9 @@ def moduli_enumerate(field, filter_singular=True):
     """Representatives of every point of the genus-3 hyperelliptic moduli
     space over F_p (weights 2..10, subject to the five relations).
 
-    Steps: enumerate (j2..j7) classes; for each, rescale through the
-    cosets of k*/(k*)^delta with delta the gcd of the support weights;
-    solve the degree-5 equation for J8 and the relations for (J9, J10);
+    Steps: list the (j2..j7) prefixes, the canonical representatives
+    and their rescalings, by one congruence on their exponents; solve
+    the degree-5 equation for J8 and the relations for (J9, J10);
     deduplicate through canonical forms.  With filter_singular, classes
     with vanishing discriminant (no smooth curve) are dropped.
     """

@@ -194,6 +194,15 @@ def test_read_checkpoint_skips_a_torn_last_line(tmp_path):
                                   "8,4,2,3,8,9,9,7,2", 2)}
 
 
+def test_run_census_models_from_a_pool_equal_the_serial_ones():
+    """jobs = 2 builds the models in a process pool; they come back equal
+    to the serial run's and in the same order."""
+    serial = run_census(11, want_models=True, model_limit=6)
+    pooled = run_census(11, want_models=True, model_limit=6, jobs=2)
+    assert len(serial.models) == 6
+    assert pooled.models == serial.models
+
+
 @pytest.mark.slow
 def test_run_census_p11_with_sampled_models():
     report = run_census(11, want_models=True, model_limit=24)

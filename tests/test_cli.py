@@ -280,3 +280,52 @@ def test_reconstruct_refuses_a_model_with_other_invariants(capsys,
     code, out, err = run_cli(capsys, "reconstruct", "--field", "Fp:11",
                              "--tuple", tup)
     assert code == 29 and "other invariants" in err and out == ""
+
+
+def test_descend_verb_prints_an_octic_over_the_prime_field(capsys):
+    """g = M f over F_{11^2}, with f over F_11 and M over F_{11^2}: the
+    printed F_11 octic has the invariants of f."""
+    from octicmoduli.cli import _fmt
+    from octicmoduli.covariants import has_invariants, shioda
+    from octicmoduli.fields import PrimeField, field_make
+    from octicmoduli.forms import Gl2Matrix, gl2_act
+    F, E = PrimeField(11), field_make("Fpk:11:2")
+    f = BinaryForm(F, 8, [8, 4, 2, 3, 8, 9, 9, 7, 2])
+    t = E.gen()
+    g = gl2_act(Gl2Matrix(E, t, E(3), E(1), t ** 7),
+                f.to_field(E, lambda a: E(a.value)))
+    assert any(c.coeffs[1] for c in g.coeffs)       # g is not over F_11
+    code, out, err = run_cli(capsys, "descend", "--field", "Fpk:11:2",
+                             "--form", ",".join(_fmt(c) for c in g.coeffs))
+    assert code == 0 and err == ""
+    model = BinaryForm(F, 8, [int(c) for c in out.strip().split(",")])
+    assert has_invariants(model, shioda(f))
+
+
+def test_moduli_enum_prints_the_moduli_rows(capsys):
+    """One line per row of moduli_rows: the 11^5 classes over F_11."""
+    from octicmoduli.census_fast import moduli_rows
+    from octicmoduli.fields import PrimeField
+    code, out, _ = run_cli(capsys, "moduli-enum", "--field", "Fp:11")
+    rows = moduli_rows(PrimeField(11)).tolist()
+    assert code == 0 and len(rows) == 11 ** 5
+    assert out.splitlines() == ["11; " + ",".join(map(str, row))
+                                for row in rows]
+
+
+def test_derive_cache_writes_the_packaged_syzygies(capsys, monkeypatch,
+                                                   tmp_path):
+    """derive-cache derives the five relation blocks again and writes
+    them to --cache-dir, byte for byte as the packaged artifact."""
+    import os
+    from octicmoduli import covariants, store
+    monkeypatch.setattr(store, "_override_dir", store._override_dir)
+    monkeypatch.setattr(covariants, "_syzygies_cached",
+                        covariants._syzygies_cached)
+    code, out, _ = run_cli(capsys, "derive-cache", "--cache-dir",
+                           str(tmp_path))
+    assert code == 0 and out == "derived syzygies\n"
+    name = "syzygies-R1..R5-d93d846d92c4b970.jpoly"
+    assert os.listdir(tmp_path) == [name]
+    with open(os.path.join(store.data_dir(), name), "rb") as fh:
+        assert (tmp_path / name).read_bytes() == fh.read()

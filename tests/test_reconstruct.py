@@ -8,12 +8,12 @@ from octicmoduli.covariants import covariant_eval, random_octic, shioda
 from octicmoduli.errors import (
     AllDeterminantsVanish, PointNotOnConic, SingularConic,
 )
-from octicmoduli.fields import QQ
+from octicmoduli.fields import QQ, field_make
 from octicmoduli.forms import BinaryForm, disc_resultant, transvect
 from octicmoduli.reconstruct import (
-    TRIPLES_19, TRIPLES_C4, EvaluatedConic, clebsch_data, conic_parametrize,
-    conic_point, conic_quartic_models, quartic_coefficients_on_form,
-    r_polynomial, reconstruct_generic,
+    CONIC_PAIRS, TRIPLES_19, TRIPLES_C4, EvaluatedConic, clebsch_data,
+    conic_parametrize, conic_point, conic_quartic_models,
+    quartic_coefficients_on_form, r_polynomial, reconstruct_generic,
 )
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
@@ -166,6 +166,26 @@ def test_conic_point_and_parametrize_properties(F11):
     assert conic.value(pt) == F11.zero
     with pytest.raises(PointNotOnConic):
         conic_parametrize(conic, (F11(1), F11(1), F11(1)))
+
+
+@pytest.mark.parametrize("spec", ["Fp:11", "Fpk:11:2"])
+def test_conic_point_lies_in_the_chart_x3_is_1(spec):
+    """A nonsingular conic over F_q has q + 1 points, at most 2 of them on
+    x3 = 0, so the scan of x1 with x3 = 1 finds a point on every one."""
+    field = field_make(spec)
+    elements = list(field.elements())
+    rng = random.Random(27)
+    done = linear = 0
+    while done < 300:
+        conic = EvaluatedConic(field, {pair: rng.choice(elements)
+                                       for pair in CONIC_PAIRS})
+        if not conic.is_nonsingular():
+            continue
+        pt = conic_point(conic)
+        assert pt[2] == field.one and not conic.value(pt)
+        linear += not conic.coeffs[(2, 2)]
+        done += 1
+    assert linear          # some x2 came from the linear case
 
 
 def test_singular_conic_rejected(F11):

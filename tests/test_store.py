@@ -1,0 +1,40 @@
+"""The derived-artifact store: a cache copy is read before the packaged
+one, and a tampered copy is refused."""
+
+import os
+
+import pytest
+
+from octicmoduli import store
+from octicmoduli.errors import CacheCorrupt
+
+SYZYGIES = "syzygies-R1..R5"
+
+
+def _serialized(named_polys):
+    return [(name, poly.serialize()) for name, poly in named_polys]
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda lines: lines[1:], "missing header"),
+    (lambda lines: ["# octicmoduli "] + lines[1:], "malformed header"),
+    (lambda lines: ["# octicmoduli %s %s" % ("0" * 16, SYZYGIES)]
+     + lines[1:], "hash mismatch"),
+], ids=["missing-header", "malformed-header", "hash-mismatch"])
+def test_read_artifact_refuses_a_tampered_copy(monkeypatch, tmp_path,
+                                               tamper, message):
+    """A copy with no header, a header without a key, or a key that is
+    not the identifier's raises CacheCorrupt; the intact copy reads as
+    the packaged file."""
+    name = store.artifact_filename(SYZYGIES)
+    with open(os.path.join(store.data_dir(), name)) as fh:
+        lines = fh.read().splitlines()
+    monkeypatch.setattr(store, "_override_dir", str(tmp_path))
+    packaged = _serialized(store.read_artifact(SYZYGIES))
+    assert len(packaged) == len(lines) - 1
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    assert _serialized(store.read_artifact(SYZYGIES)) == packaged
+    path.write_text("\n".join(tamper(lines)) + "\n")
+    with pytest.raises(CacheCorrupt, match=message):
+        store.read_artifact(SYZYGIES)

@@ -165,22 +165,21 @@ def test_fast_normalize_agrees_with_pure(F11):
 
 @pytest.mark.slow
 def test_fast_prefix_enumeration_agrees_with_pure(F11):
-    """The vectorized prefix enumeration and the pure-field one cover the
-    same classes of the weight-(2..7) space over F_11."""
+    """The census prefixes, normalized, and the pure-field enumeration
+    cover the same classes of the weight-(2..7) space over F_11, and no
+    prefix row repeats."""
     import numpy as np
-    from octicmoduli.census_fast import (
-        _ModCtx, _enumerate_prefix_reps, normalize_rows,
-    )
+    from octicmoduli.census_fast import _ModCtx, _prefixes, normalize_rows
     pure = set()
     for pt in wps_enumerate(F11, (2, 3, 4, 5, 6, 7)):
         pure.add(tuple(c.value for c in wps_normalize(pt).coords))
     ctx = _ModCtx(11)
-    fast = set()
-    for rows, _d in _enumerate_prefix_reps(ctx):
-        rows9 = np.zeros((rows.shape[0], 9), dtype=np.int64)
-        rows9[:, :6] = rows
-        for row in normalize_rows(ctx, rows9):
-            fast.add(tuple(int(v) for v in row[:6]))
+    rows = _prefixes(ctx)
+    assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    rows9 = np.zeros((rows.shape[0], 9), dtype=np.int64)
+    rows9[:, :6] = rows
+    fast = {tuple(int(v) for v in row[:6])
+            for row in normalize_rows(ctx, rows9)}
     assert len(pure) == (11 ** 6 - 1) // 10
     assert pure == fast
 
