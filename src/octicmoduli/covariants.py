@@ -21,8 +21,8 @@ from .errors import (
     IdenticallyZeroQuintic, RankDeficiency, SingularForm, UnknownIdentifier,
     Unresolved, WrongDegree,
 )
-from .fields import ExtField, PrimeField, QQ
-from .forms import BinaryForm, transvect
+from .fields import ExtField, PrimeField, QQ, residue_dtype
+from .forms import BinaryForm, transvect, transvect_residues
 from .jpoly import (
     JPolynomial, PolySet, _residue, monomial_basis, monomial_matrix, wdeg,
 )
@@ -158,34 +158,36 @@ def shioda(f):
 
     Built from the classical chain of auxiliary covariants; the
     coefficient expansions of J2, J3, J4 are pinned by the calibration
-    test, which fixes every normalization here.
+    test, which fixes every normalization here.  Over a prime field the
+    16 transvectants run on arrays of residues (transvect_residues) and
+    only the nine results become field elements; over any other field
+    they are forms (transvect).
     """
     if f.degree != 8:
         raise WrongDegree("Shioda invariants take octics")
     field = f.field
-    g = transvect(f, f, 4)          # degree 2, order 8
-    k = transvect(f, f, 6)          # degree 2, order 4
-    h = transvect(k, k, 2)          # degree 4, order 4
-    m = transvect(f, k, 4)          # degree 3, order 4
-    n = transvect(f, h, 4)          # degree 5, order 4
-    p = transvect(g, k, 4)          # degree 4, order 4
-    q = transvect(g, h, 4)          # degree 6, order 4
+    if isinstance(field, PrimeField):
+        p = field.p
+        a = np.array([c.value for c in f.coeffs], dtype=residue_dtype(p, 9))
+        return tuple(field(int(t[0])) for t in _shioda_chain(
+            a, lambda u, v, h: transvect_residues(u, v, h, p)))
+    return tuple(t.coeffs[0] for t in _shioda_chain(f, transvect))
 
-    def inv(a, b, order):
-        t = transvect(a, b, order)
-        return t.coeffs[0]
 
-    return (
-        inv(f, f, 8),
-        inv(f, g, 8),
-        inv(k, k, 4),
-        inv(m, k, 4),
-        inv(k, h, 4),
-        inv(m, h, 4),
-        inv(p, h, 4),
-        inv(n, h, 4),
-        inv(q, h, 4),
-    )
+def _shioda_chain(f, tv):
+    """The nine order-0 transvectants whose one coefficient is J2, ...,
+    J10, from the octic f and tv(a, b, h) = (a, b)_h on f's
+    representation."""
+    g = tv(f, f, 4)          # degree 2, order 8
+    k = tv(f, f, 6)          # degree 2, order 4
+    h = tv(k, k, 2)          # degree 4, order 4
+    m = tv(f, k, 4)          # degree 3, order 4
+    n = tv(f, h, 4)          # degree 5, order 4
+    p = tv(g, k, 4)          # degree 4, order 4
+    q = tv(g, h, 4)          # degree 6, order 4
+    return (tv(f, f, 8), tv(f, g, 8), tv(k, k, 4), tv(m, k, 4),
+            tv(k, h, 4), tv(m, h, 4), tv(p, h, 4), tv(n, h, 4),
+            tv(q, h, 4))
 
 
 @functools.cache
@@ -580,12 +582,17 @@ def j8_quintic():
             for i in range(6)]
 
 
+@functools.cache
+def _j8_quintic_set():
+    return PolySet(j8_quintic())
+
+
 def j8_candidates(field, j27):
     """Values of J8 consistent with the prefix (j2, ..., j7): the roots in
     the base field of the quintic, its coefficients evaluated at the
-    prefix."""
+    prefix through one PolySet.at call."""
     jt = tuple(field(v) for v in j27) + (field.zero,) * 3
-    coeffs = [c.evaluate(field, jt) for c in j8_quintic()]
+    coeffs = _j8_quintic_set().at(field, jt)
     if all(not c for c in coeffs):
         raise IdenticallyZeroQuintic("quintic vanished identically")
     if field.characteristic == 0:

@@ -18,6 +18,8 @@ import functools
 from fractions import Fraction
 from math import isqrt
 
+import numpy as np
+
 from .errors import (
     CompositeModulus, EmptyInput, ReducibleModulus, SmallCharacteristic,
     ZeroNorm,
@@ -343,6 +345,13 @@ class PrimeField:
 
     def __repr__(self):
         return "F_%d" % self.p
+
+
+def residue_dtype(p, terms=1):
+    """The numpy dtype of arrays of residues mod p whose arithmetic sums
+    up to terms products of two residues: int64 while such a sum fits in
+    it, object (Python ints) above that."""
+    return np.int64 if terms * (p - 1) ** 2 < 1 << 63 else object
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,14 @@ import functools
 from fractions import Fraction
 from math import comb, lcm
 
+import numpy as np
+
 from . import unipoly
 from .errors import (
-    DegreeTooSmall, OrderTooHigh, SingularMatrix, WrongDegree, ZeroForm,
+    DegreeTooSmall, OrderTooHigh, SingularMatrix, SmallCharacteristic,
+    WrongDegree, ZeroForm,
 )
-from .fields import ExtField, PrimeField
+from .fields import ExtField, PrimeField, residue_dtype
 
 
 def _falling(n, k):
@@ -197,32 +200,63 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one.
-    One loop serves every coefficient ring: over a prime field it runs on
-    the residues as plain ints, over any other ring on the coefficients.
+    Over a prime field the formula is a cached bilinear tensor contracted
+    with the residues of f and g (transvect_residues); over any other
+    ring one loop runs on the coefficients.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
         raise OrderTooHigh("transvectant order %d exceeds degrees (%d, %d)"
                            % (h, r1, r2))
-    char = f.field.characteristic
-    if 0 < char < 11:
-        from .errors import SmallCharacteristic
-        raise SmallCharacteristic(
-            "covariant formulas need characteristic 0 or >= 11")
+    _check_characteristic(f.field.characteristic)
+    if isinstance(f.field, PrimeField) and isinstance(g.field, PrimeField):
+        out = transvect_residues([a.value for a in f.coeffs],
+                                 [b.value for b in g.coeffs], h, f.field.p)
+        return BinaryForm(f.field, r1 + r2 - 2 * h, out.tolist())
     norm = f.field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
-    a, b = _operands(f, g)
-    if a is not f.coeffs:   # residues: normalize by a residue too
-        norm = norm.value
     out = [0] * (r1 + r2 - 2 * h + 1)
     for k in range(h + 1):
         signed = -comb(h, k) if k % 2 else comb(h, k)
-        fk, gk = _partial(a, h - k, k), _partial(b, k, h - k)
+        fk, gk = _partial(f.coeffs, h - k, k), _partial(g.coeffs, k, h - k)
         for i, x in enumerate(fk):
             if x:
                 x = x * signed
                 for j, y in enumerate(gk):
                     out[i + j] += x * y
     return BinaryForm(f.field, r1 + r2 - 2 * h, [c * norm for c in out])
+
+
+def _check_characteristic(char):
+    if 0 < char < 11:
+        raise SmallCharacteristic(
+            "covariant formulas need characteristic 0 or >= 11")
+
+
+def transvect_residues(a, b, h, p):
+    """The coefficients of (f, g)_h over F_p, as an array of residues,
+    from the residues a of f and b of g (sequences or arrays):
+    (T @ b % p) @ a % p with T the cached tensor of the shape."""
+    t = _transvectant_tensor(len(a) - 1, len(b) - 1, h, p)
+    return (t @ np.asarray(b, t.dtype) % p) @ np.asarray(a, t.dtype) % p
+
+
+@functools.cache
+def _transvectant_tensor(r1, r2, h, p):
+    """T with (f, g)_h = sum over (u, v) of T[n, u, v] a_u b_v over F_p,
+    as residues: the closed formula of transvect, one term at a time.
+    int64 while a sum of max(r1, r2) + 1 products of residues fits in
+    it, object above (fields.residue_dtype)."""
+    _check_characteristic(p)
+    t = np.zeros((r1 + r2 - 2 * h + 1, r1 + 1, r2 + 1), dtype=object)
+    for k in range(h + 1):
+        signed = -comb(h, k) if k % 2 else comb(h, k)
+        for i, x in enumerate(_partial_weights(r1, h - k, k)):
+            for j, y in enumerate(_partial_weights(r2, k, h - k)):
+                t[i + j, i + h - k, j + k] += signed * x * y
+    norm = PrimeField(p)(Fraction(1, _falling(r1, h) * _falling(r2, h)))
+    t = (t * norm.value % p).astype(residue_dtype(p, max(r1, r2) + 1))
+    t.flags.writeable = False           # shared by every caller
+    return t
 
 
 @functools.cache

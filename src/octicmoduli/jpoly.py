@@ -6,14 +6,18 @@ sum(w * e_w).  These polynomials are what the interpolation layer produces
 and what the stratum systems, syzygies and reconstruction caches are made
 of.  They evaluate over any field of characteristic 0 or >= 11, one point
 at a time (JPolynomial.evaluate, or PolySet.at for a list of them), or
-mod p on arrays of points (PolySet.evaluate_mod).
+mod p on arrays of points (PolySet.evaluate_mod).  At one point of F_p
+the evaluation runs on numpy arrays: the monomials level by level of
+total degree, then each polynomial as one sum of coefficient residues
+times monomial values (_Chain).
 """
 
 from fractions import Fraction
+from itertools import groupby
 
 import numpy as np
 
-from .fields import PrimeField
+from .fields import FpElement, PrimeField, residue_dtype
 
 WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -63,13 +67,19 @@ def _residue(c, p):
 
 class _Chain:
     """Every monomial a list of JPolynomials uses, and those on the way to
-    it, each one product mod p from its parent: the monomial with one unit
-    taken off its last variable, earlier in the order by total degree.
-    The steps are two flat int lists (parent index, variable); each
-    polynomial, its coefficient residues and their monomials' indices.
+    it, evaluated at one point of F_p on numpy arrays, level by level.
+
+    A monomial's parent is the same monomial with one unit taken off its
+    last variable.  Grouped by total degree, the monomials form levels
+    (14 to 18 for a covariant triple's conic and quartic), each computed
+    in one array step: vals[lo:hi] = vals[parents] * xs[variables] % p.
+    The polynomials are then one product of their coefficient residues
+    with the values of their monomials, summed per polynomial by
+    np.add.reduceat.  The arrays are int64 while a product of two
+    residues fits in it, and Python ints (dtype object) above that.
     """
 
-    __slots__ = ("p", "parents", "variables", "terms")
+    __slots__ = ("p", "size", "levels", "coeffs", "monomials", "starts")
 
     def __init__(self, polys, p):
         steps = {}                      # monomial -> (parent, variable)
@@ -80,32 +90,47 @@ class _Chain:
                     parent = ev[:v] + (ev[v] - 1,) + ev[v + 1:]
                     steps[ev] = (parent, v)
                     ev = parent
+        order = sorted(steps, key=lambda ev: (sum(ev), ev))
         index = {(0,) * 9: 0}
-        self.p, self.parents, self.variables = p, [], []
-        for ev in sorted(steps, key=lambda ev: (sum(ev), ev)):
-            parent, v = steps[ev]
-            self.parents.append(index[parent])
-            self.variables.append(v)
+        for ev in order:
             index[ev] = len(index)
-        self.terms = []
+        self.p, self.size, self.levels = p, len(index), []
+        lo = 1
+        for _, level in groupby(order, key=sum):
+            level = list(level)
+            self.levels.append((
+                lo, lo + len(level),
+                np.array([index[steps[ev][0]] for ev in level], np.intp),
+                np.array([steps[ev][1] for ev in level], np.intp)))
+            lo += len(level)
+        coeffs, monomials, starts = [], [], []
         for poly in polys:
-            residues, monomials = [], []
+            starts.append(len(coeffs))
             for ev, c in poly.terms.items():
                 r = _residue(c, p)
                 if r:
-                    residues.append(r)
+                    coeffs.append(r)
                     monomials.append(index[ev])
-            self.terms.append((residues, monomials))
+            if len(coeffs) == starts[-1]:
+                # no term survives mod p: one zero term, since reduceat
+                # gives the next element for an empty slice
+                coeffs.append(0)
+                monomials.append(0)
+        self.coeffs = np.array(coeffs, dtype=residue_dtype(p))
+        self.monomials = np.array(monomials, np.intp)
+        self.starts = np.array(starts, np.intp)
 
     def values(self, xs):
-        """Each polynomial at the residues xs, as a sum of terms each
-        reduced mod p: an int below len(terms) * p, still to be reduced."""
-        p = self.p
-        vals = [1]
-        for parent, v in zip(self.parents, self.variables):
-            vals.append(vals[parent] * xs[v] % p)
-        return [sum([c * vals[j] % p for c, j in zip(residues, monomials)])
-                for residues, monomials in self.terms]
+        """Each polynomial at the residues xs, reduced mod p: a list of
+        ints."""
+        p, dtype = self.p, self.coeffs.dtype
+        xs = np.array(xs, dtype=dtype)
+        vals = np.empty(self.size, dtype=dtype)
+        vals[0] = 1
+        for lo, hi, parents, variables in self.levels:
+            vals[lo:hi] = vals[parents] * xs[variables] % p
+        terms = self.coeffs * vals[self.monomials] % p
+        return (np.add.reduceat(terms, self.starts) % p).tolist()
 
 
 class JPolynomial:
@@ -192,9 +217,9 @@ class JPolynomial:
     def evaluate(self, field, jvals):
         """Evaluate at a 9-tuple of field elements (j2, ..., j10).
 
-        Over a prime field the sum runs on the residues as plain ints,
-        through the polynomial's own monomial chain; over any other
-        field, on field elements.
+        Over a prime field through the polynomial's own level chain
+        (_Chain) on arrays of residues; over any other field, one term at
+        a time on field elements.
         """
         if isinstance(field, PrimeField):
             chain = (self._by_prime.get(field.p) or self._by_prime.setdefault(
@@ -299,14 +324,14 @@ class PolySet:
     """A list of JPolynomials evaluated together: on arrays of residues
     (evaluate_mod), or at one point of a field (at).
 
-    The union of their monomials is evaluated once per chunk of rows by
-    monomial_matrix and combined with the coefficients in one float64
-    matrix product.  Each entry of that product is a sum of n_monomials
-    products of two residues, so it is exact while
-    n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.  The
-    monomial list and the coefficient matrix for a prime are built on the
-    first evaluation that needs them, and so is the monomial chain that
-    at runs on for a prime.
+    evaluate_mod evaluates the union of their monomials once per chunk of
+    rows by monomial_matrix and combines it with the coefficients in one
+    float64 matrix product.  Each entry of that product is a sum of
+    n_monomials products of two residues, so it is exact while
+    n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.  at
+    over F_p runs one level chain (_Chain) for the whole list.  The
+    monomial list, the coefficient matrix and the chain for a prime are
+    built on the first evaluation that needs them.
     """
 
     def __init__(self, polys):
@@ -317,12 +342,12 @@ class PolySet:
 
     def at(self, field, jvals):
         """Every polynomial at the 9-tuple jvals of field elements: over a
-        prime field through one monomial chain for the whole list, over
-        any other field by each polynomial's evaluate."""
+        prime field through one level chain for the whole list, over any
+        other field by each polynomial's evaluate."""
         if isinstance(field, PrimeField):
             chain = (self._chains.get(field.p) or self._chains.setdefault(
                 field.p, _Chain(self.polys, field.p)))
-            return [field(v) for v in
+            return [FpElement(field, v) for v in
                     chain.values([field(v).value for v in jvals])]
         return [poly.evaluate(field, jvals) for poly in self.polys]
 

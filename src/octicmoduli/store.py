@@ -2,10 +2,13 @@
 
 Derived artifacts (syzygy blocks, conic/quartic coefficient polynomials)
 are expensive to recompute, so they are written as line-oriented text files
-keyed by a content hash of (catalogue version, artifact identifier).  Reads
-consult the user cache directory first, then the data files shipped with
-the package.  A file whose header is missing or whose key is not the
-identifier's raises CacheCorrupt, in the cache as in the package.
+keyed by a content hash of (catalogue version, file format, artifact
+identifier).  The header line carries that key, the identifier and the
+sha256 of the body below it.  Reads consult the user cache directory
+first, then the data files shipped with the package.  A file whose header
+is missing, whose key is not the identifier's, or whose body digest is
+missing or does not match raises CacheCorrupt, in the cache as in the
+package.
 """
 
 import hashlib
@@ -15,6 +18,10 @@ from .errors import CacheCorrupt
 from .jpoly import JPolynomial
 
 CATALOGUE_VERSION = "octic-catalogue-2"
+
+#: the file format, part of every key: a file written before the header
+#: carried the body digest has another name, so it is never looked up
+ARTIFACT_FORMAT = "body-sha256"
 
 _ENV_VAR = "OCTICMODULI_CACHE"
 _override_dir = None
@@ -43,6 +50,8 @@ def content_key(identifier):
     h = hashlib.sha256()
     h.update(CATALOGUE_VERSION.encode())
     h.update(b"\0")
+    h.update(ARTIFACT_FORMAT.encode())
+    h.update(b"\0")
     h.update(identifier.encode())
     return h.hexdigest()[:16]
 
@@ -57,12 +66,12 @@ def write_artifact(identifier, named_polys, directory=None):
     directory = directory or cache_dir()
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, artifact_filename(identifier))
-    lines = ["# octicmoduli %s %s" % (content_key(identifier), identifier)]
-    for name, poly in named_polys:
-        lines.append("%s | %s" % (name, poly.serialize()))
-    body = "\n".join(lines) + "\n"
+    body = "".join("%s | %s\n" % (name, poly.serialize())
+                   for name, poly in named_polys)
     tmp = path + ".tmp.%d" % os.getpid()
     with open(tmp, "w") as fh:
+        fh.write("# octicmoduli %s %s %s\n" % (
+            content_key(identifier), identifier, _digest(body)))
         fh.write(body)
     os.replace(tmp, path)
     return path
@@ -76,23 +85,30 @@ def read_artifact(identifier):
         if not os.path.exists(path):
             continue
         with open(path) as fh:
-            lines = fh.read().splitlines()
-        if not lines or not lines[0].startswith("# octicmoduli "):
+            header, _, body = fh.read().partition("\n")
+        if not header.startswith("# octicmoduli "):
             raise CacheCorrupt("missing header in %s" % path)
-        try:
-            header_key = lines[0].split()[2]
-        except IndexError:
+        fields = header.split()
+        if len(fields) < 3:
             raise CacheCorrupt("malformed header in %s" % path)
-        if header_key != content_key(identifier):
+        if fields[2] != content_key(identifier):
             raise CacheCorrupt("hash mismatch in %s" % path)
+        if len(fields) < 5:
+            raise CacheCorrupt("missing body digest in %s" % path)
+        if fields[4] != _digest(body):
+            raise CacheCorrupt("body digest mismatch in %s" % path)
         out = []
-        for line in lines[1:]:
+        for line in body.splitlines():
             if not line.strip() or line.startswith("#"):
                 continue
             name, _, payload = line.partition(" | ")
             out.append((name.strip(), JPolynomial.deserialize(payload)))
         return out
     return None
+
+
+def _digest(body):
+    return hashlib.sha256(body.encode()).hexdigest()
 
 
 def read_data_polys(basename):

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .fields import ExtField, QQ, QuadExtQ, sqrt_opt
 from .forms import BinaryForm, embed_field
+from .jpoly import PolySet
 from .wps import SHIODA_WEIGHTS, WeightedPoint
 
 #: detection order: dimension 0 strata first, then up the lattice; a tuple
@@ -42,50 +43,60 @@ def stratum_systems():
 
 
 @functools.cache
-def _d4_equations():
-    eqs = {}
-    for key, poly in store.read_data_polys("d4_model_equations.txt"):
-        name, xpart = key.rsplit(".", 1)
-        eqs.setdefault(name, {})[int(xpart[1:])] = poly
-    return eqs
+def _strata_set():
+    """Every stratum equation, in STRATA_ORDER, as one PolySet; and each
+    stratum's span (lo, hi) in it."""
+    polys, spans = [], {}
+    for name in STRATA_ORDER:
+        eqs = stratum_systems()[name]
+        spans[name] = (len(polys), len(polys) + len(eqs))
+        polys += eqs
+    return PolySet(polys), spans
 
 
 @functools.cache
-def _c2p3_cubic_coeffs():
-    cubic = {}
-    for key, poly in store.read_data_polys("c2p3_cubic.txt"):
-        cubic[int(key.rsplit(".x", 1)[1])] = poly
-    return cubic
+def _d4_equations():
+    """The D4 model equations as one PolySet, and the (name, power of X)
+    of each."""
+    keys, polys = [], []
+    for key, poly in store.read_data_polys("d4_model_equations.txt"):
+        name, xpart = key.rsplit(".", 1)
+        keys.append((name, int(xpart[1:])))
+        polys.append(poly)
+    return PolySet(polys), keys
+
+
+@functools.cache
+def _c2p3_cubic():
+    """The coefficients of the C2p3 cubic, constant term first, as one
+    PolySet."""
+    cubic = {int(key.rsplit(".x", 1)[1]): poly for key, poly
+             in store.read_data_polys("c2p3_cubic.txt")}
+    return PolySet([cubic[e] for e in range(4)])
 
 
 def stratum_residuals(field, jtuple):
-    """Every stratum's equation system evaluated at the tuple."""
-    jtuple = tuple(field(v) for v in jtuple)
-    return {name: tuple(eq.evaluate(field, jtuple) for eq in eqs)
-            for name, eqs in stratum_systems().items() if name != "C2"}
-
-
-def stratum_holds(field, jtuple, name):
-    jtuple = tuple(field(v) for v in jtuple)
-    eqs = stratum_systems()[name]
-    return all(not eq.evaluate(field, jtuple) for eq in eqs)
+    """Every stratum's equation system evaluated at the tuple, through
+    one PolySet.at call."""
+    polys, spans = _strata_set()
+    values = polys.at(field, jtuple)
+    return {name: tuple(values[lo:hi]) for name, (lo, hi) in spans.items()}
 
 
 def detect_group(field, jtuple):
     """First stratum in the cascade whose system vanishes; C2 otherwise.
+    Every system is evaluated in one pass (stratum_residuals) and the
+    cascade runs on the values.
 
     For singular tuples the answer is the label of the matched system; the
     actual automorphism group of a singular orbit may be larger.  A tuple
     that is not 9 coordinates, or is zero, is refused (WeightMismatch).
     """
     jtuple = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
+    residuals = stratum_residuals(field, jtuple)
     for name in STRATA_ORDER:
-        if name == "C14":
-            # the vanishing pattern alone: j7 must be the only survivor
-            if stratum_holds(field, jtuple, name) and jtuple[5]:
-                return name
-            continue
-        if stratum_holds(field, jtuple, name):
+        # C14 is the vanishing pattern alone: j7 must be the only survivor
+        if not any(residuals[name]) and (name != "C14" or jtuple[5]):
             return name
     return "C2"
 
@@ -241,9 +252,8 @@ def reconstruct_stratum(stratum, field, jtuple):
         dd = (j6 * (-18) + j4 * j2 * 9 + j3 * j3 * 60 - j2 ** 3 * 2)
         if not dd:
             return reconstruct_stratum("C2xD8", field, jtuple)
-        cubic = _c2p3_cubic_coeffs()
         ctx = FieldContext(field)
-        roots = ctx.roots([cubic[e].evaluate(field, jt) for e in range(4)])
+        roots = ctx.roots(_c2p3_cubic().at(field, jt))
         wf = ctx.field
         lj2, lj3, lj4, lj5, lj6, lj7, dd = (ctx(v) for v in (*jt[:6], dd))
         last_err = None
@@ -277,31 +287,42 @@ def reconstruct_stratum(stratum, field, jtuple):
     raise GuardInconsistency("unknown stratum %r" % (stratum,))
 
 
+@functools.cache
+def _c4_r_polys():
+    from .reconstruct import TRIPLES_C4, r_polynomial
+    return PolySet([r_polynomial(t) for t in TRIPLES_C4])
+
+
 def c4_determinants(field, jtuple):
     """The five conic determinants that cover the C4 stratum."""
-    from .reconstruct import TRIPLES_C4, r_polynomial
-    jt = tuple(field(v) for v in jtuple)
-    return tuple(r_polynomial(t).evaluate(field, jt) for t in TRIPLES_C4)
+    return tuple(_c4_r_polys().at(field, jtuple))
 
 
-def _linear_solution(field, jt, names, power):
+def _d4_values(field, jt):
+    """Every D4 model equation at the tuple, through one PolySet.at call:
+    (name, power of X) -> coefficient."""
+    polys, keys = _d4_equations()
+    return dict(zip(keys, polys.at(field, jt)))
+
+
+def _linear_solution(field, eqs, names, power):
     """X^power from the first of the named equations
-    c_power X^power + c_0 = 0 whose c_power is nonzero, or None."""
-    d4 = _d4_equations()
+    c_power X^power + c_0 = 0 (their coefficients eqs, from _d4_values)
+    whose c_power is nonzero, or None."""
     for name in names:
-        coeffs = {e: p.evaluate(field, jt) for e, p in d4[name].items()}
-        c = coeffs.get(power, field.zero)
+        c = eqs.get((name, power), field.zero)
         if c:
-            return -coeffs.get(0, field.zero) / c
+            return -eqs.get((name, 0), field.zero) / c
     return None
 
 
 def _reconstruct_d4(field, jt):
-    a4 = _linear_solution(field, jt, ["A4_1", "A4_2"], 1)
+    eqs = _d4_values(field, jt)
+    a4 = _linear_solution(field, eqs, ["A4_1", "A4_2"], 1)
     # a0 from the first non-trivial pure quadratic c2 X^2 + c0 = 0
-    a0sq = _linear_solution(field, jt, ["A0_1", "A0_2"], 2)
+    a0sq = _linear_solution(field, eqs, ["A0_1", "A0_2"], 2)
     if a4 is None or a0sq is None:
-        return _reconstruct_d4_singular(field, jt)
+        return _reconstruct_d4_singular(field, jt, eqs)
 
     ctx = FieldContext(field)
     a0 = ctx.sqrt(a0sq)
@@ -339,14 +360,14 @@ def _reconstruct_d4(field, jt):
             model = _even8(wf, a0, a6, a4, a2, a0)
             if has_invariants(model, lj):
                 return model
-    return _reconstruct_d4_singular(field, jt)
+    return _reconstruct_d4_singular(field, jt, eqs)
 
 
-def _reconstruct_d4_singular(field, jt):
+def _reconstruct_d4_singular(field, jt, eqs):
     """Fallback family a8 x^8 + a6 x^6 + a4 x^4 + a2 x^2 for tuples that
     defeat the even-model equations (multiple-root classes); raises
     ExhaustedCandidates unless its model has the tuple's invariants."""
-    a4 = _linear_solution(field, jt, ["A4S_1", "A4S_2", "A4S_3"], 1)
+    a4 = _linear_solution(field, eqs, ["A4S_1", "A4S_2", "A4S_3"], 1)
     if a4 is None:
         a4 = field.zero
     a2 = field.one

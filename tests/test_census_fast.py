@@ -195,6 +195,36 @@ def test_classify_rows_matches_detect_group(rows_p11, labels_p11):
         assert detect_group(F, row) == names[labels_p11[i]], row
 
 
+def _detect_each(p, rows):
+    F = PrimeField(p)
+    return [detect_group(F, [F(int(v)) for v in row]) for row in rows]
+
+
+def test_detect_group_matches_classify_rows_off_the_generic_stratum(
+        rows_p11, labels_p11):
+    """detect_group, which evaluates every stratum system at one point in
+    one pass, against classify_rows, which evaluates them on arrays of
+    rows one equation at a time: equal labels on every class of F_11
+    outside C2."""
+    names = strata_labels()
+    picked = np.nonzero(labels_p11 != names.index("C2"))[0]
+    assert picked.size == 1322
+    assert _detect_each(11, rows_p11[picked]) == [
+        names[k] for k in labels_p11[picked]]
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_detect_group_matches_classify_rows_on_seeded_classes(
+        p, rows_p11, rows_p13):
+    """The same comparison on 2,000 seeded classes of F_p."""
+    rows = {11: rows_p11, 13: rows_p13}[p]
+    seed = zlib.crc32(b"detect_group against classify_rows %d" % p)
+    print("seed", seed)
+    picked = rows[random.Random(seed).sample(range(len(rows)), 2000)]
+    labels = classify_rows(PrimeField(p), picked)
+    assert _detect_each(p, picked) == [strata_labels()[k] for k in labels]
+
+
 #: sha256 prefix of the class_model lines test_class_model_pin_p11 hashes
 MODELS_SHA = "e8eda90e2ac5"
 

@@ -325,7 +325,7 @@ def test_derive_cache_writes_the_packaged_syzygies(capsys, monkeypatch,
     code, out, _ = run_cli(capsys, "derive-cache", "--cache-dir",
                            str(tmp_path))
     assert code == 0 and out == "derived syzygies\n"
-    name = "syzygies-R1..R5-d93d846d92c4b970.jpoly"
+    name = "syzygies-R1..R5-7a76d3f7bf788f54.jpoly"
     assert os.listdir(tmp_path) == [name]
     with open(os.path.join(store.data_dir(), name), "rb") as fh:
         assert (tmp_path / name).read_bytes() == fh.read()

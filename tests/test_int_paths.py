@@ -1,10 +1,11 @@
-"""JPolynomial.evaluate, PolySet.at, transvect and BinaryForm products
-over F_p, where they run on the residues as plain ints, checked against
-the same computation over Q at the integer lifts, reduced mod p;
-transvect, products and PolySet.at over F_{p^2}, where they run on field
-elements, checked against F_p; the quartic substitution of the conic
-method against the product per monomial; and properties that run
-through them.
+"""JPolynomial.evaluate, PolySet.at, transvect and shioda over F_p, where
+they run on numpy arrays of residues, and BinaryForm products, which run
+on the residues as plain ints, checked against the same computation over
+Q at the integer lifts, reduced mod p, on both sides of the int64/object
+dtype switch; transvect, products and PolySet.at over F_{p^2}, where they
+run on field elements, checked against F_p; the quartic substitution of
+the conic method against the product per monomial; and properties that
+run through them.
 """
 
 import random
@@ -26,7 +27,7 @@ from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
 from octicmoduli.forms import (
     BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
 )
-from octicmoduli.jpoly import PolySet
+from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.reconstruct import (
     QUARTIC_MULTISETS, TRIPLES_19, TRIPLES_C4, conic_quartic_models,
     r_polynomial, substitute_quartic,
@@ -39,28 +40,10 @@ from octicmoduli.wps import (
 PRIMES = (11, 13, 1048573)
 
 
-class _Peak(int):
-    """An int whose sums and products stay _Peak ints; PEAK[0] holds the
-    largest absolute value any addition gave."""
-
-    PEAK = [0]
-
-    def _op(name):
-        method = getattr(int, name)
-
-        def op(self, other):
-            out = method(self, other)
-            if out is NotImplemented:
-                return out
-            if name in ("__add__", "__radd__"):
-                _Peak.PEAK[0] = max(_Peak.PEAK[0], abs(out))
-            return _Peak(out)
-        return op
-
-    __add__, __radd__ = _op("__add__"), _op("__radd__")
-    __mul__, __rmul__ = _op("__mul__"), _op("__rmul__")
-    __mod__ = _op("__mod__")
-    del _op
+#: the largest primes on either side of the int64/object switch of the
+#: level chain: (p - 1)^2 fits in int64 at the first, not at the second;
+#: the transvectant tensors are object at both
+LARGE_PRIMES = (2 ** 31 - 1, 2 ** 61 - 1)
 
 
 def _points(p, label):
@@ -85,23 +68,44 @@ def _shipped_polynomials():
     return polys
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
 def test_evaluate_matches_the_rational_path(p):
     """Every polynomial of the five C4 triple models, the 19 R
     polynomials, the stratum systems and the discriminant, at three
-    points: equal to the Q value reduced mod p, with every partial sum
-    below len(terms) * p, which holds only when each term is reduced
-    before it is added."""
+    points: equal to the Q value reduced mod p.  The level chain runs on
+    int64 up to 2^31 - 1 and on Python ints at 2^61 - 1, where an int64
+    product of two residues would wrap."""
     F = PrimeField(p)
     polys = _shipped_polynomials()
     assert len(polys) == 233
     for pt in _points(p, "evaluate"):
         for poly in polys:
             want = F(poly.evaluate(QQ, pt))
-            _Peak.PEAK[0] = 0
-            got = poly.evaluate(F, [_Peak(v) for v in pt])
-            assert got.value == want.value
-            assert _Peak.PEAK[0] < max(len(poly.terms), 1) * p
+            got = poly.evaluate(F, pt)
+            assert got.field == F and got.value == want.value
+    chain = polys[0]._by_prime[p]
+    assert chain.coeffs.dtype == (object if p > 2 ** 32 else np.int64)
+
+
+def test_polynomials_vanishing_mod_p_evaluate_to_zero():
+    """A polynomial whose coefficients are all 0 mod 11, and one with no
+    terms, evaluate to 0 over F_11, alone and between and after other
+    polynomials of one PolySet; the other polynomials keep their
+    values."""
+    F = PrimeField(11)
+    vanishing = JPolynomial(4, {(2, 0, 0, 0, 0, 0, 0, 0, 0): 11,
+                                (0, 0, 1, 0, 0, 0, 0, 0, 0): -22})
+    empty = JPolynomial.zero(4)
+    live = [JPolynomial(4, {(2, 0, 0, 0, 0, 0, 0, 0, 0): 3}),
+            JPolynomial(6, {(1, 0, 1, 0, 0, 0, 0, 0, 0): 5,
+                            (0, 0, 0, 0, 1, 0, 0, 0, 0): 1})]
+    for pt in _points(11, "vanishing"):
+        assert vanishing.evaluate(F, pt) == F.zero
+        assert empty.evaluate(F, pt) == F.zero
+        polys = [vanishing, live[0], empty, vanishing, live[1], empty]
+        want = [F(poly.evaluate(QQ, pt)) for poly in polys]
+        assert want[0] == want[2] == want[3] == want[5] == F.zero
+        assert PolySet(polys).at(F, pt) == want
 
 
 def test_evaluate_keeps_one_entry_per_prime():
@@ -213,8 +217,9 @@ def _transvectant_shapes():
         seen.add((f.degree, g.degree, h))
         return transvect(f, g, h)
 
-    F = PrimeField(11)
-    f = BinaryForm(F, 8, [3, 1, 4, 1, 5, 9, 2, 6, 5])
+    # over Q: over a prime field shioda runs on residue arrays, not
+    # through transvect
+    f = BinaryForm(QQ, 8, [3, 1, 4, 1, 5, 9, 2, 6, 5])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariants, "transvect", recording)
         shioda(f)
@@ -224,11 +229,13 @@ def _transvectant_shapes():
     return sorted(seen)
 
 
-@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
 def test_transvect_and_products_match_the_rational_path(p):
     """transvect for every shape shioda and covariant_eval use, and the
     products covariant_eval forms, on seeded forms with and without a
-    vanishing leading part: equal to the Q results reduced mod p."""
+    vanishing leading part: equal to the Q results reduced mod p.  Over
+    F_p transvect contracts a cached tensor of residues, over Q it runs
+    the loop."""
     F = PrimeField(p)
     shapes = _transvectant_shapes()
     assert len(shapes) == 26
@@ -244,6 +251,22 @@ def test_transvect_and_products_match_the_rational_path(p):
             fp, gp = BinaryForm(F, r1, a), BinaryForm(F, r2, b)
             assert transvect(fp, gp, h) == transvect(fq, gq, h).to_field(F)
             assert fp * gp == (fq * gq).to_field(F)
+
+
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_shioda_matches_the_rational_path(p):
+    """shioda over F_p, on seeded octics with and without a vanishing
+    leading part: the invariants over Q of the integer lifts, reduced
+    mod p."""
+    F = PrimeField(p)
+    seed = zlib.crc32(b"int path shioda %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for zeros in (0, 0, 0, 2, 4):
+        coeffs = [0] * zeros + [rng.randrange(p) for _ in range(9 - zeros)]
+        got = shioda(BinaryForm(F, 8, coeffs))
+        assert all(v.field == F for v in got)
+        assert got == tuple(F(v) for v in shioda(BinaryForm(QQ, 8, coeffs)))
 
 
 def test_transvect_and_products_over_an_extension_match_the_prime_field():

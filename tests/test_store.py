@@ -15,16 +15,27 @@ def _serialized(named_polys):
     return [(name, poly.serialize()) for name, poly in named_polys]
 
 
+def _edit_a6(lines):
+    """The coefficient 1/405 of A6 edited to 2/405, header intact."""
+    assert lines[1].startswith("A6 | 6; 3,0,0,0,0,0,0,0,0: 1/405;")
+    return [lines[0], lines[1].replace(": 1/405;", ": 2/405;", 1)] + lines[2:]
+
+
 @pytest.mark.parametrize("tamper, message", [
     (lambda lines: lines[1:], "missing header"),
     (lambda lines: ["# octicmoduli "] + lines[1:], "malformed header"),
     (lambda lines: ["# octicmoduli %s %s" % ("0" * 16, SYZYGIES)]
      + lines[1:], "hash mismatch"),
-], ids=["missing-header", "malformed-header", "hash-mismatch"])
+    (lambda lines: [" ".join(lines[0].split()[:4])] + lines[1:],
+     "missing body digest"),
+    (_edit_a6, "body digest mismatch"),
+], ids=["missing-header", "malformed-header", "hash-mismatch",
+        "missing-digest", "edited-body"])
 def test_read_artifact_refuses_a_tampered_copy(monkeypatch, tmp_path,
                                                tamper, message):
-    """A copy with no header, a header without a key, or a key that is
-    not the identifier's raises CacheCorrupt; the intact copy reads as
+    """A copy with no header, a header without a key, a key that is not
+    the identifier's, a header without the body digest, or a body edited
+    under an intact header raises CacheCorrupt; the intact copy reads as
     the packaged file."""
     name = store.artifact_filename(SYZYGIES)
     with open(os.path.join(store.data_dir(), name)) as fh:
