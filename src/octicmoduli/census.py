@@ -11,12 +11,13 @@ hard failure.
 """
 
 import contextlib
+import functools
 import random
 import time
 from itertools import combinations, permutations
 from math import lcm
 
-from . import census_fast
+from . import census_fast, unipoly
 from .covariants import has_invariants, shioda
 from .errors import (
     CountMismatch, ExhaustedCandidates, MultipleRoot, NotRationalClass,
@@ -156,15 +157,21 @@ def descend(f, base):
     """A base-field model of an octic defined over an extension, given
     that its invariant class is rational over the base prime field.
 
-    Each root-matching Frobenius twisting matrix M has a twisted norm C
-    that is an automorphism of f, so some power C^r is scalar; C^r is the
-    norm of M over the degree-r extension of f's splitting field.  There
-    M is rescaled by a norm preimage, a random matrix is averaged through
-    the cocycle until invertible, and the transported form is normalized
-    to base coefficients.  Matrices with r = 1 are tried first.  Over
-    F_p and its extensions alike, a form whose invariants all vanish has
-    no invariant class (WeightMismatch) and a form with a multiple root is
-    refused (MultipleRoot); any other form over F_p is its own model.
+    A Frobenius twisting matrix M (gl2_act(M, f) = e * f^sigma) has a
+    twisted norm C that is an automorphism of f, so some power C^r is
+    scalar; C^r is the norm of M over the degree-r extension of M's field.
+    There M is rescaled by a norm preimage, a random matrix is averaged
+    through the cocycle until invertible, and the transported form is
+    normalized to base coefficients.  Matrices with r = 1 are tried first.
+
+    The matrices come from the normalizer of x -> -x over f's own field
+    when f is an even octic with c_0 = c_8 (_normalizer_twists: the
+    Klein-four closed form); for any other form, or when none of those
+    sixteen matrices twists f, from root matching over f's splitting
+    field.  Over F_p and its extensions alike, a form whose invariants all
+    vanish has no invariant class (WeightMismatch) and a form with a
+    multiple root is refused (MultipleRoot); any other form over F_p is
+    its own model.
     """
     if not isinstance(base, PrimeField):
         raise NotRationalClass("descent targets the prime field")
@@ -178,21 +185,17 @@ def descend(f, base):
     norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS, shioda(f)))
     if f.field.k > 1 and any(any(c.coeffs[1:]) for c in norm_pt.coords):
         raise NotRationalClass("invariant class is not rational")
-
-    big, roots_f = roots_in_splitting_field(f)
-    if any(mlt > 1 for _, mlt in roots_f):
+    if not _squarefree(f):
         raise MultipleRoot("descent needs simple roots")
     if f.field.k == 1:
         return f
-    rf = [(x, z) for (x, z), _ in roots_f]
-    # the Frobenius image of f has the Frobenius images of the roots
-    rg = [(big.frobenius(x), big.frobenius(z)) for x, z in rf]
-    fb = f.to_field(big, embed_field(f.field, big))
-    gb = BinaryForm(big, fb.degree, [big.frobenius(c) for c in fb.coeffs])
-    candidates = [(mat,) + _scalar_norm_power(mat, big.k) for mat, _e in
-                  _isomorphisms_from_roots(big, fb, gb, rf, rg)]
-    if not candidates:
+
+    big, fb, twists = f.field, f, _normalizer_twists(f)
+    if not twists:
+        big, fb, twists = _root_matching_twists(f)
+    if not twists:
         raise ExhaustedCandidates("no Frobenius twisting candidate")
+    candidates = [(mat,) + _scalar_norm_power(mat, big.k) for mat in twists]
     rng = random.Random(_DESCENT_SEED)
     for mat, r, lam in sorted(candidates, key=lambda c: c[1] > 1):
         if any(lam.coeffs[1:]):
@@ -205,6 +208,74 @@ def descend(f, base):
         if out is not None:
             return out
     raise ExhaustedCandidates("descent failed for every candidate")
+
+
+def _squarefree(f):
+    """Whether f has simple roots, on its own field: at most a simple root
+    at infinity, and the affine part prime to its derivative."""
+    field = f.field
+    d = max(i for i, c in enumerate(f.coeffs) if c)
+    affine = list(f.coeffs[:d + 1])
+    common = unipoly.gcd(field, affine, unipoly.derivative(field, affine))
+    return f.degree - d <= 1 and unipoly.degree(common) == 0
+
+
+def _root_matching_twists(f):
+    """(big, f over big, the Frobenius twisting matrices of f over big)
+    for the splitting field big of f, by root matching."""
+    big, roots_f = roots_in_splitting_field(f)
+    rf = [(x, z) for (x, z), _ in roots_f]
+    # the Frobenius image of f has the Frobenius images of the roots
+    rg = [(big.frobenius(x), big.frobenius(z)) for x, z in rf]
+    fb = f.to_field(big, embed_field(f.field, big))
+    gb = BinaryForm(big, fb.degree, [big.frobenius(c) for c in fb.coeffs])
+    return big, fb, [mat for mat, _e in
+                     _isomorphisms_from_roots(big, fb, gb, rf, rg)]
+
+
+def _normalizer_twists(f):
+    """The Frobenius twisting matrices of an even octic f with
+    c_0 = c_8 != 0 over F_q, 8 | q - 1, that normalize x -> -x: the M
+    among diag(z, 1) and [[0, z], [1, 0]], z^8 = 1, with gl2_act(M, f) =
+    e * f^sigma, diagonal ones first, then z by element_key.  [] for any
+    other form.
+
+    gl2_act sends c_i to c_i z^i, resp. c_(8-i) z^(8-i), so M twists f
+    when those equal e sigma(c_i); e = c_0 / sigma(c_0), and then i = 0
+    and 8 hold by z^8 = 1, odd i by the zero coefficients.  Every twisting
+    matrix of a form whose reduced automorphism group is {1, x -> -x}
+    normalizes that group, so for the Klein-four closed form this list is
+    all of them, up to scalars."""
+    field, c = f.field, f.coeffs
+    if (f.degree != 8 or any(c[1::2]) or not c[0] or c[0] != c[8]
+            or (field.order - 1) % 8):
+        return []
+    e = c[0] / field.frobenius(c[0])
+    target = [e * field.frobenius(c[i]) for i in (2, 4, 6)]
+    out = []
+    for flip in (False, True):
+        for z in _eighth_roots(field):
+            z2 = z * z
+            zi = {2: z2, 4: z2 * z2, 6: z2 * z2 * z2}
+            if all(c[j] * zi[j] == t for t, j in
+                   zip(target, (6, 4, 2) if flip else (2, 4, 6))):
+                out.append(Gl2Matrix(field, 0, z, 1, 0) if flip
+                           else Gl2Matrix(field, z, 0, 0, 1))
+    return out
+
+
+@functools.cache
+def _eighth_roots(field):
+    """The eight z with z^8 = 1 in F_q, 8 | q - 1, by element_key: the
+    powers of a^((q - 1) / 8) for the first a in element order that is
+    not a square."""
+    n = (field.order - 1) // 8
+    zeta = next(z for z in (a ** n for a in field.elements() if a)
+                if z ** 4 != field.one)
+    roots = [field.one]
+    for _ in range(7):
+        roots.append(roots[-1] * zeta)
+    return tuple(sorted(roots, key=field.element_key))
 
 
 def _scalar_norm_power(mat, k):

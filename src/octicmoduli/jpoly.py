@@ -6,18 +6,19 @@ sum(w * e_w).  These polynomials are what the interpolation layer produces
 and what the stratum systems, syzygies and reconstruction caches are made
 of.  They evaluate over any field of characteristic 0 or >= 11, one point
 at a time (JPolynomial.evaluate, or PolySet.at for a list of them), or
-mod p on arrays of points (PolySet.evaluate_mod).  At one point of F_p
-the evaluation runs on numpy arrays: the monomials level by level of
-total degree, then each polynomial as one sum of coefficient residues
-times monomial values (_Chain).
+mod p on arrays of points (PolySet.evaluate_mod).  At one point of F_p,
+or of Q for a list, the evaluation runs on numpy arrays: the monomials
+level by level of total degree, then each polynomial as one sum of
+coefficients times monomial values (_Chain).
 """
 
 from fractions import Fraction
 from itertools import groupby
+from math import lcm
 
 import numpy as np
 
-from .fields import FpElement, PrimeField, residue_dtype
+from .fields import QQ, FpElement, PrimeField, residue_dtype
 
 WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -67,7 +68,9 @@ def _residue(c, p):
 
 class _Chain:
     """Every monomial a list of JPolynomials uses, and those on the way to
-    it, evaluated at one point of F_p on numpy arrays, level by level.
+    it, evaluated at one point of F_p on numpy arrays, level by level; or,
+    with p = 0, at one point of Z, each polynomial times the common
+    denominator of its coefficients (dens).
 
     A monomial's parent is the same monomial with one unit taken off its
     last variable.  Grouped by total degree, the monomials form levels
@@ -76,10 +79,12 @@ class _Chain:
     The polynomials are then one product of their coefficient residues
     with the values of their monomials, summed per polynomial by
     np.add.reduceat.  The arrays are int64 while a product of two
-    residues fits in it, and Python ints (dtype object) above that.
+    residues fits in it, and Python ints (dtype object) above that and
+    over Z.
     """
 
-    __slots__ = ("p", "size", "levels", "coeffs", "monomials", "starts")
+    __slots__ = ("p", "size", "levels", "coeffs", "monomials", "starts",
+                 "dens")
 
     def __init__(self, polys, p):
         steps = {}                      # monomial -> (parent, variable)
@@ -103,11 +108,15 @@ class _Chain:
                 np.array([index[steps[ev][0]] for ev in level], np.intp),
                 np.array([steps[ev][1] for ev in level], np.intp)))
             lo += len(level)
-        coeffs, monomials, starts = [], [], []
+        coeffs, monomials, starts, self.dens = [], [], [], []
         for poly in polys:
             starts.append(len(coeffs))
+            den = 1 if p else lcm(*(c.denominator
+                                    for c in poly.terms.values()))
+            self.dens.append(den)
             for ev, c in poly.terms.items():
-                r = _residue(c, p)
+                r = _residue(c, p) if p else c.numerator * (den
+                                                            // c.denominator)
                 if r:
                     coeffs.append(r)
                     monomials.append(index[ev])
@@ -116,21 +125,24 @@ class _Chain:
                 # gives the next element for an empty slice
                 coeffs.append(0)
                 monomials.append(0)
-        self.coeffs = np.array(coeffs, dtype=residue_dtype(p))
+        self.coeffs = np.array(coeffs,
+                               dtype=residue_dtype(p) if p else object)
         self.monomials = np.array(monomials, np.intp)
         self.starts = np.array(starts, np.intp)
 
     def values(self, xs):
-        """Each polynomial at the residues xs, reduced mod p: a list of
-        ints."""
+        """Each polynomial at the residues xs, reduced mod p, or at the
+        integers xs when p is 0: a list of ints."""
         p, dtype = self.p, self.coeffs.dtype
         xs = np.array(xs, dtype=dtype)
         vals = np.empty(self.size, dtype=dtype)
         vals[0] = 1
         for lo, hi, parents, variables in self.levels:
-            vals[lo:hi] = vals[parents] * xs[variables] % p
-        terms = self.coeffs * vals[self.monomials] % p
-        return (np.add.reduceat(terms, self.starts) % p).tolist()
+            level = vals[parents] * xs[variables]
+            vals[lo:hi] = level % p if p else level
+        terms = self.coeffs * vals[self.monomials]
+        sums = np.add.reduceat(terms % p if p else terms, self.starts)
+        return (sums % p if p else sums).tolist()
 
 
 class JPolynomial:
@@ -329,26 +341,42 @@ class PolySet:
     float64 matrix product.  Each entry of that product is a sum of
     n_monomials products of two residues, so it is exact while
     n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.  at
-    over F_p runs one level chain (_Chain) for the whole list.  The
-    monomial list, the coefficient matrix and the chain for a prime are
-    built on the first evaluation that needs them.
+    over F_p and over Q runs one level chain (_Chain) for the whole list.
+    The monomial list, the coefficient matrix and the chain for a prime
+    (or for Z) are built on the first evaluation that needs them.
     """
 
     def __init__(self, polys):
         self.polys = list(polys)
         self._monomials = None
         self._coeffs = {}             # p -> (n_polys, n_monomials) float64
-        self._chains = {}             # p -> _Chain of all the polys
+        self._chains = {}             # p, or 0 for Z -> _Chain of the polys
+
+    def _chain(self, p):
+        return (self._chains.get(p)
+                or self._chains.setdefault(p, _Chain(self.polys, p)))
 
     def at(self, field, jvals):
         """Every polynomial at the 9-tuple jvals of field elements: over a
-        prime field through one level chain for the whole list, over any
-        other field by each polynomial's evaluate."""
+        prime field through one level chain for the whole list, over Q
+        through one chain on integers, over any other field by each
+        polynomial's evaluate.
+
+        Over Q, with L the common denominator of jvals, the J_w L^w are
+        integers, and a polynomial of weighted degree d with coefficient
+        denominator den is its integer value there over den L^d: every
+        monomial has weighted degree d."""
         if isinstance(field, PrimeField):
-            chain = (self._chains.get(field.p) or self._chains.setdefault(
-                field.p, _Chain(self.polys, field.p)))
-            return [FpElement(field, v) for v in
-                    chain.values([field(v).value for v in jvals])]
+            return [FpElement(field, v) for v in self._chain(field.p).values(
+                [field(v).value for v in jvals])]
+        if field == QQ:
+            chain = self._chain(0)
+            jvals = [QQ(v) for v in jvals]
+            lcd = lcm(*(v.denominator for v in jvals))
+            ints = chain.values([v.numerator * (lcd ** w // v.denominator)
+                                 for v, w in zip(jvals, WEIGHTS)])
+            return [Fraction(v, den * lcd ** poly.degree)
+                    for v, den, poly in zip(ints, chain.dens, self.polys)]
         return [poly.evaluate(field, jvals) for poly in self.polys]
 
     def evaluate_mod(self, rows, p):

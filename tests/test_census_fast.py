@@ -1,6 +1,7 @@
 """The vectorized census kernel: output pins at p = 11 and 13, stratum
 counts at 11, 13 and 17, a pin of the per-class models at 11, models of
-sampled Klein-four classes at 13, sampled oracles built from the scalar
+sampled Klein-four classes at 11 and 13 and their descent's normalizer
+twists against root matching, sampled oracles built from the scalar
 solvers, the J8 quintic and the detection cascade, and the batch
 J-polynomial evaluator."""
 
@@ -12,8 +13,10 @@ import zlib
 import numpy as np
 import pytest
 
-from octicmoduli import census_fast
-from octicmoduli.census import class_model, expected_counts
+from octicmoduli import census, census_fast
+from octicmoduli.census import (
+    _normalizer_twists, _root_matching_twists, class_model, expected_counts,
+)
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
     SyzygyCoefficients, _relation_values, derive_syzygies, discriminant_J,
@@ -22,7 +25,8 @@ from octicmoduli.covariants import (
 )
 from octicmoduli.fields import PrimeField
 from octicmoduli.forms import (
-    BinaryForm, disc_resultant, roots_in_splitting_field,
+    BinaryForm, disc_resultant, embed_field, gl2_act,
+    roots_in_splitting_field,
 )
 from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.reconstruct import TRIPLES_19, r_polynomial
@@ -93,20 +97,86 @@ def test_moduli_rows_pin_p13(rows_p13):
     _check_pins(13, rows_p13, classify_rows(PrimeField(13), rows_p13))
 
 
-@pytest.mark.slow
-def test_class_model_covers_sampled_d4_classes_p13(rows_p13):
-    """Every sampled Klein-four class at p = 13 gets a smooth F_13 model
-    with its invariants; some need descent from a larger extension."""
-    F = PrimeField(13)
-    labels = classify_rows(F, rows_p13)
-    d4 = rows_p13[labels == strata_labels().index("D4")]
-    seed = zlib.crc32(b"D4 descent p13")
+def _d4_rows(rows, labels, name, n=None):
+    """n seeded Klein-four rows, or all of them in a seeded order."""
+    d4 = list(rows[labels == strata_labels().index("D4")])
+    seed = zlib.crc32(name.encode())
     print("seed", seed)
-    for row in random.Random(seed).sample(list(d4), 30):
+    return random.Random(seed).sample(d4, n or len(d4))
+
+
+def _check_d4_models(monkeypatch, p, rows):
+    """Each row gets a smooth F_p model with its invariants, and descent
+    never builds a splitting field: the closed forms over F_{p^2} and
+    F_{p^4} descend through their normalizer twists."""
+    F = PrimeField(p)
+    calls = []
+    monkeypatch.setattr(census, "roots_in_splitting_field",
+                        lambda f: calls.append(f))
+    degrees = set()
+    for row in rows:
         jt = [F(int(v)) for v in row]
-        model, _ = class_model(F, jt, "D4")
+        model, extdeg = class_model(F, jt, "D4")
         assert model.field == F and disc_resultant(model)
         assert has_invariants(model, jt)
+        degrees.add(extdeg)
+    assert not calls
+    assert degrees == {1, 2, 4}
+
+
+@pytest.mark.slow
+def test_class_model_covers_sampled_d4_classes_p13(rows_p13, monkeypatch):
+    """Every sampled Klein-four class at p = 13 gets a smooth F_13 model
+    with its invariants; some need descent from F_{13^2} or F_{13^4}."""
+    rows = _d4_rows(rows_p13, classify_rows(PrimeField(13), rows_p13),
+                    "D4 descent p13", 30)
+    _check_d4_models(monkeypatch, 13, rows)
+
+
+def test_class_model_covers_sampled_d4_classes_p11(rows_p11, labels_p11,
+                                                   monkeypatch):
+    """The same at p = 11."""
+    _check_d4_models(monkeypatch, 11,
+                     _d4_rows(rows_p11, labels_p11, "D4 descent p11", 30))
+
+
+def _projective_key(mat, emb):
+    """The entries of mat, embedded by emb and divided by the first
+    nonzero one: equal keys are equal matrices up to scalars."""
+    entries = [emb(x) for x in (mat.a, mat.b, mat.c, mat.d)]
+    lead = next(x for x in entries if x)
+    return tuple((x / lead).coeffs for x in entries)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_normalizer_twists_are_the_root_matching_twists(p, rows_p11,
+                                                        labels_p11, rows_p13):
+    """On seeded Klein-four classes whose closed form lies over F_{p^2} or
+    F_{p^4}, the normalizer candidates descend takes are, up to scalars,
+    exactly the Frobenius twisting matrices root matching finds over the
+    splitting field: a matrix and its product with x -> -x."""
+    F = PrimeField(p)
+    rows, labels = {11: (rows_p11, labels_p11),
+                    13: (rows_p13, classify_rows(F, rows_p13))}[p]
+    need = {2: 2, 4: 2}
+    for row in _d4_rows(rows, labels, "normalizer twists %d" % p):
+        if not any(need.values()):
+            break
+        f = reconstruct_stratum("D4", F, [F(int(v)) for v in row])
+        if not need.get(f.field.k):
+            continue
+        need[f.field.k] -= 1
+        frob = BinaryForm(f.field, 8, [f.field.frobenius(c)
+                                       for c in f.coeffs])
+        twists = _normalizer_twists(f)
+        for mat in twists:
+            assert gl2_act(mat, f) == frob.scale(f.coeffs[0] / frob.coeffs[0])
+        big, _, found = _root_matching_twists(f)
+        emb = embed_field(f.field, big)
+        keys = {_projective_key(m, emb) for m in twists}
+        assert len(keys) == len(twists) == 2
+        assert keys == {_projective_key(m, big) for m in found}
+    assert not any(need.values())
 
 
 @pytest.mark.slow
@@ -226,7 +296,7 @@ def test_detect_group_matches_classify_rows_on_seeded_classes(
 
 
 #: sha256 prefix of the class_model lines test_class_model_pin_p11 hashes
-MODELS_SHA = "e8eda90e2ac5"
+MODELS_SHA = "0b11a3bb0c06"
 
 
 def test_class_model_pin_p11(rows_p11, labels_p11):
@@ -281,8 +351,10 @@ LARGE_SPLIT = (
 
 def test_class_model_pin_large_splitting_fields():
     """The F_11 models (coefficients and extension degree) of C2p3 and D4
-    classes whose descent and root matching run over F_{11^6} to
-    F_{11^24}."""
+    classes whose closed forms split over F_{11^6} to F_{11^24}.  C2p3
+    descent root-matches over the splitting field; D4 descent takes its
+    twisting matrices from the closed form's own field F_{11^2} or
+    F_{11^4} and builds no splitting field."""
     F = PrimeField(11)
     digest = hashlib.sha256()
     for stratum, row, split in LARGE_SPLIT:
@@ -292,7 +364,7 @@ def test_class_model_pin_large_splitting_fields():
         model, extdeg = class_model(F, jt, stratum)
         digest.update(("%s; %d\n" % (
             ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
-    assert digest.hexdigest()[:12] == "2f3d38d1b297"
+    assert digest.hexdigest()[:12] == "efe98c437e8a"
 
 
 #: sha256 prefix of the lines test_class_model_pin_generic hashes

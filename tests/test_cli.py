@@ -186,6 +186,33 @@ def test_descend_refuses_alike_over_every_field(capsys, spec, form, code,
     assert got == code and error in err and out == ""
 
 
+def test_descend_refuses_an_even_octic_with_a_double_root(capsys,
+                                                         monkeypatch):
+    """(x^2 - 2)^2 (x^4 + 3 x^2 + 3) = x^8 - x^6 - 5 x^4 + 1 over F_11,
+    moved by diag(z, 1) with z a primitive eighth root of unity: an even
+    octic over F_{11^2} with c_0 = c_8, a rational invariant class and
+    double roots.  The squarefree test on F_{11^2} refuses it, before any
+    twisting matrix is sought or splitting field built."""
+    from octicmoduli import census
+    from octicmoduli.cli import _fmt
+    from octicmoduli.fields import PrimeField, field_make
+    from octicmoduli.forms import Gl2Matrix, gl2_act
+    F, E = PrimeField(11), field_make("Fpk:11:2")
+    f = BinaryForm(F, 8, [1, 0, 0, 0, -5, 0, -1, 0, 1])
+    z = next(z for z in census._eighth_roots(E) if z ** 4 != E.one)
+    g = gl2_act(Gl2Matrix(E, z, 0, 0, 1), f.to_field(E, lambda a: E(a.value)))
+    assert g.coeffs[0] == g.coeffs[8] and any(c.coeffs[1] for c in g.coeffs)
+    calls = []
+    monkeypatch.setattr(census, "roots_in_splitting_field",
+                        lambda h: calls.append(h))
+    monkeypatch.setattr(census, "_normalizer_twists",
+                        lambda h: calls.append(h))
+    code, out, err = run_cli(capsys, "descend", "--field", "Fpk:11:2",
+                             "--form", ",".join(_fmt(c) for c in g.coeffs))
+    assert code == 29 and "MultipleRoot" in err and out == ""
+    assert not calls
+
+
 def test_census_refuses_oversized_prime(capsys):
     """The census at p = 1000003 would need about 5e32 bytes; it is
     refused as a usage error before anything is allocated."""

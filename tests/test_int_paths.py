@@ -108,6 +108,31 @@ def test_polynomials_vanishing_mod_p_evaluate_to_zero():
         assert PolySet(polys).at(F, pt) == want
 
 
+def test_polyset_at_over_q_matches_evaluate_on_fractions():
+    """Over Q, PolySet.at evaluates on integers and divides once per
+    polynomial; at non-integral points (one with a zero and a negative
+    coordinate) every value equals the polynomial's evaluate on
+    Fractions: the stratum systems, the discriminant, a polynomial with
+    denominators 3, 7 and 9, and one with no terms."""
+    polys = [eq for eqs in stratum_systems().values() for eq in eqs]
+    polys += [covariants.discriminant_poly(), JPolynomial.zero(6),
+              JPolynomial(6, {(3, 0, 0, 0, 0, 0, 0, 0, 0): Fraction(2, 3),
+                              (0, 2, 0, 0, 0, 0, 0, 0, 0): Fraction(-5, 7),
+                              (0, 0, 0, 0, 1, 0, 0, 0, 0): Fraction(1, 9)})]
+    seed = zlib.crc32(b"polyset at over Q")
+    print("seed", seed)
+    rng = random.Random(seed)
+    points = [[Fraction(rng.randint(-40, 40), rng.randint(1, 12))
+               for _ in range(9)] for _ in range(2)]
+    points.append([Fraction(3, 4), 0, Fraction(-7, 6), 1, 2, Fraction(1, 5),
+                   -3, Fraction(9, 2), Fraction(-1, 10)])
+    pset = PolySet(polys)
+    for pt in points:
+        got = pset.at(QQ, pt)
+        assert all(type(v) is Fraction for v in got)
+        assert got == [poly.evaluate(QQ, pt) for poly in polys]
+
+
 def test_evaluate_keeps_one_entry_per_prime():
     """A polynomial evaluated over F_11, then F_13, then F_11 again gives
     the Q value reduced mod each prime every time."""
