@@ -17,7 +17,7 @@ import time
 from itertools import combinations, permutations
 from math import lcm
 
-from . import census_fast, unipoly
+from . import census_fast
 from .covariants import has_invariants, shioda
 from .errors import (
     CountMismatch, ExhaustedCandidates, MultipleRoot, NotRationalClass,
@@ -185,7 +185,7 @@ def descend(f, base):
     norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS, shioda(f)))
     if f.field.k > 1 and any(any(c.coeffs[1:]) for c in norm_pt.coords):
         raise NotRationalClass("invariant class is not rational")
-    if not _squarefree(f):
+    if not disc_resultant(f):
         raise MultipleRoot("descent needs simple roots")
     if f.field.k == 1:
         return f
@@ -208,16 +208,6 @@ def descend(f, base):
         if out is not None:
             return out
     raise ExhaustedCandidates("descent failed for every candidate")
-
-
-def _squarefree(f):
-    """Whether f has simple roots, on its own field: at most a simple root
-    at infinity, and the affine part prime to its derivative."""
-    field = f.field
-    d = max(i for i, c in enumerate(f.coeffs) if c)
-    affine = list(f.coeffs[:d + 1])
-    common = unipoly.gcd(field, affine, unipoly.derivative(field, affine))
-    return f.degree - d <= 1 and unipoly.degree(common) == 0
 
 
 def _root_matching_twists(f):

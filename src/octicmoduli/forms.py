@@ -1,5 +1,5 @@
-"""Binary forms with exact coefficients: GL2 action, transvectants,
-resultant discriminant and projective roots.
+"""Binary forms with exact coefficients: GL2 action, transvectants, the
+discriminant as the resultant of the two partials and projective roots.
 
 A form of degree n is sum(a_i * X^i * Z^(n-i)), stored as the coefficient
 tuple (a_0, ..., a_n).  The degree is a fixed attribute: a degree-7
@@ -312,59 +312,20 @@ def gl2_act(mat, f):
     return out
 
 
-def sylvester_resultant(f, g):
-    """Resultant of two binary forms via the Sylvester matrix."""
-    m, n = f.degree, g.degree
-    field = f.field
-    size = m + n
-    rows = []
-    fc = list(reversed(f.coeffs))   # X^m ... Z^m
-    gc = list(reversed(g.coeffs))
-    for i in range(n):
-        rows.append([field.zero] * i + fc + [field.zero] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([field.zero] * i + gc + [field.zero] * (size - n - 1 - i))
-    return _det_fraction_free(field, rows)
-
-
-def _det_fraction_free(field, rows):
-    """Bareiss determinant; works over any exact field."""
-    n = len(rows)
-    if n == 0:
-        return field.one
-    m = [list(r) for r in rows]
-    sign = field.one
-    prev = field.one
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = None
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    piv = r
-                    break
-            if piv is None:
-                return field.zero
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) / prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def disc_resultant(f):
-    """Discriminant oracle: Sylvester resultant of the two partials.
+    """The discriminant of a degree-n form up to a constant: the resultant
+    of its partials in X and Z at formal degrees n - 1, Res_{n-1,n-1}
+    (unipoly.resultant).
 
-    Zero exactly when f has a multiple root in the algebraic closure.  For
-    a degree-n form this quantity has weight n(n-1) under substitution.
+    Zero exactly when f has a multiple root in the algebraic closure, one
+    at infinity included.  For a degree-n form this quantity has weight
+    n(n-1) under substitution.
     """
     if f.degree < 2:
         raise DegreeTooSmall("discriminant needs degree >= 2")
     n = f.degree - 1
-    return sylvester_resultant(
-        BinaryForm(f.field, n, _partial(f.coeffs, 1, 0)),
-        BinaryForm(f.field, n, _partial(f.coeffs, 0, 1)))
+    return unipoly.resultant(f.field, _partial(f.coeffs, 1, 0),
+                             _partial(f.coeffs, 0, 1), n, n)
 
 
 # ---------------------------------------------------------------------------

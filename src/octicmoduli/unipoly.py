@@ -82,6 +82,32 @@ def gcd(field, f, g):
     return monic(field, f)
 
 
+def resultant(field, f, g, m, n):
+    """Res_{m,n}(f, g) for formal degrees m >= deg f and n >= deg g: the
+    Sylvester determinant, top coefficients that vanish included.  By
+    Euclid's algorithm (von zur Gathen and Gerhard, Modern Computer
+    Algebra, ch. 6): a formal degree of g above deg g gives a power of
+    lc(f); f = q g + r gives Res_{m,n}(f, g) = (-1)^(m n) lc(g)^(m - deg r)
+    Res_{n,deg r}(g, r) when deg g = n, which also covers deg f < m."""
+    f, g = trim(list(f)), trim(list(g))
+    acc = field.one
+    while True:
+        if not f or not g or (degree(f) < m and degree(g) < n):
+            return field.zero
+        if degree(g) < n:
+            acc = acc * f[-1] ** (n - degree(g))
+            n = degree(g)
+        if n == 0:
+            return acc * g[0] ** m
+        r = rem(field, f, g)
+        if not r:
+            return field.zero
+        if m * n % 2:
+            acc = -acc
+        acc = acc * g[-1] ** (m - degree(r))
+        f, g, m, n = g, r, n, degree(r)
+
+
 def powmod(field, f, n, modp):
     result = [field.one]
     f = rem(field, list(f), modp)

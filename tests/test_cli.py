@@ -191,25 +191,31 @@ def test_descend_refuses_an_even_octic_with_a_double_root(capsys,
     """(x^2 - 2)^2 (x^4 + 3 x^2 + 3) = x^8 - x^6 - 5 x^4 + 1 over F_11,
     moved by diag(z, 1) with z a primitive eighth root of unity: an even
     octic over F_{11^2} with c_0 = c_8, a rational invariant class and
-    double roots.  The squarefree test on F_{11^2} refuses it, before any
-    twisting matrix is sought or splitting field built."""
+    double roots.  Also an F_11 octic with c_7 = c_8 = 0, a double root at
+    infinity that diag(z, 1) keeps.  disc_resultant on F_{11^2} refuses
+    both, before any twisting matrix is sought or splitting field built."""
     from octicmoduli import census
     from octicmoduli.cli import _fmt
     from octicmoduli.fields import PrimeField, field_make
     from octicmoduli.forms import Gl2Matrix, gl2_act
     F, E = PrimeField(11), field_make("Fpk:11:2")
-    f = BinaryForm(F, 8, [1, 0, 0, 0, -5, 0, -1, 0, 1])
     z = next(z for z in census._eighth_roots(E) if z ** 4 != E.one)
-    g = gl2_act(Gl2Matrix(E, z, 0, 0, 1), f.to_field(E, lambda a: E(a.value)))
-    assert g.coeffs[0] == g.coeffs[8] and any(c.coeffs[1] for c in g.coeffs)
     calls = []
     monkeypatch.setattr(census, "roots_in_splitting_field",
                         lambda h: calls.append(h))
     monkeypatch.setattr(census, "_normalizer_twists",
                         lambda h: calls.append(h))
-    code, out, err = run_cli(capsys, "descend", "--field", "Fpk:11:2",
-                             "--form", ",".join(_fmt(c) for c in g.coeffs))
-    assert code == 29 and "MultipleRoot" in err and out == ""
+    even, infinite = [
+        gl2_act(Gl2Matrix(E, z, 0, 0, 1),
+                BinaryForm(F, 8, c).to_field(E, lambda a: E(a.value)))
+        for c in ([1, 0, 0, 0, -5, 0, -1, 0, 1], [1, 2, 0, 5, 1, 3, 1, 0, 0])]
+    assert even.coeffs[0] == even.coeffs[8]
+    assert infinite.coeffs[7] == infinite.coeffs[8] == E.zero
+    for g in (even, infinite):
+        assert any(c.coeffs[1] for c in g.coeffs)
+        code, out, err = run_cli(capsys, "descend", "--field", "Fpk:11:2",
+                                 "--form", ",".join(_fmt(c) for c in g.coeffs))
+        assert code == 29 and "MultipleRoot" in err and out == ""
     assert not calls
 
 

@@ -8,10 +8,11 @@ from octicmoduli.covariants import (
     is_isomorphic, random_octic, shioda,
 )
 from octicmoduli.errors import SingularForm, UnknownIdentifier, WrongDegree
-from octicmoduli.fields import QQ
+from octicmoduli.fields import QQ, field_make
 from octicmoduli.forms import (
     BinaryForm, Gl2Matrix, disc_resultant, gl2_act,
 )
+from octicmoduli.unipoly import mul, random_element
 from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
 
 from symring import generic_octic
@@ -150,6 +151,44 @@ def test_discriminant_J(F11):
     # the class of a multiple-root form
     assert discriminant_J(F11, [0, 0, 0, 1, 0, 0, 0, 0, 0]) == F11.zero
     assert discriminant_J(QQ, [0] * 9) == 0
+
+
+@pytest.mark.parametrize("spec", ["Q", "Fp:11", "Fp:13", "Fpk:11:2",
+                                  "Fpk:11:4"])
+def test_disc_resultant_against_discriminant_J(spec):
+    """disc_resultant is 2^18 / (3^9 5^2) discriminant_J, the kappa of
+    test_discriminant_J inverted, on seeded octics whose top or bottom
+    coefficients vanish, the others nonzero: c_8 = 0 and c_7 = 0 drop the
+    formal degree of one partial, c_7 = c_8 = 0 of both (a double root at
+    infinity, so 0).  The other kinds are redrawn until the oracle finds
+    them smooth.  A constructed affine double root gives 0 as well."""
+    field = field_make(spec)
+    rng = random.Random(16)
+
+    def elt():
+        while True:
+            a = (QQ(rng.randint(-9, 9)) if field is QQ
+                 else random_element(field, rng))
+            if a:
+                return a
+
+    scale = field(Fraction(2 ** 18, 3 ** 9 * 5 ** 2))
+    for zeros in ((8,), (7,), (7, 8), (0,), (0, 8)):
+        while True:        # redraw a form the oracle finds singular
+            c = [elt() for _ in range(9)]
+            for i in zeros:
+                c[i] = field.zero
+            f = BinaryForm(field, 8, c)
+            disc = discriminant_J(field, shioda(f))
+            assert disc_resultant(f) == scale * disc
+            if disc or zeros == (7, 8):
+                break
+        assert (disc == 0) == (zeros == (7, 8))
+    a = elt()
+    double = BinaryForm(field, 8, mul(field, [a * a, -2 * a, field.one],
+                                      [elt() for _ in range(7)]))
+    assert disc_resultant(double) == 0
+    assert discriminant_J(field, shioda(double)) == 0
 
 
 def test_is_isomorphic(F11):

@@ -355,3 +355,27 @@ def test_triple_polynomials_are_read_once(monkeypatch):
         conic_quartic_models(t, derive_if_missing=False)
     assert all(r_polynomial(t) is r for t, r in zip(TRIPLES_19, first))
     assert reads == []
+
+
+def test_r_polynomial_derives_the_packaged_r(monkeypatch, tmp_path):
+    """With no packaged data and an empty cache, r_polynomial derives the
+    R of (C5_2, C6_2, C7_2) by interpolation: the R of the packaged
+    triple-models artifact.  It writes R alone to the cache."""
+    import os
+    from octicmoduli import reconstruct
+    triple = ("C5_2", "C6_2", "C7_2")
+    packaged = dict(store.read_artifact(
+        reconstruct._triple_identifier(triple)))["R"]
+    (tmp_path / "data").mkdir()
+    monkeypatch.setattr(store, "data_dir", lambda: str(tmp_path / "data"))
+    monkeypatch.setattr(store, "_override_dir", str(tmp_path / "cache"))
+    caches = (r_polynomial, reconstruct._stored_models)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        assert r_polynomial(triple) == packaged
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    assert os.listdir(tmp_path / "cache") == [store.artifact_filename(
+        reconstruct._r_identifier(triple))]
