@@ -18,8 +18,8 @@ from .forms import (
     roots_in_splitting_field, transvect,
 )
 from .reconstruct import (
-    clebsch_data, conic_parametrize, conic_point, conic_quartic_models,
-    reconstruct_generic,
+    clebsch_data, conic_matrix, conic_parametrize, conic_point,
+    conic_quartic_models, reconstruct_generic,
 )
 from .strata import c4_determinants, detect_group, reconstruct_stratum
 from .wps import (
@@ -38,7 +38,7 @@ __all__ = [
     "derive_syzygies", "j8_candidates", "solve_j9_j10", "is_isomorphic",
     "WeightedPoint", "wps_equal", "wps_normalize", "wps_enumerate",
     "moduli_enumerate",
-    "clebsch_data", "conic_quartic_models", "conic_point",
+    "clebsch_data", "conic_quartic_models", "conic_matrix", "conic_point",
     "conic_parametrize", "reconstruct_generic",
     "detect_group", "reconstruct_stratum", "c4_determinants",
     "find_isomorphism", "descend", "run_census", "CensusReport",

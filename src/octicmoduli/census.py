@@ -169,9 +169,10 @@ def descend(f, base):
     Klein-four closed form); for any other form, or when none of those
     sixteen matrices twists f, from root matching over f's splitting
     field.  Over F_p and its extensions alike, a form whose invariants all
-    vanish has no invariant class (WeightMismatch) and a form with a
-    multiple root is refused (MultipleRoot); any other form over F_p is
-    its own model.
+    vanish has no invariant class (WeightMismatch), then a form whose
+    class is not rational (NotRationalClass) and a form with a multiple
+    root (MultipleRoot) are refused; any other form over F_p is its own
+    model.
     """
     if not isinstance(base, PrimeField):
         raise NotRationalClass("descent targets the prime field")
@@ -181,16 +182,21 @@ def descend(f, base):
                                % p)
     if f.is_zero():
         raise WeightMismatch("the zero form has no invariant class")
-    # the class must be rational: normalized invariants in the base field
-    norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS, shioda(f)))
-    if f.field.k > 1 and any(any(c.coeffs[1:]) for c in norm_pt.coords):
-        raise NotRationalClass("invariant class is not rational")
-    if not disc_resultant(f):
+    squarefree = bool(disc_resultant(f))
+    twists = _normalizer_twists(f) if squarefree and f.field.k > 1 else []
+    # the class must be rational: normalized invariants in the base field.
+    # A twist proves that, and a squarefree form has invariants not all 0.
+    if not squarefree or (f.field.k > 1 and not twists):
+        norm_pt = wps_normalize(WeightedPoint(f.field, SHIODA_WEIGHTS,
+                                              shioda(f)))
+        if f.field.k > 1 and any(any(c.coeffs[1:]) for c in norm_pt.coords):
+            raise NotRationalClass("invariant class is not rational")
+    if not squarefree:
         raise MultipleRoot("descent needs simple roots")
     if f.field.k == 1:
         return f
 
-    big, fb, twists = f.field, f, _normalizer_twists(f)
+    big, fb = f.field, f
     if not twists:
         big, fb, twists = _root_matching_twists(f)
     if not twists:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from . import store
 from .errors import ModuliError, OffModuliVariety
-from .fields import QQ, ExtField, PrimeField, field_make
+from .fields import ExtField, PrimeField, field_make
 
 VERBS = ("shioda", "disc", "isiso", "wps-eq", "wps-enum", "moduli-enum",
          "autgroup", "reconstruct", "express", "derive-cache", "census",
@@ -108,7 +108,8 @@ def build_parser():
                     help="census: file of model lines; a rerun resumes")
     ap.add_argument("--triple-order",
                     help="semicolon-separated comma-triples of covariants")
-    ap.add_argument("--point", help="conic point hint x1,x2,x3 (over Q)")
+    ap.add_argument("--point",
+                    help="reconstruct --triple-order: a conic point x1,x2,x3")
     ap.add_argument("--invariant", help="order-0 catalogue identifier")
     ap.add_argument("--triple", help="covariant triple for derive-cache")
     ap.add_argument("--with-singular", action="store_true",
@@ -212,16 +213,17 @@ def _run(args):
     if verb == "reconstruct":
         from .strata import detect_group, reconstruct_stratum
         from .reconstruct import reconstruct_generic
-        order = None
+        order = hint = None
         if args.triple_order:
             order = [tuple(t.split(",")) for t in
                      args.triple_order.split(";")]
+        if args.point:
+            if order is None:
+                raise ValueError("--point needs --triple-order")
+            hint = [_parse_coeff(field, c) for c in args.point.split(",")]
         for payload in _stdin_records(args.tuple):
             t = _parse_moduli_point(field, payload)
             if order is not None:
-                hint = tuple(_parse_coeff(QQ, c)
-                             for c in args.point.split(",")) \
-                    if args.point else None
                 model = reconstruct_generic(field, t, triple_order=order,
                                             conic_point_hint=hint)
             else:

@@ -97,10 +97,6 @@ class SingularConic(ModuliError):
     exit_code = 28
 
 
-class NoSuppliedRationalPoint(ModuliError):
-    exit_code = 28
-
-
 class PointNotOnConic(ModuliError):
     exit_code = 28
 

@@ -18,10 +18,10 @@ from math import factorial
 from . import store
 from .covariants import covariant_eval, express_many
 from .errors import (
-    AllDeterminantsVanish, InterpolationFailure, NoSuppliedRationalPoint,
-    PointNotOnConic, SingularConic,
+    AllDeterminantsVanish, InterpolationFailure, PointNotOnConic,
+    SingularConic,
 )
-from .fields import QQ, QuadExtQ, sqrt_opt
+from .fields import QuadExtQ, sqrt_opt
 from .forms import BinaryForm, _convolve, _operands, omega_pair, transvect
 from .jpoly import PolySet
 
@@ -74,13 +74,12 @@ def clebsch_data(q1, q2, q3):
     A_ij = (q_i, q_j)_2 and R is the determinant of the coefficient matrix
     of (q1, q2, q3) in the basis (x^2, xz, z^2).
     """
-    field = q1.field
     qs = (q1, q2, q3)
     qstar = (transvect(q2, q3, 1), transvect(q3, q1, 1), transvect(q1, q2, 1))
-    A = [[transvect(qs[i], qs[j], 2).coeffs[0] for j in range(3)]
-         for i in range(3)]
+    A = conic_matrix([transvect(qs[i - 1], qs[j - 1], 2).coeffs[0]
+                      for i, j in CONIC_PAIRS])
     R = _det3([[q.coeffs[2], q.coeffs[1], q.coeffs[0]] for q in qs])
-    return {"qstar": qstar, "A": A, "R": R, "field": field}
+    return {"qstar": qstar, "A": A, "R": R}
 
 
 def _det3(m):
@@ -201,13 +200,11 @@ def _stored_models(triple):
 def _all_triple_values(triple, f):
     """Every interpolated quantity of a triple on one octic, in one pass."""
     cache = {}
-    q1 = covariant_eval(triple[0], f, cache)
-    q2 = covariant_eval(triple[1], f, cache)
-    q3 = covariant_eval(triple[2], f, cache)
-    qs = (q1, q2, q3)
-    out = {"R": clebsch_data(q1, q2, q3)["R"]}
-    for i, j in combinations_with_replacement((1, 2, 3), 2):
-        out["A%d%d" % (i, j)] = transvect(qs[i - 1], qs[j - 1], 2).coeffs[0]
+    q1, q2, q3 = (covariant_eval(name, f, cache) for name in triple)
+    data = clebsch_data(q1, q2, q3)
+    out = {"R": data["R"]}
+    for i, j in CONIC_PAIRS:
+        out["A%d%d" % (i, j)] = data["A"][i - 1][j - 1]
     for mset, val in quartic_coefficients_on_form(f, q1, q2, q3).items():
         out["H%s" % "".join(map(str, mset))] = val
     return out
@@ -238,7 +235,7 @@ def derive_triple_models(triple):
     jobs = [(program_factory("R"), d1 + d2 + d3)]
     names = ["R"]
     degs = {1: d1, 2: d2, 3: d3}
-    for i, j in sorted(combinations_with_replacement((1, 2, 3), 2)):
+    for i, j in CONIC_PAIRS:
         names.append("A%d%d" % (i, j))
         jobs.append((program_factory(names[-1]), degs[i] + degs[j]))
     for mset in QUARTIC_MULTISETS:
@@ -268,10 +265,8 @@ def r_polynomial(triple):
 
     def run(f):
         cache = {}
-        q1 = covariant_eval(triple[0], f, cache)
-        q2 = covariant_eval(triple[1], f, cache)
-        q3 = covariant_eval(triple[2], f, cache)
-        return clebsch_data(q1, q2, q3)["R"]
+        return clebsch_data(*(covariant_eval(name, f, cache)
+                              for name in triple))["R"]
 
     res = express_many([(run, d1 + d2 + d3)])
     store.write_artifact(ident, [("R", res[0].polynomial)])
@@ -282,134 +277,121 @@ def r_polynomial(triple):
 # conics: points and parametrization
 
 
-class EvaluatedConic:
-    """A conic sum_{i<=j} c_ij x_i x_j over a concrete field."""
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = dict(coeffs)          # (i, j) with i <= j, 1-based
-
-    @classmethod
-    def from_models(cls, models, field, jtuple):
-        return cls.from_values(field, models.polys.at(field, jtuple))
-
-    @classmethod
-    def from_values(cls, field, values):
-        """The conic whose A_ij (CONIC_PAIRS order) are the first 6 of
-        values."""
-        return cls(field, {(i, j): val if i == j else val + val
-                           for (i, j), val in zip(CONIC_PAIRS, values)})
-
-    def matrix(self):
-        """Symmetric matrix of the associated bilinear form."""
-        half = self.field(Fraction(1, 2))
-        m = [[self.field.zero] * 3 for _ in range(3)]
-        for (i, j), c in self.coeffs.items():
-            if i == j:
-                m[i - 1][j - 1] = c
-            else:
-                m[i - 1][j - 1] = c * half
-                m[j - 1][i - 1] = c * half
-        return m
-
-    def value(self, point):
-        acc = self.field.zero
-        for (i, j), c in self.coeffs.items():
-            acc = acc + c * point[i - 1] * point[j - 1]
-        return acc
-
-    def det(self):
-        return _det3(self.matrix())
-
-    def is_nonsingular(self):
-        return bool(self.det())
+def conic_matrix(values):
+    """The symmetric matrix A of the conic sum A_ij x_i x_j from the first
+    six of values, A_11, A_12, A_13, A_22, A_23, A_33 (CONIC_PAIRS)."""
+    a11, a12, a13, a22, a23, a33 = values[:6]
+    return [[a11, a12, a13], [a12, a22, a23], [a13, a23, a33]]
 
 
-def conic_point(conic, supplied=None):
-    """A projective point on a nonsingular conic.
+def _pairing(A, u, k):
+    """B(u, e_k) = sum_i u_i A_ik for B(u, v) = u^T A v, over the nonzero
+    u_i; u is not zero."""
+    acc = None
+    for ui, row in zip(u, A):
+        if ui:
+            acc = ui * row[k] if acc is None else acc + ui * row[k]
+    return acc
 
-    Over a finite field a scan of x1 in the chart x3 = 1 always succeeds:
-    a nonsingular conic over F_q has q + 1 points, at most 2 of them on
-    x3 = 0, and the x1 of any other point solves for an x2.  Over
-    Q the supplied point is validated and used; without one the caller
-    must handle NoSuppliedRationalPoint (see conic_point_quadratic for the
-    quadratic-extension fallback).
+
+def _value(A, u):
+    """B(u, u) = sum_k u_k B(u, e_k), over the nonzero u_k."""
+    acc = None
+    for k, uk in enumerate(u):
+        if uk:
+            x = _pairing(A, u, k) * uk
+            acc = x if acc is None else acc + x
+    return acc
+
+
+def _on_conic(field, A, point):
+    """The point with coordinates in field, or PointNotOnConic unless it
+    is a nonzero vector of three coordinates on the conic."""
+    point = tuple(field(c) for c in point)
+    if len(point) != 3 or not any(point):
+        raise PointNotOnConic("a point of the plane has three coordinates,"
+                              " not all zero")
+    if _value(A, point):
+        raise PointNotOnConic("the point is not on the conic")
+    return point
+
+
+def _line_root(field, a, b, c):
+    """(field of t, t) with a t^2 + b t + c = 0, the root -b + sqrt(disc)
+    over 2a of a quadratic, over Q(sqrt(disc)) when disc is not a square
+    in Q; None when there is none over a finite field or a = b = 0."""
+    if not a:
+        return (field, -c / b) if b else None
+    disc = b * b - field(4) * a * c
+    r = sqrt_opt(field, disc)
+    if r is not None:
+        return field, (-b + r) / (a + a)
+    if field.characteristic:
+        return None
+    ext = QuadExtQ(disc)
+    return ext, (ext(-b) + ext.gen()) / ext(a + a)
+
+
+def conic_point(field, A, supplied=None):
+    """(field of the point, a projective point on the nonsingular conic
+    with matrix A over field).
+
+    A supplied point is checked and used.  Otherwise the conic is read on
+    lines p0 + t e_k with p0_k = 0, where it is A_kk t^2 + 2 B(p0, e_k) t
+    + B(p0, p0) for B(u, v) = u^T A v.  Over a finite field the lines
+    (x1, t, 1) are scanned and one always meets the conic: it has q + 1
+    points, at most 2 of them on x3 = 0.  Over Q the first of the lines
+    (1, t, 0), (1, 0, t), (0, 1, t) on which the restriction is not a
+    nonzero constant gives the point, over Q(sqrt(disc)) when the
+    discriminant is not a square; two of them cannot both be constant on
+    a nonsingular conic.
     """
-    field = conic.field
-    if not conic.is_nonsingular():
+    if not _det3(A):
         raise SingularConic("conic is singular")
     if supplied is not None:
-        pt = tuple(field(c) for c in supplied)
-        if conic.value(pt):
-            raise PointNotOnConic("supplied point is not on the conic")
-        return pt
-    if field.characteristic == 0:
-        raise NoSuppliedRationalPoint(
-            "over Q a rational conic point must be supplied")
-    for x1 in field.elements():
-        pt = _solve_conic_coordinate(conic, x1)
-        if pt is not None:
-            return pt
+        return field, _on_conic(field, A, supplied)
+    zero, one = field.zero, field.one
+    if field.characteristic:
+        lines = (((x1, zero, one), 1) for x1 in field.elements())
+    else:
+        lines = [((one, zero, zero), 1), ((one, zero, zero), 2),
+                 ((zero, one, zero), 2)]
+    for p0, k in lines:
+        h = _pairing(A, p0, k)
+        root = _line_root(field, A[k][k], h + h, _value(A, p0))
+        if root is not None:
+            work, t = root
+            return work, tuple(t if i == k else work(x)
+                               for i, x in enumerate(p0))
     raise SingularConic("no point found; conic must be singular")
 
 
-def _solve_conic_coordinate(conic, x1):
-    """Solve for x2 with (x1, x2, 1) on the conic, smallest root first."""
-    field = conic.field
-    c = conic.coeffs
-    a = c[(2, 2)]
-    b = c[(1, 2)] * x1 + c[(2, 3)]
-    d = c[(1, 1)] * x1 * x1 + c[(1, 3)] * x1 + c[(3, 3)]
-    if not a:
-        if b:
-            return (x1, -d / b, field.one)
-        return None
-    disc = b * b - field(4) * a * d
-    r = sqrt_opt(field, disc)
-    if r is None:
-        return None
-    inv2a = field.one / (a + a)
-    return (x1, (-b + r) * inv2a, field.one)
+def conic_parametrize(field, A, point):
+    """Quadratic parametrization of the nonsingular conic with matrix A
+    through a point P over field (A is lifted there).
 
-
-def conic_parametrize(conic, point):
-    """Quadratic parametrization of a nonsingular conic through a point.
-
-    The line pencil through the point is indexed by a direction in the
-    plane spanned by the two standard basis vectors off the point's pivot
-    coordinate; (T, U) maps to the second intersection.  Substituting the
-    result into the conic gives the zero quartic.
+    The line pencil through P is indexed by the direction D(T, U) =
+    U e1 - T e2, e1 and e2 the standard basis vectors off P's pivot
+    coordinate; (T, U) maps to the second intersection chi = B(D, D) P -
+    2 B(P, D) D, a triple of quadratics in (T, U).  Substituting it into
+    the conic gives the zero quartic.
     """
-    field = conic.field
-    point = tuple(field(c) for c in point)
-    if conic.value(point):
-        raise PointNotOnConic("point is not on the conic")
+    A = [[field(a) for a in row] for row in A]
+    point = _on_conic(field, A, point)
     pivot = next(i for i, c in enumerate(point) if c)
-    others = [i for i in range(3) if i != pivot]
-    basis = [[field.zero] * 3 for _ in range(2)]
-    basis[0][others[0]] = field.one
-    basis[1][others[1]] = field.one
-    e1, e2 = basis
-    # direction D(T, U) = U * e1 - T * e2; chi = B(D, D) P - 2 B(P, D) D,
-    # B the bilinear form of the matrix m: B(P, e_k) = sum_i P_i m_ik
-    m = conic.matrix()
-    bpp = [sum(point[i] * m[i][k] for i in range(3)) for k in others]
-    bee = [[m[a][b] for b in others] for a in others]
-    two = field.one + field.one
-
-    # chi_i as quadratics in (T, U): coefficients of T^2, TU, U^2
+    o1, o2 = [i for i in range(3) if i != pivot]
+    # B(D, D) = T^2 A_22 - 2 T U A_12 + U^2 A_11 and B(P, D) = U b1 -
+    # T b2, with b_k = B(P, e_k) and indices 1, 2 meaning o1, o2
+    b1, b2 = _pairing(A, point, o1), _pairing(A, point, o2)
+    a12 = A[o1][o2]
+    # chi_i as (U^2, TU, T^2) coefficients
     chis = []
-    for i in range(3):
-        d_t = [-e2[i], e1[i]]       # D_i = U e1_i - T e2_i -> (coef T, coef U)
-        # B(D, D) = T^2 B(e2,e2) - 2TU B(e1,e2) + U^2 B(e1,e1)
-        bdd = (bee[1][1], -(bee[0][1] + bee[0][1]), bee[0][0])
-        # B(P, D) = -T B(P,e2) + U B(P,e1)
-        bpd = (-bpp[1], bpp[0])
-        # chi_i = bdd * P_i - 2 * bpd * D_i   (degree 2 in (T, U))
-        t2 = bdd[0] * point[i] - two * bpd[0] * d_t[0]
-        tu = (bdd[1] * point[i]
-              - two * (bpd[0] * d_t[1] + bpd[1] * d_t[0]))
-        u2 = bdd[2] * point[i] - two * bpd[1] * d_t[1]
+    for i, c in enumerate(point):
+        u2, tu, t2 = A[o1][o1] * c, -(a12 + a12) * c, A[o2][o2] * c
+        if i == o1:                     # D_i = U
+            u2, tu = u2 - (b1 + b1), tu + (b2 + b2)
+        elif i == o2:                   # D_i = -T
+            tu, t2 = tu + (b1 + b1), t2 - (b2 + b2)
         chis.append(BinaryForm(field, 2, [u2, tu, t2]))
     return tuple(chis)
 
@@ -450,31 +432,20 @@ def reconstruct_generic(field, jtuple, triple_order=None,
     Raises AllDeterminantsVanish when every determinant in the list is
     zero at the tuple (reduced automorphism group contains the Klein
     four-group; the per-stratum formulas apply instead).  Over Q without a
-    supplied point the result is built over Q(sqrt(D)) for the
-    discriminant-driven D of the first usable chart.
+    supplied point the result lies over Q(sqrt(D)) when the line on which
+    conic_point finds its point has a non-square discriminant D.
     """
     jtuple = tuple(field(v) for v in jtuple)
     order = triple_order if triple_order is not None else TRIPLES_19
-    chosen = None
-    for triple in order:
-        rp = r_polynomial(tuple(triple))
-        if rp.evaluate(field, jtuple):
-            chosen = tuple(triple)
-            break
+    chosen = next((tuple(t) for t in order
+                   if r_polynomial(tuple(t)).evaluate(field, jtuple)), None)
     if chosen is None:
-        raise AllDeterminantsVanish(
-            "all determinants vanish at this tuple")
+        raise AllDeterminantsVanish("all determinants vanish at this tuple")
     models = conic_quartic_models(chosen)
     values = models.polys.at(field, jtuple)
-    conic = EvaluatedConic.from_values(field, values)
-    work_field = field
-    if field.characteristic == 0 and conic_point_hint is None:
-        work_field, point = _quadratic_point(conic)
-        conic = EvaluatedConic(work_field, {
-            key: work_field(Fraction(c)) for key, c in conic.coeffs.items()})
-    else:
-        point = conic_point(conic, supplied=conic_point_hint)
-    chis = conic_parametrize(conic, point)
+    A = conic_matrix(values)
+    work_field, point = conic_point(field, A, supplied=conic_point_hint)
+    chis = conic_parametrize(work_field, A, point)
     # the tuple is over field: evaluated there, the values are lifted
     quartic_values = {mset: work_field(v)
                       for mset, v in zip(QUARTIC_MULTISETS, values[6:])}
@@ -483,30 +454,3 @@ def reconstruct_generic(field, jtuple, triple_order=None,
         raise InterpolationFailure("reconstruction produced the zero form")
     return octic
 
-
-def _quadratic_point(conic):
-    """A point over Q(sqrt(D)), D read off the first non-degenerate chart."""
-    if not conic.is_nonsingular():
-        raise SingularConic("conic is singular")
-    c = conic.coeffs
-    # chart x1 = 1, x3 = 0: c22 x2^2 + c12 x2 + c11 = 0
-    charts = [
-        ((2, 2), (1, 2), (1, 1), lambda fld, t: (fld.one, t, fld.zero)),
-        ((3, 3), (1, 3), (1, 1), lambda fld, t: (fld.one, fld.zero, t)),
-        ((3, 3), (2, 3), (2, 2), lambda fld, t: (fld.zero, fld.one, t)),
-    ]
-    for qk, lk, ck, mk in charts:
-        a, b, d = c[qk], c[lk], c[ck]
-        if not a:
-            if b:
-                fld = QQ
-                return fld, mk(fld, -d / b)
-            continue
-        disc = b * b - 4 * a * d
-        r = QQ.sqrt(disc)
-        if r is not None:
-            return QQ, mk(QQ, (-b + r) / (2 * a))
-        ext = QuadExtQ(disc)
-        t = (ext(-b) + ext.gen()) / ext(2 * a)
-        return ext, mk(ext, t)
-    raise SingularConic("all charts degenerate")

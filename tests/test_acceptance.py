@@ -17,7 +17,7 @@ from octicmoduli.covariants import (
 from octicmoduli.fields import PrimeField, QQ, field_make
 from octicmoduli.forms import BinaryForm, disc_resultant, transvect
 from octicmoduli.reconstruct import (
-    EvaluatedConic, clebsch_data, conic_quartic_models,
+    CONIC_PAIRS, clebsch_data, conic_matrix, conic_quartic_models,
     reconstruct_generic,
 )
 from octicmoduli.strata import (
@@ -65,8 +65,10 @@ def test_criterion_02_worked_example():
     F11 = PrimeField(11)
     t = [F11(v) for v in (1, 0, 0, 0, 0, 0, 8, 2, 7)]
     models = conic_quartic_models(("C5_2", "C6_2", "C7_2"))
-    conic = EvaluatedConic.from_models(models, F11, t)
-    assert {k: v.value for k, v in conic.coeffs.items()} == {
+    A = conic_matrix(models.polys.at(F11, t))
+    # the coefficients of x_i x_j: A_ii and 2 A_ij
+    assert {(i, j): (A[i - 1][j - 1] * (1 if i == j else 2)).value
+            for i, j in CONIC_PAIRS} == {
         (1, 1): 0, (1, 2): 1, (1, 3): 3, (2, 2): 6, (2, 3): 1, (3, 3): 8}
     octic = reconstruct_generic(F11, t, conic_point_hint=(1, 0, 1))
     printed = BinaryForm(F11, 8, [8, 4, 2, 3, 8, 9, 9, 7, 2])

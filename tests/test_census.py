@@ -12,7 +12,9 @@ from octicmoduli.census import (
 from octicmoduli.covariants import (
     has_invariants, is_isomorphic, random_octic, shioda,
 )
-from octicmoduli.errors import CompositeModulus, MultipleRoot, WeightMismatch
+from octicmoduli.errors import (
+    CompositeModulus, MultipleRoot, NotRationalClass, WeightMismatch,
+)
 from octicmoduli.fields import ExtField, PrimeField, field_make
 from octicmoduli.forms import BinaryForm, Gl2Matrix, disc_resultant, gl2_act
 from octicmoduli.strata import detect_group
@@ -106,6 +108,23 @@ def test_descend_refuses_the_zero_form(spec):
     field = field_make(spec)
     with pytest.raises(WeightMismatch):
         descend(BinaryForm(field, 8, [0] * 9), PrimeField(11))
+
+
+@pytest.mark.parametrize("coeffs, squarefree", [
+    # 1 + x + t x^8, t the generator of F_{11^2}
+    ([1, 1, 0, 0, 0, 0, 0, 0, (0, 1)], True),
+    # x^2 ((1 + t) + x + x^6): a double root at x = 0
+    ([0, 0, (1, 1), 1, 0, 0, 0, 0, 1], False),
+])
+def test_descend_refuses_a_class_that_is_not_rational(coeffs, squarefree):
+    """An octic over F_{11^2} whose invariant class is not rational is
+    refused, also when it has a double root: NotRationalClass comes
+    before MultipleRoot."""
+    E = field_make("Fpk:11:2")
+    f = BinaryForm(E, 8, [E(c) for c in coeffs])
+    assert bool(disc_resultant(f)) is squarefree
+    with pytest.raises(NotRationalClass):
+        descend(f, PrimeField(11))
 
 
 def test_descend_twisted_form(F11):

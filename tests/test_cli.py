@@ -90,6 +90,31 @@ def test_reconstruct_verb(capsys):
     assert len(coeffs) == 9 and any(coeffs)
 
 
+#: the worked example of the paper, by the conic of its first triple
+WORKED = ("reconstruct", "--field", "Fp:11", "--tuple", "1,0,0,0,0,0,8,2,7",
+          "--triple-order", "C5_2,C6_2,C7_2")
+
+
+def test_reconstruct_through_a_supplied_conic_point(capsys):
+    code, out, err = run_cli(capsys, *WORKED, "--point", "1,0,1")
+    assert code == 0 and out == "8,4,2,3,8,9,9,7,2\n" and err == ""
+
+
+@pytest.mark.parametrize("point", ["1,0", "0,0,0", "1,0,1,5"])
+def test_reconstruct_refuses_a_point_that_is_no_point_of_the_plane(capsys,
+                                                                   point):
+    """Two coordinates, the zero vector and four coordinates."""
+    code, out, err = run_cli(capsys, *WORKED, "--point", point)
+    assert code == 28 and "PointNotOnConic" in err and out == ""
+
+
+def test_point_without_triple_order_is_a_usage_error(capsys):
+    """Only the conic of a given triple order takes a supplied point."""
+    code, out, err = run_cli(capsys, *WORKED[:5], "--point", "1,0,1")
+    assert code == 2 and err == "usage error: --point needs --triple-order\n"
+    assert out == ""
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "shioda", "--field", "Fp:10",
                            "--form", "1,0,0,0,0,0,0,0,1")
@@ -256,6 +281,7 @@ def test_wps_verbs_refuse_weights_that_are_not_positive(capsys, argv):
      "-885176009623/26446139883520,-105866887249/3400217985024,"
      "686915715658559/124402642012078080",
      "--triple-order", "C5_2,C6_2,C7_2", "--point", "1/0,1,1"),
+    WORKED + ("--point", "1/11,0,1"),
 ])
 def test_coefficient_without_a_value_is_a_usage_error(capsys, argv):
     """A denominator that is 0, or divisible by p, names no element, in

@@ -8,10 +8,10 @@ from octicmoduli.covariants import covariant_eval, random_octic, shioda
 from octicmoduli.errors import (
     AllDeterminantsVanish, PointNotOnConic, SingularConic,
 )
-from octicmoduli.fields import QQ, field_make
+from octicmoduli.fields import QQ, QuadExtQ, field_make
 from octicmoduli.forms import BinaryForm, disc_resultant, transvect
 from octicmoduli.reconstruct import (
-    CONIC_PAIRS, TRIPLES_19, TRIPLES_C4, EvaluatedConic, clebsch_data,
+    CONIC_PAIRS, TRIPLES_19, TRIPLES_C4, _det3, clebsch_data, conic_matrix,
     conic_parametrize, conic_point, conic_quartic_models,
     quartic_coefficients_on_form, r_polynomial, reconstruct_generic,
 )
@@ -22,6 +22,27 @@ from conftest import smooth_normal_model
 
 def rquad(field, rng):
     return BinaryForm(field, 2, [rng.randint(-9, 9) for _ in range(3)])
+
+
+def conic_value(A, point):
+    """sum over all i, j of A_ij P_i P_j."""
+    return sum(A[i][j] * point[i] * point[j]
+               for i in range(3) for j in range(3))
+
+
+def conic_on_parametrization(A, chis):
+    """sum over all i, j of A_ij chi_i chi_j, a quartic in (T, U)."""
+    acc = None
+    for i in range(3):
+        for j in range(3):
+            term = (chis[i] * chis[j]).scale(A[i][j])
+            acc = term if acc is None else acc + term
+    return acc
+
+
+def diagonal(field, *entries):
+    return [[field(entries[i]) if i == j else field.zero for j in range(3)]
+            for i in range(3)]
 
 
 @pytest.mark.parametrize("fieldname", ["Q", "F11"])
@@ -120,12 +141,15 @@ def test_worked_example_conic_and_output(F11):
     models = conic_quartic_models(("C5_2", "C6_2", "C7_2"),
                                   derive_if_missing=False)
     assert models.r_poly.evaluate(F11, t) != F11.zero
-    conic = EvaluatedConic.from_models(models, F11, t)
-    got = {k: v.value for k, v in conic.coeffs.items()}
+    A = conic_matrix(models.polys.at(F11, t))
+    # the printed conic: the coefficients of x_i x_j, A_ii and 2 A_ij
+    got = {(i, j): (A[i - 1][j - 1] * (1 if i == j else 2)).value
+           for i, j in CONIC_PAIRS}
     assert got == {(1, 1): 0, (1, 2): 1, (1, 3): 3,
                    (2, 2): 6, (2, 3): 1, (3, 3): 8}
-    point = conic_point(conic, supplied=(1, 0, 1))
-    chis = conic_parametrize(conic, point)
+    field, point = conic_point(F11, A, supplied=(1, 0, 1))
+    assert field is F11
+    chis = conic_parametrize(F11, A, point)
     flat = [tuple(c.value for c in chi.coeffs) for chi in chis]
     # (u^2, tu, t^2) coefficient order
     assert flat == [(6, 10, 8), (9, 8, 0), (6, 1, 0)]
@@ -148,24 +172,19 @@ def test_conic_point_and_parametrize_properties(F11):
                                       derive_if_missing=False)
         if not models.r_poly.evaluate(F11, jt):
             continue
-        conic = EvaluatedConic.from_models(models, F11, jt)
-        pt = conic_point(conic)
-        assert conic.value(pt) == F11.zero
-        chis = conic_parametrize(conic, pt)
+        A = conic_matrix(models.polys.at(F11, jt))
+        field, pt = conic_point(F11, A)
+        assert field is F11 and conic_value(A, pt) == F11.zero
+        chis = conic_parametrize(F11, A, pt)
         # substituting the parametrization into the conic gives zero
-        acc = BinaryForm(F11, 4, [F11.zero] * 5)
-        for (i, j), c in conic.coeffs.items():
-            acc = acc + (chis[i - 1] * chis[j - 1]).scale(c)
-        assert acc.is_zero()
+        assert conic_on_parametrization(A, chis).is_zero()
         count += 1
     # exhaustive-scan oracle: a sum-of-squares conic over F11 has a point
-    conic = EvaluatedConic(F11, {(1, 1): F11.one, (2, 2): F11.one,
-                                 (3, 3): F11.one, (1, 2): F11.zero,
-                                 (1, 3): F11.zero, (2, 3): F11.zero})
-    pt = conic_point(conic)
-    assert conic.value(pt) == F11.zero
+    A = diagonal(F11, 1, 1, 1)
+    field, pt = conic_point(F11, A)
+    assert conic_value(A, pt) == F11.zero
     with pytest.raises(PointNotOnConic):
-        conic_parametrize(conic, (F11(1), F11(1), F11(1)))
+        conic_parametrize(F11, A, (F11(1), F11(1), F11(1)))
 
 
 @pytest.mark.parametrize("spec", ["Fp:11", "Fpk:11:2"])
@@ -174,26 +193,62 @@ def test_conic_point_lies_in_the_chart_x3_is_1(spec):
     x3 = 0, so the scan of x1 with x3 = 1 finds a point on every one."""
     field = field_make(spec)
     elements = list(field.elements())
+    half = field.one / field(2)
     rng = random.Random(27)
     done = linear = 0
     while done < 300:
-        conic = EvaluatedConic(field, {pair: rng.choice(elements)
-                                       for pair in CONIC_PAIRS})
-        if not conic.is_nonsingular():
+        # the coefficient c_ij of x_i x_j is A_ii, resp. 2 A_ij
+        coeffs = {pair: rng.choice(elements) for pair in CONIC_PAIRS}
+        A = conic_matrix([c if i == j else c * half
+                          for (i, j), c in coeffs.items()])
+        if not _det3(A):
             continue
-        pt = conic_point(conic)
-        assert pt[2] == field.one and not conic.value(pt)
-        linear += not conic.coeffs[(2, 2)]
+        got, pt = conic_point(field, A)
+        assert got is field
+        assert pt[2] == field.one and not conic_value(A, pt)
+        linear += not A[1][1]
         done += 1
     assert linear          # some x2 came from the linear case
 
 
 def test_singular_conic_rejected(F11):
-    conic = EvaluatedConic(F11, {(1, 1): F11.one, (2, 2): F11.zero,
-                                 (3, 3): F11.zero, (1, 2): F11.zero,
-                                 (1, 3): F11.zero, (2, 3): F11.zero})
     with pytest.raises(SingularConic):
-        conic_point(conic)
+        conic_point(F11, diagonal(F11, 1, 0, 0))
+
+
+@pytest.mark.parametrize("A, field, point", [
+    # (1, t, 0): A_22 = 0, so the restriction 2 t + 1 is linear
+    ([[1, 1, 0], [1, 0, 0], [0, 0, 1]], QQ, (1, Fraction(-1, 2), 0)),
+    # (1, t, 0) and (1, 0, t) restrict to the constant 1; (0, 1, t) to 2 t
+    ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], QQ, (0, 1, 0)),
+    # (1, t, 0): t^2 - 1, discriminant 4
+    ([[-1, 0, 0], [0, 1, 0], [0, 0, 1]], QQ, (1, 1, 0)),
+    # (1, t, 0): t^2 + 1, discriminant -4: t = sqrt(-4) / 2
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], QuadExtQ(-4),
+     (1, Fraction(1, 2) * QuadExtQ(-4).gen(), 0)),
+])
+def test_conic_point_over_q_reads_the_first_usable_chart(A, field, point):
+    """Over Q with no supplied point the charts (1, t, 0), (1, 0, t),
+    (0, 1, t) are read in order: a linear restriction, charts skipped
+    because the restriction is a nonzero constant, a square and a
+    non-square discriminant.  The point lies on the conic over its field,
+    and the parametrization through it too."""
+    A = [[Fraction(a) for a in row] for row in A]
+    got, pt = conic_point(QQ, A)
+    assert got == field and pt == tuple(field(c) for c in point)
+    lifted = [[field(a) for a in row] for row in A]
+    assert conic_value(lifted, pt) == field.zero
+    chis = conic_parametrize(field, A, pt)
+    assert conic_on_parametrization(lifted, chis).is_zero()
+
+
+@pytest.mark.parametrize("point", [(1, 0), (0, 0, 0), (1, 0, 1, 5),
+                                   (1, 1, 1)])
+def test_conic_point_refuses_a_bad_supplied_point(F11, point):
+    """A supplied point needs three coordinates, not all zero, on the
+    conic x^2 + y^2 + z^2."""
+    with pytest.raises(PointNotOnConic):
+        conic_point(F11, diagonal(F11, 1, 1, 1), supplied=point)
 
 
 def test_roundtrip_random_f11(F11):
