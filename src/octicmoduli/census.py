@@ -351,10 +351,12 @@ def run_census(p, want_models=False, jobs=1, model_limit=None,
     counts with unproven closed forms only flag.  With a report_path the
     per-class model lines are appended as they finish and already-recorded
     classes are skipped on resume; the models come back in the order of a
-    fresh run.  A model_limit below 1 is refused (ValueError).
+    fresh run.  A model_limit or jobs below 1 is refused (ValueError).
     """
     if model_limit is not None and model_limit < 1:
         raise ValueError("model limit %d is below 1" % model_limit)
+    if jobs < 1:
+        raise ValueError("jobs %d is below 1" % jobs)
     t0 = time.time()
     field = PrimeField(p)
     rows = census_fast.moduli_rows(field, filter_singular=True)

@@ -1,6 +1,6 @@
 """Vectorized moduli enumeration and stratum classification over F_p.
 
-This is the engine behind moduli_enumerate and the census.  It runs on
+This is the engine behind the moduli-enum verb and the census.  It runs on
 numpy int64 arrays of least residues; sampled tests compare it with the
 scalar solvers j8_candidates, solve_j9_j10 and strata.detect_group.
 Discrete logarithms to a fixed primitive root turn the
@@ -250,8 +250,6 @@ def classify_rows(field, rows):
             if not hit.size:
                 break
             hit = hit[stage.evaluate_mod(rows[hit], p)[:, 0] == 0]
-        if name == "C14":
-            hit = hit[rows[hit, 5] != 0]
         label[hit] = k
         left = left[label[left] == generic]
     return label

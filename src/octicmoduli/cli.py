@@ -77,6 +77,18 @@ def _check_round_trip(field, t, model):
                                "invariants")
 
 
+def _parse_triple(text):
+    """A covariant triple: three distinct catalogue covariants of order 2
+    (else ValueError naming it; UnknownIdentifier for an unknown name)."""
+    from .covariants import catalogue_degree_order
+    names = tuple(text.split(","))
+    if (len(names) != 3 or len(set(names)) != 3
+            or any(catalogue_degree_order(n)[1] != 2 for n in names)):
+        raise ValueError("%r is not three distinct covariants of order 2"
+                         % text)
+    return names
+
+
 def _weights(args):
     if not args.weights:
         raise ValueError("%s needs --weights" % args.verb)
@@ -188,11 +200,9 @@ def _run(args):
         return 0
 
     if verb == "moduli-enum":
-        from .wps import moduli_enumerate
-        for pt in moduli_enumerate(field,
-                                   filter_singular=not args.with_singular):
-            print("%d; %s" % (field.p,
-                              ",".join(_fmt(c) for c in pt.coords)))
+        from .census_fast import moduli_rows
+        for row in moduli_rows(field, filter_singular=not args.with_singular):
+            print("%d; %s" % (field.p, ",".join(map(str, row.tolist()))))
         return 0
 
     if verb == "autgroup":
@@ -215,8 +225,7 @@ def _run(args):
         from .reconstruct import reconstruct_generic
         order = hint = None
         if args.triple_order:
-            order = [tuple(t.split(",")) for t in
-                     args.triple_order.split(";")]
+            order = [_parse_triple(t) for t in args.triple_order.split(";")]
         if args.point:
             if order is None:
                 raise ValueError("--point needs --triple-order")
@@ -254,7 +263,7 @@ def _run(args):
         from .covariants import derive_syzygies
         if args.triple:
             from .reconstruct import derive_triple_models
-            triple = tuple(args.triple.split(","))
+            triple = _parse_triple(args.triple)
             derive_triple_models(triple)
             print("derived %s" % (",".join(triple)))
         else:

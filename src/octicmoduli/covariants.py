@@ -266,12 +266,11 @@ def _values_mod(values, p):
 class ExpressResult:
     """Canonical J-polynomial for an invariant plus solve diagnostics."""
 
-    __slots__ = ("polynomial", "nullity", "rank")
+    __slots__ = ("polynomial", "nullity")
 
-    def __init__(self, polynomial, nullity, rank):
+    def __init__(self, polynomial, nullity):
         self.polynomial = polynomial
         self.nullity = nullity
-        self.rank = rank
 
 
 MAX_EXPRESS_DEGREE = 44
@@ -336,7 +335,7 @@ def express_many(programs_with_degrees, seed=_EXPRESS_SEED):
         outcome = solve_rational(build, len(basis), len(idxs), verify=verify)
         for cj, i in zip(outcome.solution, idxs):
             poly = _poly_from_coeffs(d, basis, cj)
-            results[i] = ExpressResult(poly, outcome.nullity, outcome.rank)
+            results[i] = ExpressResult(poly, outcome.nullity)
     return results
 
 

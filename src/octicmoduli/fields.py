@@ -94,8 +94,6 @@ class Rationals:
             return value
         if isinstance(value, int):
             return Fraction(value)
-        if isinstance(value, str):
-            return Fraction(value)
         raise TypeError("cannot coerce %r into Q" % (value,))
 
     @property
@@ -119,9 +117,6 @@ class Rationals:
 
     def element_key(self, a):
         return (a.numerator, a.denominator)
-
-    def serialize(self):
-        return "Q"
 
     def __eq__(self, other):
         return isinstance(other, Rationals)
@@ -310,8 +305,6 @@ class PrimeField:
             if den == 0:
                 raise ZeroDivisionError("denominator divisible by %d" % self.p)
             return FpElement(self, num * pow(den, -1, self.p))
-        if isinstance(value, str):
-            return self(Fraction(value))
         raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
 
     @property
@@ -333,9 +326,6 @@ class PrimeField:
 
     def element_key(self, a):
         return a.value
-
-    def serialize(self):
-        return "Fp:%d" % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -604,8 +594,6 @@ class ExtField:
             return ExtElement(self, [self.prime_field(value).value])
         if isinstance(value, (list, tuple)):
             return ExtElement(self, list(value))
-        if isinstance(value, str):
-            return self(Fraction(value))
         raise TypeError("cannot coerce %r into %r" % (value, self))
 
     @property
@@ -648,10 +636,6 @@ class ExtField:
 
     def element_key(self, a):
         return a.coeffs
-
-    def serialize(self):
-        return "Fpk:%d:%d:%s" % (self.p, self.k,
-                                 ",".join(str(c) for c in self.modulus))
 
     def __eq__(self, other):
         return (isinstance(other, ExtField) and other.p == self.p
@@ -755,8 +739,6 @@ class QuadExtQ:
             return value
         if isinstance(value, (int, Fraction)):
             return QuadElement(self, value, 0)
-        if isinstance(value, str):
-            return QuadElement(self, Fraction(value), 0)
         raise TypeError("cannot coerce %r into %r" % (value, self))
 
     @property
@@ -783,9 +765,6 @@ class QuadExtQ:
     def element_key(self, a):
         return (a.a.numerator, a.a.denominator, a.b.numerator, a.b.denominator)
 
-    def serialize(self):
-        return "Qsqrt:%s" % self.d
-
     def __eq__(self, other):
         return isinstance(other, QuadExtQ) and other.d == self.d
 
@@ -801,42 +780,22 @@ class QuadExtQ:
 
 
 def field_make(spec, allow_small=False):
-    """Build a field from a spec.
-
-    Accepts "Q", "Fp:<p>", "Fpk:<p>:<k>[:<c0,c1,...,ck>]", an integer prime,
-    or a (p, k) tuple.  allow_small admits characteristics below 11 for
-    purely weighted-projective work.
+    """Build a field from a spec string: "Q", "Fp:<p>" or
+    "Fpk:<p>:<k>[:<c0,c1,...,ck>]".  allow_small admits characteristics
+    below 11 for purely weighted-projective work.
     """
-    if isinstance(spec, (Rationals, PrimeField, ExtField, QuadExtQ)):
-        return spec
-    if isinstance(spec, int):
-        return PrimeField(spec, allow_small=allow_small)
-    if isinstance(spec, tuple):
-        if len(spec) == 2:
-            return ExtField(spec[0], spec[1], allow_small=allow_small)
-        if len(spec) == 3:
-            return ExtField(spec[0], spec[1], spec[2],
-                            allow_small=allow_small)
-        raise TypeError("tuple spec must be (p, k) or (p, k, modulus)")
-    if isinstance(spec, str):
-        parts = spec.split(":")
-        if parts[0] == "Q" and len(parts) == 1:
-            return QQ
-        if parts[0] == "Fp" and len(parts) == 2:
-            return PrimeField(int(parts[1]), allow_small=allow_small)
-        if parts[0] == "Fpk" and len(parts) in (3, 4):
-            p, k = int(parts[1]), int(parts[2])
-            if len(parts) == 4:
-                modulus = tuple(int(c) for c in parts[3].split(","))
-                return ExtField(p, k, modulus, allow_small=allow_small)
-            return ExtField(p, k, allow_small=allow_small)
-        raise ValueError("unrecognized field spec %r" % spec)
-    raise TypeError("unrecognized field spec %r" % (spec,))
-
-
-def sqrt_opt(field, a):
-    """x with x^2 = a in the field, or None; the choice is deterministic."""
-    return field.sqrt(a)
+    parts = spec.split(":")
+    if parts[0] == "Q" and len(parts) == 1:
+        return QQ
+    if parts[0] == "Fp" and len(parts) == 2:
+        return PrimeField(int(parts[1]), allow_small=allow_small)
+    if parts[0] == "Fpk" and len(parts) in (3, 4):
+        p, k = int(parts[1]), int(parts[2])
+        if len(parts) == 4:
+            modulus = tuple(int(c) for c in parts[3].split(","))
+            return ExtField(p, k, modulus, allow_small=allow_small)
+        return ExtField(p, k, allow_small=allow_small)
+    raise ValueError("unrecognized field spec %r" % spec)
 
 
 def norm_solve(ext, lam):

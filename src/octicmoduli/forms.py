@@ -117,36 +117,6 @@ class BinaryForm:
             embed = field
         return BinaryForm(field, self.degree, [embed(c) for c in self.coeffs])
 
-    def serialize(self):
-        """Field spec plus a JSON-style coefficient array [a_0, ..., a_n];
-        rationals as "num/den" strings, residues as integers."""
-        import json
-        out = []
-        for c in self.coeffs:
-            if isinstance(c, Fraction):
-                out.append("%d/%d" % (c.numerator, c.denominator))
-            elif hasattr(c, "coeffs"):
-                out.append(list(int(x) for x in c.coeffs))
-            else:
-                out.append(int(c.value))
-        return "%s %s" % (self.field.serialize(), json.dumps(out))
-
-    @classmethod
-    def deserialize(cls, text):
-        import json
-        from .fields import field_make
-        spec, _, payload = text.partition(" ")
-        field = field_make(spec, allow_small=True)
-        coeffs = []
-        for entry in json.loads(payload):
-            if isinstance(entry, str):
-                coeffs.append(field(Fraction(entry)))
-            elif isinstance(entry, list):
-                coeffs.append(field(entry))
-            else:
-                coeffs.append(field(entry))
-        return cls(field, len(coeffs) - 1, coeffs)
-
     def __repr__(self):
         return "BinaryForm(%r, deg=%d, %s)" % (self.field, self.degree,
                                                list(self.coeffs))

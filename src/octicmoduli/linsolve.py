@@ -5,7 +5,8 @@ height, so the effective strategy is: reduce the system modulo a batch of
 30-bit primes, row-reduce each image with vectorized numpy arithmetic,
 combine by CRT, lift entries by rational reconstruction, and finally let
 the caller verify the candidate exactly.  Bad primes (rank drop or pivot
-disagreement) are discarded by majority.
+disagreement) are discarded: the image of higher rank is trusted, and a
+system is refused as inconsistent only once two images agree on it.
 """
 
 from fractions import Fraction
@@ -102,13 +103,11 @@ def rational_reconstruct(u, m):
 
 
 class SolveOutcome:
-    __slots__ = ("solution", "rank", "nullity", "pivots")
+    __slots__ = ("solution", "nullity")
 
-    def __init__(self, solution, rank, nullity, pivots):
+    def __init__(self, solution, nullity):
         self.solution = solution      # list of columns; each a list of Fractions
-        self.rank = rank
         self.nullity = nullity
-        self.pivots = pivots
 
 
 def solve_rational(image_builder, n_cols, n_rhs, verify=None):
@@ -122,22 +121,24 @@ def solve_rational(image_builder, n_cols, n_rhs, verify=None):
     """
     acc = None        # (n_cols, n_rhs) python ints mod modulus
     modulus = 1
-    ref = None        # (pivots, consistent) from the majority
-    used = 0
+    ref = None        # (pivots, consistent) of the trusted images
+    used = 0          # images that agree with ref
     attempts_since = 0
     for p in PRIMES30:
         A, B = image_builder(p)
         pivots, sol, consistent = rref_mod(A, B, p)
-        if ref is None:
-            ref = (tuple(pivots), consistent)
-        elif (tuple(pivots), consistent) != ref:
-            # one of the two reductions is bad; trust the higher rank
-            if len(pivots) > len(ref[0]):
-                ref = (tuple(pivots), consistent)
-                acc, modulus, used = None, 1, 0
-            else:
+        if (tuple(pivots), consistent) != ref:
+            # one of the two reductions is bad; trust the higher rank of
+            # [A | B]: more pivots, and on a tie the inconsistent image
+            if ref is not None and (len(pivots), not consistent) <= (
+                    len(ref[0]), not ref[1]):
                 continue
-        if not ref[1]:
+            ref = (tuple(pivots), consistent)
+            acc, modulus, used = None, 1, 0
+        used += 1
+        if not consistent:
+            if used < 2:
+                continue
             raise InconsistentSystem(
                 "system inconsistent modulo %d (target is not a polynomial "
                 "in the generators at this degree)" % p)
@@ -151,16 +152,13 @@ def solve_rational(image_builder, n_cols, n_rhs, verify=None):
                 for j in range(n_rhs):
                     row[j], _ = crt_pair(row[j], modulus, int(sol[i, j]), p)
             modulus *= p
-        used += 1
         attempts_since += 1
         if used >= _MIN_PRIMES and attempts_since >= 2:
             attempts_since = 0
             cand = _try_reconstruct(acc, modulus, n_cols, n_rhs)
             if cand is not None:
                 if verify is None or verify(cand):
-                    rank = len(ref[0])
-                    return SolveOutcome(cand, rank, n_cols - rank,
-                                        list(ref[0]))
+                    return SolveOutcome(cand, n_cols - len(ref[0]))
     raise RankDeficiency("modular solve failed to stabilize after %d primes"
                          % used)
 

@@ -21,7 +21,7 @@ from .errors import (
     AllDeterminantsVanish, InterpolationFailure, PointNotOnConic,
     SingularConic,
 )
-from .fields import QuadExtQ, sqrt_opt
+from .fields import QuadExtQ
 from .forms import BinaryForm, _convolve, _operands, omega_pair, transvect
 from .jpoly import PolySet
 
@@ -323,7 +323,7 @@ def _line_root(field, a, b, c):
     if not a:
         return (field, -c / b) if b else None
     disc = b * b - field(4) * a * c
-    r = sqrt_opt(field, disc)
+    r = field.sqrt(disc)
     if r is not None:
         return field, (-b + r) / (a + a)
     if field.characteristic:

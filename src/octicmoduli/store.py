@@ -61,9 +61,10 @@ def artifact_filename(identifier):
     return "%s-%s.jpoly" % (safe, content_key(identifier))
 
 
-def write_artifact(identifier, named_polys, directory=None):
-    """named_polys: list of (name, JPolynomial). Returns the path."""
-    directory = directory or cache_dir()
+def write_artifact(identifier, named_polys):
+    """named_polys: list of (name, JPolynomial), written to the cache
+    directory. Returns the path."""
+    directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
     path = os.path.join(directory, artifact_filename(identifier))
     body = "".join("%s | %s\n" % (name, poly.serialize())

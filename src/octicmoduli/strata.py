@@ -18,7 +18,7 @@ from .covariants import has_invariants
 from .errors import (
     ExhaustedCandidates, GuardInconsistency, SingularLocus, Unresolved,
 )
-from .fields import ExtField, QQ, QuadExtQ, sqrt_opt
+from .fields import ExtField, QQ, QuadExtQ
 from .forms import BinaryForm, embed_field
 from .jpoly import PolySet
 from .wps import SHIODA_WEIGHTS, WeightedPoint
@@ -95,8 +95,7 @@ def detect_group(field, jtuple):
     jtuple = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
     residuals = stratum_residuals(field, jtuple)
     for name in STRATA_ORDER:
-        # C14 is the vanishing pattern alone: j7 must be the only survivor
-        if not any(residuals[name]) and (name != "C14" or jtuple[5]):
+        if not any(residuals[name]):
             return name
     return "C2"
 
@@ -136,7 +135,7 @@ class FieldContext:
         """A square root of a, extending the working field when a is not
         a square in it."""
         a = self(a)
-        r = sqrt_opt(self.field, a)
+        r = self.field.sqrt(a)
         if r is not None:
             return r
         if self.field is QQ:
@@ -146,7 +145,7 @@ class FieldContext:
         if isinstance(self.field, QuadExtQ):
             raise Unresolved("square root needs a degree-4 extension of Q")
         emb = self._extend_degree(2)
-        r = sqrt_opt(self.field, emb(a))
+        r = self.field.sqrt(emb(a))
         if r is None:
             raise Unresolved("no square root after a quadratic extension")
         return r

@@ -1,5 +1,6 @@
 """Weighted projective spaces: equality, canonical representatives and
-enumeration, plus the genus-3 moduli enumeration over prime fields.
+enumeration.  The genus-3 moduli enumeration over prime fields is
+census_fast.moduli_rows.
 
 A point is a tuple (u_1 : ... : u_m), not all zero, up to the rescaling
 u_i -> lambda^{d_i} u_i.  Equality and normalization follow the support /
@@ -128,18 +129,3 @@ def wps_enumerate(field, weights):
                     coords[i] = val
                 yield WeightedPoint(field, weights, coords)
 
-
-def moduli_enumerate(field, filter_singular=True):
-    """Representatives of every point of the genus-3 hyperelliptic moduli
-    space over F_p (weights 2..10, subject to the five relations).
-
-    Steps: list the (j2..j7) prefixes, the canonical representatives
-    and their rescalings, by one congruence on their exponents; solve
-    the degree-5 equation for J8 and the relations for (J9, J10);
-    deduplicate through canonical forms.  With filter_singular, classes
-    with vanishing discriminant (no smooth curve) are dropped.
-    """
-    from .census_fast import moduli_rows
-    for row in moduli_rows(field, filter_singular):
-        yield WeightedPoint(field, SHIODA_WEIGHTS,
-                            [field(int(v)) for v in row])

@@ -320,3 +320,9 @@ def test_criterion_11_d4_appendix_system():
         assert any(eq.evaluate(QQ, jv) for eq in systems)
     report(11, "24-polynomial Klein-four system: 100 models satisfy, "
                "100 generic octics violate")
+
+
+def test_every_exported_name_resolves():
+    import octicmoduli
+    for name in octicmoduli.__all__:
+        assert getattr(octicmoduli, name) is not None, name

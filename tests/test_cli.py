@@ -115,6 +115,46 @@ def test_point_without_triple_order_is_a_usage_error(capsys):
     assert out == ""
 
 
+#: the two verbs that take a covariant triple, up to the triple
+TRIPLE_ARGV = {"reconstruct": WORKED[:5] + ("--triple-order",),
+               "derive-cache": ("derive-cache", "--triple")}
+
+
+@pytest.mark.parametrize("verb, entry", [
+    ("reconstruct", "C5_2,C6_2"),
+    ("reconstruct", "C2_0,C6_2,C7_2"),
+    ("reconstruct", "C5_2,C5_2,C7_2"),
+    ("reconstruct", "C5_2,C6_2,C7_2;C5_2"),
+    ("derive-cache", "C5_2,C6_2"),
+    ("derive-cache", "C2_0,C6_2,C7_2"),
+    ("derive-cache", "C5_2,C5_2,C7_2"),
+])
+def test_a_malformed_covariant_triple_is_a_usage_error(capsys, monkeypatch,
+                                                       tmp_path, verb,
+                                                       entry):
+    """Two names, an invariant, a repeated name and a second entry of one
+    name are refused before anything is derived or written."""
+    from octicmoduli import store
+    monkeypatch.setattr(store, "_override_dir", store._override_dir)
+    code, out, err = run_cli(capsys, *TRIPLE_ARGV[verb], entry,
+                             "--cache-dir", str(tmp_path))
+    assert code == 2 and out == "" and err == (
+        "usage error: %r is not three distinct covariants of order 2\n"
+        % entry.split(";")[-1])
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("verb", sorted(TRIPLE_ARGV))
+def test_an_unknown_covariant_keeps_its_error(capsys, monkeypatch, tmp_path,
+                                              verb):
+    from octicmoduli import store
+    monkeypatch.setattr(store, "_override_dir", store._override_dir)
+    code, out, err = run_cli(capsys, *TRIPLE_ARGV[verb], "C5_2,C6_2,C99_2",
+                             "--cache-dir", str(tmp_path))
+    assert code == 21 and "UnknownIdentifier" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_error_exit_codes(capsys):
     code, _, err = run_cli(capsys, "shioda", "--field", "Fp:10",
                            "--form", "1,0,0,0,0,0,0,0,1")
@@ -178,6 +218,14 @@ def test_census_refuses_a_model_limit_below_one(capsys, limit):
     code, out, err = run_cli(capsys, "census", "--field", "Fp:11",
                              "--models", "--model-limit", limit)
     assert code == 2 and err.startswith("usage error: model limit")
+    assert out == ""
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_census_refuses_jobs_below_one(capsys, jobs):
+    code, out, err = run_cli(capsys, "census", "--field", "Fp:11",
+                             "--jobs", jobs)
+    assert code == 2 and err == "usage error: jobs %s is below 1\n" % jobs
     assert out == ""
 
 
@@ -370,6 +418,7 @@ def test_moduli_enum_prints_the_moduli_rows(capsys):
     assert code == 0 and len(rows) == 11 ** 5
     assert out.splitlines() == ["11; " + ",".join(map(str, row))
                                 for row in rows]
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "1ea18296b1f4"
 
 
 def test_derive_cache_writes_the_packaged_syzygies(capsys, monkeypatch,

@@ -162,18 +162,6 @@ def test_roots_vieta(F11):
         assert fb.scale(lead_p) == prod.scale(lead_f)
 
 
-def test_form_serialization_roundtrip(F11):
-    from fractions import Fraction as Fr
-    f = BinaryForm(QQ, 8, [Fr(1, 2), 0, -3, 0, Fr(7, 5), 0, 0, 0, 2])
-    back = BinaryForm.deserialize(f.serialize())
-    assert back == f
-    g = BinaryForm(F11, 8, [3, 0, 0, 1, 0, 0, 0, 0, 10])
-    assert BinaryForm.deserialize(g.serialize()) == g
-    E = ExtField(11, 2)
-    h = g.to_field(E, lambda a: E(a.value))
-    assert BinaryForm.deserialize(h.serialize()) == h
-
-
 def test_embed_field(F11):
     """The identity on (F, F), coercion from F_11, and a ring map
     F_{11^2} -> F_{11^4} that is one-to-one."""

@@ -2,12 +2,17 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
 from octicmoduli.covariants import (
     covariant_eval, derive_syzygies, express_in_J, j8_candidates, j8_quintic,
     random_octic, shioda, solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField, QQ
+from octicmoduli.errors import InconsistentSystem
 from octicmoduli.jpoly import JPolynomial, monomial_basis
+from octicmoduli.linsolve import PRIMES30, solve_rational
 
 
 def test_monomial_basis_counts():
@@ -143,3 +148,25 @@ def test_degenerate_scan_evaluates_the_blocks_once(F11, monkeypatch):
     want = [(a, b) for a in F11.elements() for b in F11.elements()
             if not any(syz.relations_residuals(F11, j28 + [a, b]))]
     assert sols == want == [(F11(2), F11(7)), (F11(9), F11(7))]
+
+
+def _images(A, B):
+    """image_builder of solve_rational for integer matrices A and B."""
+    return lambda p: (np.array(A, dtype=np.int64) % p,
+                      np.array(B, dtype=np.int64) % p)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_solve_rational_outlasts_a_bad_first_prime(k):
+    """A = [[P + 1, 1], [1, 1]] has rank 1 modulo P, where the system
+    reads inconsistent; over Q the solution is (1/P, -1/P).  With P the
+    first prime the first image is bad, with P the second the second."""
+    P = PRIMES30[k]
+    out = solve_rational(_images([[P + 1, 1], [1, 1]], [[1], [0]]), 2, 1)
+    assert out.solution == [[Fraction(1, P), Fraction(-1, P)]]
+    assert out.nullity == 0
+
+
+def test_solve_rational_refuses_a_system_inconsistent_over_q():
+    with pytest.raises(InconsistentSystem):
+        solve_rational(_images([[1], [1]], [[0], [1]]), 1, 1)

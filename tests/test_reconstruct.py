@@ -353,6 +353,20 @@ def test_printed_r_polynomial_matches_modulo_relations():
     assert check == ref
 
 
+def test_printed_conic_is_the_derived_conic_up_to_one_constant():
+    """The packaged printed conic of (C5_2, C6_2, C7_2) holds the
+    coefficients of x_i x_j: c A_ii on the diagonal and 2 c A_ij off it,
+    with one constant c for all six."""
+    printed = dict(store.read_data_polys("printed_conic_c52_c62_c72.jpoly"))
+    conic = conic_quartic_models(("C5_2", "C6_2", "C7_2"),
+                                 derive_if_missing=False).conic
+    assert sorted(printed) == ["A%d%d" % pair for pair in CONIC_PAIRS]
+    c = 57610828800000
+    for i, j in CONIC_PAIRS:
+        assert printed["A%d%d" % (i, j)] == conic[(i, j)].scale(
+            c if i == j else 2 * c)
+
+
 def _relation_poly(syz, i):
     from octicmoduli.jpoly import JPolynomial
     g = JPolynomial.generator

@@ -273,3 +273,21 @@ def test_closed_form_models_pin_p11():
             digest.update(line.encode())
             n += 1
         assert (n, digest.hexdigest()[:12]) == (count, sha), name
+
+
+@pytest.mark.parametrize("field", [PrimeField(11), QQ], ids=["F11", "Q"])
+@pytest.mark.parametrize("stratum, form, larger", [
+    ("C2xD8", [1, 0, 0, 0, 14, 0, 0, 0, 1], "C2xS4"),
+    ("D12", [1, 0, 0, 0, 14, 0, 0, 0, 1], "C2xS4"),
+    ("C2xC4", [-1, 0, 0, 0, 0, 0, 0, 0, 1], "V8"),
+    ("C2xC4", [0, -1, 0, 0, 0, 0, 0, 1, 0], "U6"),
+    ("C2p3", [3, 0, 0, 0, 5, 0, 0, 0, 1], "C2xD8"),
+])
+def test_degenerate_guards_redispatch_to_the_larger_stratum(field, stratum,
+                                                            form, larger):
+    """At a point of a larger stratum the closed form's guard vanishes and
+    reconstruct_stratum returns exactly the larger stratum's model."""
+    t = shioda(BinaryForm(field, 8, form))
+    assert detect_group(field, t) == larger
+    assert (reconstruct_stratum(stratum, field, t)
+            == reconstruct_stratum(larger, field, t))
