@@ -6,50 +6,67 @@ scalar solvers j8_candidates, solve_j9_j10 and strata.detect_group.
 Discrete logarithms to a fixed primitive root turn the
 weighted-projective constraints into affine arithmetic modulo p - 1.
 
-_prefixes lists the (J2..J7) prefixes in one array, from one Bezout
-congruence on their exponents per support.  moduli_rows takes them
-CHUNK_ROWS at a time and evaluates only the 22 syzygy blocks on them.
-The J8 values of a prefix are the x in F_p where
+moduli_rows is one streaming pass.  _prefixes yields the (J2..J7)
+prefixes, support by support, from one Bezout congruence on their
+exponents; no grid it builds has more than (p - 1)^4 rows.  They are taken
+CHUNK_ROWS at a time, and on each chunk only the 22 syzygy blocks are
+evaluated.  The J8 values of a prefix are the x in F_p where
 covariants.j8_determinant, the determinant j8_quintic is built from,
 vanishes on the block values mod p; its leading coefficient is the
-constant -1, so it has the roots of the quintic at every p.  Where delta
-of the (J9, J10) closed form is nonzero, the closed form gives the one
-candidate; where it is zero, R1 and R2 are evaluated at all p^2 points
-(J9, J10) and a row is built only where both vanish.  Every candidate is
-then checked on all five relations by covariants._relation_values, the
-evaluator the scalar solvers use, run on the columns of the candidate
-rows.  classify_rows walks the strata in the order of
-strata.detect_group and evaluates each stratum's equations one at a
-time, fewest terms first, each only on the rows where the ones before it
-vanished.
+constant -1, so it has the roots of the quintic at every p.  It has
+degree 5 in x, so it is evaluated at x = 0..5 only and interpolated to
+the rest of F_p.  Where delta of the (J9, J10) closed form is nonzero,
+the closed form gives the one candidate; where it is zero, R1 and R2 are
+evaluated at all p^2 points (J9, J10) and a row is built only where both
+vanish.  Every candidate is then checked on all five relations by
+covariants._relation_values, the evaluator the scalar solvers use, run on
+the columns of the candidate rows.  The chunk's rows are normalized and
+only one int64 key a row is kept, key = sum r_i p^(8 - i): its order is
+the lexicographic order of the rows, as 0 <= r_i < p.  One np.unique on
+the keys of all chunks sorts and deduplicates them, the discriminant
+filter runs on chunks of decoded keys, and the survivors are decoded once
+into the (N, 9) rows.  classify_rows walks the strata in the order of
+strata.detect_group on chunks of rows and evaluates each stratum's
+equations one at a time, each only on the rows where the ones before it
+vanished: fewest terms first, except that equations which vanish at the
+invariants of a few random octics over F_p, and so likely on every row,
+go last.
 
-Primes are at most MAX_FAST_PRIME = 2^20, and a census that would not
-fit in physical memory is refused before anything is allocated.
-Residue arithmetic stays in int64: a product of two residues is below
-2^40, and the (J9, J10) closed form stays below 2^63.
-J-polynomials are evaluated by PolySet: monomials in int64, combined
-with the coefficients in float64, which is exact while
-n_monomials * (p - 1)^2 < 2^53, that is for up to 8192 monomials here.
+Primes are at most MAX_FAST_PRIME = 127, so that p^9 < 2^63 and keys fit
+in int64, and a census that would not fit in physical memory is refused
+before anything is allocated.  Residue arithmetic stays in int64: a
+product of two residues is below 2^14, and the (J9, J10) closed form far
+below 2^63.  J-polynomials are evaluated by PolySet: monomials in int64,
+combined with the coefficients in float64, which is exact while
+n_monomials * (p - 1)^2 < 2^53.
 """
 
 import functools
 import os
+import random
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
 from .covariants import (
     SyzygyCoefficients, _relation_values, derive_syzygies, discriminant_poly,
-    j8_determinant, j9_j10_closed_form, r1_r2_linear,
+    j8_determinant, j9_j10_closed_form, r1_r2_linear, shioda,
 )
 from .fields import PrimeField, ext_gcd_multi, generates_units
+from .forms import BinaryForm
 from .jpoly import CHUNK_ROWS, WEIGHTS, PolySet
 
-MAX_FAST_PRIME = 1 << 20
+#: the largest prime whose row keys fit in int64: 127^9 < 2^63 <= 131^9
+MAX_FAST_PRIME = 127
 
-#: peak RSS per class: run_census(17) peaked at 681 MB for its 17^5 classes
-BYTES_PER_CLASS = 480
+#: the memory budget of a class: the census in a fresh process peaked at
+#: 88 to 102 bytes a class at p = 23, 29 and 31, of which its int64 rows
+#: and labels are 80 (at p = 17 the interpreter's 50 MB make it 135)
+BYTES_PER_CLASS = 128
+
+#: rows per chunk of classify_rows
+CLASSIFY_ROWS = 1 << 16
 
 
 class _ModCtx:
@@ -72,8 +89,9 @@ class _ModCtx:
 
 
 def _prefixes(ctx):
-    """Every (J2..J7) prefix the completions start from: rows (N, 6) of
-    residues, the rows of one support contiguous.
+    """Every (J2..J7) prefix the completions start from, as (n, 6) arrays
+    of residues, the rows of one support together; no grid is larger
+    than (p - 1)^4 rows.
 
     In exponents e to the primitive root g, a support with weight gcd d
     and ext_gcd_multi coefficients c keeps the e with sum(c_i e_i) mod
@@ -83,29 +101,49 @@ def _prefixes(ctx):
     completions by J8, J9 and J10 reach other classes of P(2..10).
     """
     order = ctx.p - 1
-    out = []
     for size in range(1, 7):
         for supp in combinations(range(6), size):
             d, cs = ext_gcd_multi([WEIGHTS[i] for i in supp])
-            k = len(supp)
             c = np.array(cs, dtype=np.int64) % order
-            free = np.indices((order,) * (k - 1)).reshape(
-                k - 1, order ** (k - 1))
-            partial = c[:-1] @ free % order
-            for last in range(order):
-                keep = (partial + c[-1] * last) % order < gcd(d, order)
-                rows = np.zeros((int(keep.sum()), 6), dtype=np.int64)
-                rows[:, list(supp[:-1])] = ctx.POW[free[:, keep]].T
-                rows[:, supp[-1]] = ctx.POW[last]
-                out.append(rows)
-    return np.concatenate(out)
+            # the exponents of supp[:outer] and supp[-1] run in loops, the
+            # others over one grid
+            outer = max(size - 5, 0)
+            k = size - 1 - outer
+            free = np.indices((order,) * k).reshape(k, order ** k)
+            grid = c[outer:-1] @ free
+            for head in np.ndindex((order,) * outer):
+                partial = grid + int(c[:outer] @ np.array(head, np.int64))
+                for last in range(order):
+                    keep = (partial + c[-1] * last) % order < gcd(d, order)
+                    rows = np.zeros((int(keep.sum()), 6), dtype=np.int64)
+                    rows[:, list(supp[:outer])] = ctx.POW[list(head)]
+                    rows[:, list(supp[outer:-1])] = ctx.POW[free[:, keep]].T
+                    rows[:, supp[-1]] = ctx.POW[last]
+                    yield rows
+
+
+def _chunks(parts, size):
+    """The rows of the arrays parts, in order, as arrays of size rows (the
+    last one shorter)."""
+    held, n = [], 0
+    for part in parts:
+        held.append(part)
+        n += part.shape[0]
+        if n >= size:
+            rows = np.concatenate(held)
+            cut = n - n % size
+            yield from np.split(rows[:cut], cut // size)
+            held, n = [rows[cut:]], n - cut
+    if n:
+        yield np.concatenate(held)
 
 
 def _check_memory(p):
     """Refuse a census that cannot fit in physical memory.
 
-    A census holds its p^5 classes at once (rows, sort permutations,
-    labels); BYTES_PER_CLASS each also covers the prefix stage.
+    A census holds one int64 key per candidate row, then its p^5 classes
+    as nine int64 residues and a label each; BYTES_PER_CLASS, measured
+    from peak RSS, covers that and the chunk work arrays.
     """
     need = BYTES_PER_CLASS * p ** 5
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -115,31 +153,68 @@ def _check_memory(p):
                          % (p, need / 2 ** 30, have / 2 ** 30))
 
 
+def _decode(keys, p):
+    """The (N, 9) rows of residues whose keys are keys, the digits of each
+    key in base p; keys is consumed."""
+    rows = np.empty((keys.size, 9), dtype=np.int64)
+    for i in range(8, -1, -1):
+        np.remainder(keys, p, out=rows[:, i])
+        np.floor_divide(keys, p, out=keys)
+    return rows
+
+
 def moduli_rows(field, filter_singular=True):
-    """The canonical representative rows (N, 9) of every moduli point."""
+    """The canonical representative rows (N, 9) of every moduli point,
+    sorted lexicographically."""
     if not isinstance(field, PrimeField):
         raise TypeError("fast enumeration runs over prime fields")
     p = field.p
-    if p > MAX_FAST_PRIME:
-        raise ValueError("prime too large for the census engine")
     _check_memory(p)
+    if p > MAX_FAST_PRIME:
+        raise ValueError("the census engine keys rows in int64, so p is at "
+                         "most %d" % MAX_FAST_PRIME)
     ctx = _ModCtx(p)
     block_set = derive_syzygies().block_set
 
-    prefixes = _prefixes(ctx)
-    rows9 = np.concatenate([
-        _completions(ctx, block_set, prefixes[start:start + CHUNK_ROWS])
-        for start in range(0, prefixes.shape[0], CHUNK_ROWS)])
-    rows9 = normalize_rows(ctx, rows9)
-    # sorted lexicographically, each row once
-    rows9 = rows9[np.lexsort(rows9.T[::-1])]
-    keep = np.ones(rows9.shape[0], dtype=bool)
-    keep[1:] = (rows9[1:] != rows9[:-1]).any(axis=1)
-    rows9 = rows9[keep]
+    # key = sum r_i p^(8 - i): key order is row order, and p^9 < 2^63
+    place = p ** np.arange(8, -1, -1, dtype=np.int64)
+    keys = np.unique(np.concatenate([
+        normalize_rows(ctx, _completions(ctx, block_set, prefixes)) @ place
+        for prefixes in _chunks(_prefixes(ctx), CHUNK_ROWS)]))
     if filter_singular:
-        disc = PolySet([discriminant_poly()]).evaluate_mod(rows9, p)[:, 0]
-        rows9 = rows9[disc != 0]
-    return rows9
+        disc = PolySet([discriminant_poly()])
+        keys = keys[np.concatenate([
+            disc.evaluate_mod(
+                _decode(keys[start:start + CHUNK_ROWS].copy(), p), p)[:, 0]
+            != 0
+            for start in range(0, keys.size, CHUNK_ROWS)])]
+    return _decode(keys, p)
+
+
+@functools.cache
+def _j8_interpolation(p):
+    """(6, p) float64: the Lagrange basis of the nodes x = 0..5 mod p at
+    every x of F_p; census primes are above 7, so the nodes are distinct."""
+    basis = np.zeros((6, p))
+    for j in range(6):
+        others = [m for m in range(6) if m != j]
+        scale = pow(prod(j - m for m in others), -1, p)
+        for x in range(p):
+            basis[j, x] = prod(x - m for m in others) * scale % p
+    return basis
+
+
+def _j8_values(v, p):
+    """(n, p): j8_determinant mod p at every x of F_p, for the block
+    values v (name -> (n,) residues) of n prefixes.
+
+    The determinant has degree 5 in x, so its values at x = 0..5 and the
+    Lagrange basis give the rest in one float64 product, exact as each
+    entry is a sum of 6 products below p^2.
+    """
+    at_nodes = np.column_stack([j8_determinant(v, x, lambda a: a % p)
+                                for x in range(6)])
+    return at_nodes.astype(np.float64) @ _j8_interpolation(p) % p
 
 
 def _completions(ctx, block_set, prefixes):
@@ -151,11 +226,9 @@ def _completions(ctx, block_set, prefixes):
         return a % p
 
     bvals = block_set.evaluate_mod(prefixes, p)
-    # (prefix, j8) pairs: the roots of the J8 quintic
-    v = SyzygyCoefficients.named(bvals.T)
-    hits = [np.nonzero(j8_determinant(v, x, mod) == 0)[0] for x in range(p)]
-    idx = np.concatenate(hits)
-    j8 = np.repeat(np.arange(p, dtype=np.int64), [h.size for h in hits])
+    # (prefix, j8) pairs, in order of j8: the roots of the J8 quintic
+    j8, idx = np.nonzero(_j8_values(SyzygyCoefficients.named(bvals.T), p).T
+                         == 0)
     v = SyzygyCoefficients.named(bvals[idx].T)
     delta_v, n9, n10 = (a % p for a in j9_j10_closed_form(v, j8))
 
@@ -222,36 +295,51 @@ def normalize_rows(ctx, rows):
 
 
 @functools.cache
-def _stratum_stages():
-    """Stratum name -> one PolySet per equation of its system, fewest
-    terms first."""
+def _stratum_stages(p):
+    """Stratum name -> one PolySet per equation of its system, in cascade
+    order at p: fewest terms first, but last the equations that vanish at
+    the invariants of a few seeded random octics over F_p, and so most
+    likely on every row."""
     from .strata import STRATA_ORDER, stratum_systems
-    systems = stratum_systems()
-    return {name: [PolySet([eq]) for eq in
-                   sorted(systems[name], key=lambda eq: len(eq.terms))]
-            for name in STRATA_ORDER}
+    F = PrimeField(p)
+    rng = random.Random(p)
+    points = np.array([[c.value for c in shioda(BinaryForm(
+        F, 8, [rng.randrange(p) for _ in range(9)]))] for _ in range(4)],
+        dtype=np.int64)
+    stages = {}
+    for name in STRATA_ORDER:
+        eqs = stratum_systems()[name]
+        everywhere = ~PolySet(eqs).evaluate_mod(points, p).any(axis=0)
+        order = sorted(range(len(eqs)),
+                       key=lambda i: (everywhere[i], len(eqs[i].terms)))
+        stages[name] = [PolySet([eqs[i]]) for i in order]
+    return stages
 
 
 def classify_rows(field, rows):
     """Stratum label per row, by the detection cascade, fully vectorized.
 
-    Each stratum's equations are evaluated one at a time, each only on
-    the rows where the ones before it vanished.  Returns an integer array
-    indexing into strata_labels().
+    On chunks of CLASSIFY_ROWS rows, each stratum's equations are
+    evaluated one at a time, each only on the rows where the ones before
+    it vanished.  Returns an integer array indexing into strata_labels().
     """
     from .strata import STRATA_ORDER
     p = field.p
+    stages = _stratum_stages(p)
     generic = len(STRATA_ORDER)                 # the label of C2
     label = np.full(rows.shape[0], generic, dtype=np.int64)
-    left = np.arange(rows.shape[0])             # rows not yet labelled
-    for k, name in enumerate(STRATA_ORDER):
-        hit = left
-        for stage in _stratum_stages()[name]:
-            if not hit.size:
-                break
-            hit = hit[stage.evaluate_mod(rows[hit], p)[:, 0] == 0]
-        label[hit] = k
-        left = left[label[left] == generic]
+    for start in range(0, rows.shape[0], CLASSIFY_ROWS):
+        chunk = rows[start:start + CLASSIFY_ROWS]
+        out = label[start:start + CLASSIFY_ROWS]
+        left = np.arange(chunk.shape[0])        # rows not yet labelled
+        for k, name in enumerate(STRATA_ORDER):
+            hit = left
+            for stage in stages[name]:
+                if not hit.size:
+                    break
+                hit = hit[stage.evaluate_mod(chunk[hit], p)[:, 0] == 0]
+            out[hit] = k
+            left = left[out[left] == generic]
     return label
 
 

@@ -1,13 +1,14 @@
-"""The vectorized census kernel: output pins at p = 11 and 13, stratum
-counts at 11, 13 and 17, a pin of the per-class models at 11, models of
-sampled Klein-four classes at 11 and 13 and their descent's normalizer
-twists against root matching, sampled oracles built from the scalar
-solvers, the J8 quintic and the detection cascade, and the batch
-J-polynomial evaluator."""
+"""The vectorized census kernel: the memory guard and its budget, output
+pins at p = 11 and 13, stratum counts at 11, 13 and 17, a pin of the
+per-class models at 11, models of sampled Klein-four classes at 11 and 13
+and their descent's normalizer twists against root matching, sampled
+oracles built from the scalar solvers, the J8 quintic and the detection
+cascade, and the batch J-polynomial evaluator."""
 
 import hashlib
 import random
 import time
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -69,23 +70,45 @@ def _check_pins(p, rows, labels):
 
 
 def test_memory_guard_bounds_the_whole_census(monkeypatch):
-    """On a machine with 7.8 GiB, p = 29 (20.5M classes, about 9.2 GiB)
-    is refused before anything is allocated, although its prefix grid
-    alone (688 MB) would fit; p = 11 and 23 pass the guard."""
-    pages = int(7.8 * 2 ** 30) // 4096
-    monkeypatch.setattr(census_fast.os, "sysconf", lambda name: {
-        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
+    """On a machine with 7.8 GiB, p = 37 (69.3M classes, about 8.3 GiB)
+    is refused before anything is allocated; p = 11, 29 and 31 pass the
+    guard.  With memory to spare, a prime whose row keys would overflow
+    int64 is refused just as early."""
+    def physical(gib):
+        pages = int(gib * 2 ** 30) // 4096
+        monkeypatch.setattr(census_fast.os, "sysconf", lambda name: {
+            "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}[name])
 
     def started(p):
         raise AssertionError("the census at p = %d started" % p)
-    # a guard that let p = 29 through fails here instead of running
+    # a guard that let p = 37 through fails here instead of running
     monkeypatch.setattr(census_fast, "_ModCtx", started)
+    physical(7.8)
     start = time.perf_counter()
     with pytest.raises(ValueError, match="physical memory is 7.8 GiB"):
-        moduli_rows(PrimeField(29))
+        moduli_rows(PrimeField(37))
     assert time.perf_counter() - start < 1
-    census_fast._check_memory(11)
-    census_fast._check_memory(23)
+    for p in (11, 29, 31):
+        census_fast._check_memory(p)
+    physical(2 ** 20)
+    with pytest.raises(ValueError, match="at most 127"):
+        moduli_rows(PrimeField(131))
+
+
+@pytest.mark.slow
+def test_census_memory_stays_within_bytes_per_class():
+    """moduli_rows and classify_rows at p = 13 allocate at most
+    BYTES_PER_CLASS a class at their peak (tracemalloc), so the budget of
+    the memory guard holds for the arrays the census makes."""
+    F = PrimeField(13)
+    tracemalloc.start()
+    try:
+        classify_rows(F, moduli_rows(F))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print("peak %d bytes, %.1f a class" % (peak, peak / 13 ** 5))
+    assert peak <= census_fast.BYTES_PER_CLASS * 13 ** 5
 
 
 def test_moduli_rows_pin_p11(rows_p11, labels_p11):
@@ -221,6 +244,23 @@ def test_j8_determinant_is_minus_the_quintic(p, n_prefixes):
         for c in reversed(quintic):
             want = (want * x + c.evaluate(F, jt).value) % p
         assert np.array_equal(got, -want % p), prefix
+
+
+@pytest.mark.parametrize("p", [11, 13, 127])
+def test_j8_values_interpolate_the_determinant(p):
+    """The J8 determinant's values at x = 0..5, extended to all of F_p by
+    the Lagrange basis, equal j8_determinant evaluated at every x, on
+    seeded prefixes."""
+    seed = zlib.crc32(b"j8 values %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    rows = np.array([[0] * 6] + [_random_prefix(rng, p, sparse=i % 2 == 0)
+                                 for i in range(63)], dtype=np.int64)
+    v = SyzygyCoefficients.named(
+        derive_syzygies().block_set.evaluate_mod(rows, p).T)
+    want = np.column_stack([j8_determinant(v, x, lambda a: a % p)
+                            for x in range(p)])
+    assert np.array_equal(census_fast._j8_values(v, p), want)
 
 
 @pytest.mark.parametrize("p", [11, 1048573])
@@ -445,7 +485,7 @@ def test_moduli_rows_agree_with_scalar_solvers(rows_p11):
 
 def test_polyset_matches_scalar_evaluation():
     polys = [discriminant_poly()] + stratum_systems()["D4"][:4]
-    for p in (11, 1048573):           # the largest census prime is < 2^20
+    for p in (11, 1048573):           # a census prime and one near 2^20
         F = PrimeField(p)
         seed = zlib.crc32(b"polyset %d" % p)
         print("seed", seed)

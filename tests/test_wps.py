@@ -174,7 +174,7 @@ def test_fast_prefix_enumeration_agrees_with_pure(F11):
     for pt in wps_enumerate(F11, (2, 3, 4, 5, 6, 7)):
         pure.add(tuple(c.value for c in wps_normalize(pt).coords))
     ctx = _ModCtx(11)
-    rows = _prefixes(ctx)
+    rows = np.concatenate(list(_prefixes(ctx)))
     assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     rows9 = np.zeros((rows.shape[0], 9), dtype=np.int64)
     rows9[:, :6] = rows
