@@ -218,6 +218,9 @@ class FpElement(_Element):
 
     def _lift(self, other):
         if isinstance(other, FpElement):
+            if other.field is not self.field and other.field.p != self.field.p:
+                raise TypeError("cannot combine elements of %r and %r"
+                                % (self.field, other.field))
             return other
         if isinstance(other, int):
             return FpElement(self.field, other)
@@ -662,6 +665,9 @@ class QuadElement(_Element):
 
     def _lift(self, other):
         if isinstance(other, QuadElement):
+            if other.field is not self.field and other.field != self.field:
+                raise TypeError("cannot combine elements of %r and %r"
+                                % (self.field, other.field))
             return other
         if isinstance(other, (int, Fraction)):
             return QuadElement(self.field, other, 0)

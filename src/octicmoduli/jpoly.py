@@ -5,11 +5,11 @@ coefficients; every monomial shares the declared weighted degree
 sum(w * e_w).  These polynomials are what the interpolation layer produces
 and what the stratum systems, syzygies and reconstruction caches are made
 of.  They evaluate over any field of characteristic 0 or >= 11, one point
-at a time (JPolynomial.evaluate, or PolySet.at for a list of them), or
-mod p on arrays of points (PolySet.evaluate_mod).  At one point of F_p,
-or of Q for a list, the evaluation runs on numpy arrays: the monomials
-level by level of total degree, then each polynomial as one sum of
-coefficients times monomial values (_Chain).
+at a time (JPolynomial.evaluate, or PolySet.at for a list of them; at_mod
+on residues), or mod p on arrays of points (PolySet.evaluate_mod).  At one
+point of F_p, or of Q for a list, the evaluation runs on numpy arrays: the
+monomials level by level of total degree, then each polynomial as one sum
+of coefficients times monomial values (_Chain).
 """
 
 from fractions import Fraction
@@ -226,17 +226,21 @@ class JPolynomial:
     def __neg__(self):
         return self.scale(-1)
 
+    def at_mod(self, p, residues):
+        """The value mod p, an int, at a 9-tuple of residues, through the
+        polynomial's own level chain (_Chain)."""
+        chain = (self._by_prime.get(p)
+                 or self._by_prime.setdefault(p, _Chain([self], p)))
+        return chain.values(residues)[0]
+
     def evaluate(self, field, jvals):
         """Evaluate at a 9-tuple of field elements (j2, ..., j10).
 
-        Over a prime field through the polynomial's own level chain
-        (_Chain) on arrays of residues; over any other field, one term at
-        a time on field elements.
+        Over a prime field on residues (at_mod); over any other field, one
+        term at a time on field elements.
         """
         if isinstance(field, PrimeField):
-            chain = (self._by_prime.get(field.p) or self._by_prime.setdefault(
-                field.p, _Chain([self], field.p)))
-            return field(chain.values([field(v).value for v in jvals])[0])
+            return field(self.at_mod(field.p, [field(v).value for v in jvals]))
         jvals = [field(v) for v in jvals]
         maxe = [0] * 9
         for ev in self.terms:
@@ -334,14 +338,16 @@ CHUNK_ROWS = 4096
 
 class PolySet:
     """A list of JPolynomials evaluated together: on arrays of residues
-    (evaluate_mod), or at one point of a field (at).
+    (evaluate_mod), at one point of residues (at_mod), or at one point of
+    a field (at).
 
     evaluate_mod evaluates the union of their monomials once per chunk of
     rows by monomial_matrix and combines it with the coefficients in one
     float64 matrix product.  Each entry of that product is a sum of
     n_monomials products of two residues, so it is exact while
-    n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.  at
-    over F_p and over Q runs one level chain (_Chain) for the whole list.
+    n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.
+    at_mod, and at over F_p and over Q, run one level chain (_Chain) for
+    the whole list.
     The monomial list, the coefficient matrix and the chain for a prime
     (or for Z) are built on the first evaluation that needs them.
     """
@@ -356,19 +362,23 @@ class PolySet:
         return (self._chains.get(p)
                 or self._chains.setdefault(p, _Chain(self.polys, p)))
 
+    def at_mod(self, p, residues):
+        """Every polynomial mod p at one 9-tuple of residues, through one
+        level chain for the whole list: a list of ints."""
+        return self._chain(p).values(residues)
+
     def at(self, field, jvals):
         """Every polynomial at the 9-tuple jvals of field elements: over a
-        prime field through one level chain for the whole list, over Q
-        through one chain on integers, over any other field by each
-        polynomial's evaluate.
+        prime field on residues (at_mod), over Q through one chain on
+        integers, over any other field by each polynomial's evaluate.
 
         Over Q, with L the common denominator of jvals, the J_w L^w are
         integers, and a polynomial of weighted degree d with coefficient
         denominator den is its integer value there over den L^d: every
         monomial has weighted degree d."""
         if isinstance(field, PrimeField):
-            return [FpElement(field, v) for v in self._chain(field.p).values(
-                [field(v).value for v in jvals])]
+            return [FpElement(field, v) for v in self.at_mod(
+                field.p, [field(v).value for v in jvals])]
         if field == QQ:
             chain = self._chain(0)
             jvals = [QQ(v) for v in jvals]

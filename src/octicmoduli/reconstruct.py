@@ -21,7 +21,7 @@ from .errors import (
     AllDeterminantsVanish, InterpolationFailure, PointNotOnConic,
     SingularConic,
 )
-from .fields import QuadExtQ
+from .fields import PrimeField, QuadExtQ
 from .forms import BinaryForm, _convolve, _operands, omega_pair, transvect
 from .jpoly import PolySet
 
@@ -378,13 +378,19 @@ def conic_parametrize(field, A, point):
     """
     A = [[field(a) for a in row] for row in A]
     point = _on_conic(field, A, point)
+    return tuple(BinaryForm(field, 2, chi) for chi in _chis(A, point))
+
+
+def _chis(A, point):
+    """The (U^2, TU, T^2) coefficients of chi_1, chi_2, chi_3 for the
+    point P of the conic A (conic_parametrize), division-free: over field
+    elements, or over residues whose zeros are reduced."""
     pivot = next(i for i, c in enumerate(point) if c)
     o1, o2 = [i for i in range(3) if i != pivot]
     # B(D, D) = T^2 A_22 - 2 T U A_12 + U^2 A_11 and B(P, D) = U b1 -
     # T b2, with b_k = B(P, e_k) and indices 1, 2 meaning o1, o2
     b1, b2 = _pairing(A, point, o1), _pairing(A, point, o2)
     a12 = A[o1][o2]
-    # chi_i as (U^2, TU, T^2) coefficients
     chis = []
     for i, c in enumerate(point):
         u2, tu, t2 = A[o1][o1] * c, -(a12 + a12) * c, A[o2][o2] * c
@@ -392,8 +398,8 @@ def conic_parametrize(field, A, point):
             u2, tu = u2 - (b1 + b1), tu + (b2 + b2)
         elif i == o2:                   # D_i = -T
             tu, t2 = tu + (b1 + b1), t2 - (b2 + b2)
-        chis.append(BinaryForm(field, 2, [u2, tu, t2]))
-    return tuple(chis)
+        chis.append([u2, tu, t2])
+    return chis
 
 
 def substitute_quartic(field, quartic_values, chis):
@@ -409,6 +415,13 @@ def substitute_quartic(field, quartic_values, chis):
     h = quartic_values
     if chi[0] is not chis[0].coeffs:     # residues: the h values too
         h = {mset: field(v).value for mset, v in h.items()}
+    return BinaryForm(field, 8, _substitute(h, chi))
+
+
+def _substitute(h, chi):
+    """The nine coefficients of sum_M h_M chi_M (substitute_quartic), from
+    the quartic values h (multiset -> value) and the coefficient lists of
+    the three chis."""
     prods = {(i, j): _convolve(chi[i - 1], chi[j - 1])
              for i, j in CONIC_PAIRS}
     out = [0] * 9
@@ -421,7 +434,65 @@ def substitute_quartic(field, quartic_values, chis):
                     q[n] += c * x
         for n, x in enumerate(_convolve(prods[(i, j)], q)):
             out[n] += x
-    return BinaryForm(field, 8, out)
+    return out
+
+
+def _first_triple(order, r_value):
+    """The models of the first triple of order whose R has a nonzero
+    r_value(R); AllDeterminantsVanish when there is none."""
+    chosen = next((tuple(t) for t in order
+                   if r_value(r_polynomial(tuple(t)))), None)
+    if chosen is None:
+        raise AllDeterminantsVanish("all determinants vanish at this tuple")
+    return conic_quartic_models(chosen)
+
+
+def _line_root_mod(field, a, b, c):
+    """t with a t^2 + b t + c = 0 mod p, as _line_root takes it: -c / b
+    when a = 0, else (-b + sqrt(disc)) / 2a with field.sqrt's root, taken
+    only when Euler's criterion says disc is a square; None when there is
+    no root."""
+    p = field.p
+    a, b, c = a % p, b % p, c % p
+    if not a:
+        return -c * pow(b, -1, p) % p if b else None
+    disc = (b * b - 4 * a * c) % p
+    if disc and pow(disc, (p - 1) // 2, p) != 1:
+        return None
+    r = field.sqrt(field(disc)).value
+    return (r - b) * pow(a + a, -1, p) % p
+
+
+def _conic_point_mod(field, A, supplied=None):
+    """conic_point over F_p on residues: the point's residues, for the
+    conic whose matrix A holds residues."""
+    p = field.p
+    if not _det3(A) % p:
+        raise SingularConic("conic is singular")
+    if supplied is not None:
+        return [c.value for c in _on_conic(field, A, supplied)]
+    for x1 in range(p):
+        p0 = (x1, 0, 1)
+        t = _line_root_mod(field, A[1][1], 2 * _pairing(A, p0, 1),
+                           _value(A, p0))
+        if t is not None:
+            return [x1, t, 1]
+    raise SingularConic("no point found; conic must be singular")
+
+
+def _reconstruct_mod(field, jt, order, supplied):
+    """reconstruct_generic's octic over F_p from the tuple's residues jt:
+    the R walk, the 21 values, the conic point, the chis and the
+    substitution run on ints mod p; only the octic is made of field
+    elements."""
+    p = field.p
+    models = _first_triple(order, lambda r: r.at_mod(p, jt))
+    values = models.polys.at_mod(p, jt)
+    A = conic_matrix(values)
+    point = _conic_point_mod(field, A, supplied)
+    chis = [[c % p for c in chi] for chi in _chis(A, point)]
+    return BinaryForm(field, 8, _substitute(
+        dict(zip(QUARTIC_MULTISETS, values[6:])), chis))
 
 
 def reconstruct_generic(field, jtuple, triple_order=None,
@@ -433,23 +504,26 @@ def reconstruct_generic(field, jtuple, triple_order=None,
     zero at the tuple (reduced automorphism group contains the Klein
     four-group; the per-stratum formulas apply instead).  Over Q without a
     supplied point the result lies over Q(sqrt(D)) when the line on which
-    conic_point finds its point has a non-square discriminant D.
+    conic_point finds its point has a non-square discriminant D.  Over a
+    prime field every step runs on residues (_reconstruct_mod); over any
+    other field on field elements (conic_point, conic_parametrize,
+    substitute_quartic), which are the reference for the residues.
     """
     jtuple = tuple(field(v) for v in jtuple)
     order = triple_order if triple_order is not None else TRIPLES_19
-    chosen = next((tuple(t) for t in order
-                   if r_polynomial(tuple(t)).evaluate(field, jtuple)), None)
-    if chosen is None:
-        raise AllDeterminantsVanish("all determinants vanish at this tuple")
-    models = conic_quartic_models(chosen)
-    values = models.polys.at(field, jtuple)
-    A = conic_matrix(values)
-    work_field, point = conic_point(field, A, supplied=conic_point_hint)
-    chis = conic_parametrize(work_field, A, point)
-    # the tuple is over field: evaluated there, the values are lifted
-    quartic_values = {mset: work_field(v)
-                      for mset, v in zip(QUARTIC_MULTISETS, values[6:])}
-    octic = substitute_quartic(work_field, quartic_values, chis)
+    if isinstance(field, PrimeField):
+        octic = _reconstruct_mod(field, [v.value for v in jtuple], order,
+                                 conic_point_hint)
+    else:
+        models = _first_triple(order, lambda r: r.evaluate(field, jtuple))
+        values = models.polys.at(field, jtuple)
+        A = conic_matrix(values)
+        work_field, point = conic_point(field, A, supplied=conic_point_hint)
+        chis = conic_parametrize(work_field, A, point)
+        # the tuple is over field: evaluated there, the values are lifted
+        quartic_values = {mset: work_field(v) for mset, v
+                          in zip(QUARTIC_MULTISETS, values[6:])}
+        octic = substitute_quartic(work_field, quartic_values, chis)
     if octic.is_zero():
         raise InterpolationFailure("reconstruction produced the zero form")
     return octic

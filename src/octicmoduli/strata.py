@@ -18,7 +18,7 @@ from .covariants import has_invariants
 from .errors import (
     ExhaustedCandidates, GuardInconsistency, SingularLocus, Unresolved,
 )
-from .fields import ExtField, QQ, QuadExtQ
+from .fields import ExtField, PrimeField, QQ, QuadExtQ
 from .forms import BinaryForm, embed_field
 from .jpoly import PolySet
 from .wps import SHIODA_WEIGHTS, WeightedPoint
@@ -85,17 +85,23 @@ def stratum_residuals(field, jtuple):
 
 def detect_group(field, jtuple):
     """First stratum in the cascade whose system vanishes; C2 otherwise.
-    Every system is evaluated in one pass (stratum_residuals) and the
-    cascade runs on the values.
+    Every system is evaluated in one pass, on residues over a prime field
+    (PolySet.at_mod), and the cascade tests zeros on each system's slice
+    of the values.
 
     For singular tuples the answer is the label of the matched system; the
     actual automorphism group of a singular orbit may be larger.  A tuple
     that is not 9 coordinates, or is zero, is refused (WeightMismatch).
     """
     jtuple = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
-    residuals = stratum_residuals(field, jtuple)
+    polys, spans = _strata_set()
+    if isinstance(field, PrimeField):
+        values = polys.at_mod(field.p, [c.value for c in jtuple])
+    else:
+        values = polys.at(field, jtuple)
     for name in STRATA_ORDER:
-        if not any(residuals[name]):
+        lo, hi = spans[name]
+        if not any(values[lo:hi]):
             return name
     return "C2"
 

@@ -8,10 +8,11 @@ extended-gcd construction: classes are compared without ever leaving the
 base field.
 """
 
+import functools
 from itertools import combinations, product
 
 from .errors import WeightMismatch
-from .fields import ext_gcd_multi
+from .fields import PrimeField, ext_gcd_multi
 
 SHIODA_WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -54,18 +55,39 @@ class WeightedPoint:
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
 
 
+@functools.cache
+def _bezout(weights):
+    """The gcd and Bezout coefficients (ext_gcd_multi) of a support's
+    weights, computed once per support."""
+    d, cs = ext_gcd_multi(weights)
+    return d, tuple(cs)
+
+
 def wps_equal(u, v):
     """Equality test in the weighted projective space.
 
     Compares supports, then checks V_i/U_i = Lambda^{d_i/d} on the common
-    support, where Lambda is the Bezout-weighted product of the ratios.
+    support, where Lambda is the Bezout-weighted product of the ratios;
+    over a prime field on residues, with pow(., ., p).  Points of
+    different spaces or over different fields are refused.
     """
     if u.weights != v.weights:
         raise WeightMismatch("points live in different spaces")
+    if u.field != v.field:
+        raise WeightMismatch("points over %r and %r" % (u.field, v.field))
     su, sv = u.support(), v.support()
     if su != sv:
         return False
-    d, cs = ext_gcd_multi([u.weights[i] for i in su])
+    d, cs = _bezout(tuple(u.weights[i] for i in su))
+    if isinstance(u.field, PrimeField):
+        p = u.field.p
+        ratios = [v.coords[i].value * pow(u.coords[i].value, -1, p) % p
+                  for i in su]
+        lam = 1
+        for r, c in zip(ratios, cs):
+            lam = lam * pow(r, c, p) % p
+        return all(r == pow(lam, u.weights[i] // d, p)
+                   for i, r in zip(su, ratios))
     ratios = [v.coords[i] / u.coords[i] for i in su]
     lam = u.field.one
     for r, c in zip(ratios, cs):
@@ -81,7 +103,7 @@ def wps_normalize(u):
     the c_i being the deterministic Bezout coefficients of the support
     weights."""
     su = u.support()
-    d, cs = ext_gcd_multi([u.weights[i] for i in su])
+    d, cs = _bezout(tuple(u.weights[i] for i in su))
     lam = u.field.one
     for i, c in zip(su, cs):
         lam = lam * u.coords[i] ** c

@@ -1,9 +1,10 @@
 """The vectorized census kernel: the memory guard and its budget, output
-pins at p = 11 and 13, stratum counts at 11, 13 and 17, a pin of the
-per-class models at 11, models of sampled Klein-four classes at 11 and 13
-and their descent's normalizer twists against root matching, sampled
-oracles built from the scalar solvers, the J8 quintic and the detection
-cascade, and the batch J-polynomial evaluator."""
+pins at p = 11 and 13, stratum counts at 11, 13 and 17, pins of the
+per-class models at 11 (every C4 class among them), models of sampled
+Klein-four classes at 11 and 13 and their descent's normalizer twists
+against root matching, sampled oracles built from the scalar solvers,
+the J8 quintic and the detection cascade, and the batch J-polynomial
+evaluator."""
 
 import hashlib
 import random
@@ -364,6 +365,21 @@ def test_class_model_pin_p11(rows_p11, labels_p11):
         digest.update(("%s; %d\n" % (
             ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
     assert digest.hexdigest()[:12] == MODELS_SHA
+
+
+def test_class_model_pin_c4(rows_p11, labels_p11):
+    """The F_11 models (coefficients and extension degree) of all 101 C4
+    classes at p = 11, which walk TRIPLES_C4 through the conic method."""
+    F = PrimeField(11)
+    digest, count = hashlib.sha256(), 0
+    for i in np.nonzero(labels_p11 == strata_labels().index("C4"))[0]:
+        model, extdeg = class_model(F, [F(int(v)) for v in rows_p11[i]],
+                                    "C4")
+        count += 1
+        digest.update(("%s; %d\n" % (
+            ",".join(str(c.value) for c in model.coeffs), extdeg)).encode())
+    assert count == 101
+    assert digest.hexdigest()[:12] == "e1a3a5dce27b"
 
 
 def test_class_model_pin_c2p3_cubic_extensions(rows_p11, labels_p11):

@@ -108,6 +108,14 @@ def test_reconstruct_refuses_a_point_that_is_no_point_of_the_plane(capsys,
     assert code == 28 and "PointNotOnConic" in err and out == ""
 
 
+@pytest.mark.parametrize("point", ["1,1,1", "0,1,0"])
+def test_reconstruct_refuses_a_point_off_the_conic(capsys, point):
+    """Three coordinates, not all zero, off the worked example's conic."""
+    code, out, err = run_cli(capsys, *WORKED, "--point", point)
+    assert code == 28 and out == ""
+    assert "PointNotOnConic" in err and "not on the conic" in err
+
+
 def test_point_without_triple_order_is_a_usage_error(capsys):
     """Only the conic of a given triple order takes a supplied point."""
     code, out, err = run_cli(capsys, *WORKED[:5], "--point", "1,0,1")

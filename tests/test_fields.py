@@ -232,6 +232,29 @@ def test_quadratic_extension_of_q():
     assert K.sqrt(K(5)) == r
 
 
+@pytest.mark.parametrize("op", ["+", "-", "*", "/"])
+def test_elements_of_two_fields_do_not_combine(op):
+    """F_11 with F_13, and Q(sqrt 2) with Q(sqrt 3), under each operator
+    and from either side: a TypeError that names both fields, as between
+    two extensions F_{p^k}.  Elements of equal fields still combine."""
+    apply = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+             "*": lambda a, b: a * b, "/": lambda a, b: a / b}[op]
+    pairs = [(PrimeField(11)(3), PrimeField(13)(5), "F_11", "F_13"),
+             (QuadExtQ(2).gen(), QuadExtQ(3).gen(),
+              "Q(sqrt(2))", "Q(sqrt(3))"),
+             (ExtField(11, 2)([1, 2]), ExtField(11, 3)([1, 2, 3]),
+              "F_11^2", "F_11^3")]
+    for a, b, name_a, name_b in pairs:
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(TypeError) as info:
+                apply(x, y)
+            assert name_a in str(info.value) and name_b in str(info.value)
+    assert apply(PrimeField(11)(3), PrimeField(11)(5)) == {
+        "+": 8, "-": 9, "*": 4, "/": 5}[op]
+    assert apply(QuadExtQ(2).gen(), QuadExtQ(2).gen()) == QuadExtQ(2)(
+        {"+": QuadExtQ(2).gen() * 2, "-": 0, "*": 2, "/": 1}[op])
+
+
 def _random_ext_field(p, k, rng):
     """F_{p^k} on a seeded random monic irreducible modulus (the default
     modulus search is slow for large p and some k)."""

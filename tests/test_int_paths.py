@@ -16,23 +16,29 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from octicmoduli import covariants
+from conftest import normal_model
+
+from octicmoduli import covariants, reconstruct
 from octicmoduli.census import class_model
 from octicmoduli.census_fast import (
     _ModCtx, classify_rows, normalize_rows, strata_labels,
 )
 from octicmoduli.covariants import CATALOGUE, covariant_eval, shioda
-from octicmoduli.errors import InterpolationFailure
+from octicmoduli.errors import (
+    CountMismatch, InterpolationFailure, PointNotOnConic, SingularConic,
+)
 from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
 from octicmoduli.forms import (
     BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
 )
 from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.reconstruct import (
-    QUARTIC_MULTISETS, TRIPLES_19, TRIPLES_C4, conic_quartic_models,
-    r_polynomial, substitute_quartic,
+    QUARTIC_MULTISETS, TRIPLES_19, TRIPLES_C4, _chis, _conic_point_mod,
+    _first_triple, conic_matrix, conic_parametrize, conic_point,
+    conic_quartic_models, r_polynomial, reconstruct_generic,
+    substitute_quartic,
 )
-from octicmoduli.strata import stratum_systems
+from octicmoduli.strata import detect_group, stratum_systems
 from octicmoduli.wps import (
     SHIODA_WEIGHTS, WeightedPoint, wps_equal, wps_normalize,
 )
@@ -154,7 +160,8 @@ def _triple_sets():
 @pytest.mark.parametrize("p", PRIMES)
 def test_polyset_at_matches_the_rational_path(p):
     """One monomial chain for all 22 polynomials of a triple gives each
-    polynomial's Q value reduced mod p, as field elements."""
+    polynomial's Q value reduced mod p, as field elements (at) and as
+    residues (at_mod)."""
     F = PrimeField(p)
     sets = _triple_sets()
     assert [len(s.polys) for s in sets] == [22] * 5
@@ -164,6 +171,8 @@ def test_polyset_at_matches_the_rational_path(p):
             got = polys.at(F, pt)
             assert all(v.field == F for v in got)
             assert got == want
+            assert polys.at_mod(p, [v % p for v in pt]) == [
+                v.value for v in want]
 
 
 def test_polyset_at_keeps_one_chain_per_prime():
@@ -375,3 +384,129 @@ def test_class_model_round_trips_generic_classes(p, coeffs):
     assert model.field == F and extdeg == 1
     assert wps_equal(WeightedPoint(F, SHIODA_WEIGHTS, shioda(model)),
                      WeightedPoint(F, SHIODA_WEIGHTS, jt))
+
+
+def _generic_classes(p, n):
+    """n seeded C2 tuples (of random octics) and n C4 tuples (of normal
+    models) at p, with the triple order of their stratum, each of a
+    smooth octic whose walk ends at a shipped triple."""
+    F = PrimeField(p)
+    seed = zlib.crc32(b"residue reconstruction %d" % p)
+    print(p, "seed", seed)
+    rng = random.Random(seed)
+    out = []
+    for stratum, order in (("C2", TRIPLES_19), ("C4", TRIPLES_C4)):
+        found = 0
+        while found < n:
+            if stratum == "C2":
+                f = BinaryForm(F, 8, [rng.randrange(p) for _ in range(9)])
+            else:
+                f = normal_model("C4", F, rng, bound=p)
+            if not disc_resultant(f):
+                continue
+            jt = shioda(f)
+            if detect_group(F, jt) == stratum and _walk_ends_shipped(F, jt):
+                out.append((jt, order))
+                found += 1
+    return out
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_residue_reconstruction_matches_the_reference(p):
+    """The residue path's 21 values, conic point, chis and octic equal
+    those of PolySet.at, conic_point, conic_parametrize and
+    substitute_quartic on field elements; the octic also equals the
+    substitution over F_{p^2}, which runs on field elements."""
+    F, E = PrimeField(p), ExtField(p, 2)
+    for jt, order in _generic_classes(p, 4):
+        residues = [v.value for v in jt]
+        models = _first_triple(order, lambda r: r.at_mod(p, residues))
+        values = models.polys.at_mod(p, residues)
+        ref_values = models.polys.at(F, jt)
+        assert values == [v.value for v in ref_values]
+        A, ref_A = conic_matrix(values), conic_matrix(ref_values)
+        point = _conic_point_mod(F, A)
+        work, ref_point = conic_point(F, ref_A)
+        assert work == F and point == [c.value for c in ref_point]
+        chis = [[c % p for c in chi] for chi in _chis(A, point)]
+        ref_chis = conic_parametrize(F, ref_A, ref_point)
+        assert chis == [[c.value for c in chi.coeffs] for chi in ref_chis]
+        octic = reconstruct_generic(F, jt, triple_order=order)
+        quartic = dict(zip(QUARTIC_MULTISETS, ref_values[6:]))
+        assert octic == substitute_quartic(F, quartic, ref_chis)
+        assert octic.to_field(E) == substitute_quartic(
+            E, {m: E(v) for m, v in quartic.items()},
+            tuple(chi.to_field(E) for chi in ref_chis))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_class_model_round_trips_over_the_quadratic_extension(p):
+    """class_model's F_p model of C2 and C4 classes has the tuple's
+    invariants when shioda runs on its coefficients in F_{p^2}, that is
+    on field elements, not residues."""
+    F, E = PrimeField(p), ExtField(p, 2)
+    for jt, order in _generic_classes(p, 3):
+        model, extdeg = class_model(F, jt)
+        assert model.field == F and extdeg == 1
+        assert wps_equal(WeightedPoint(E, SHIODA_WEIGHTS,
+                                       shioda(model.to_field(E))),
+                         WeightedPoint(E, SHIODA_WEIGHTS,
+                                       [E(v) for v in jt]))
+
+
+def test_residue_conic_point_refuses_a_singular_conic(monkeypatch):
+    """A conic whose determinant is 0 mod p, not only 0 as an integer,
+    is singular; reconstruct_generic over F_p refuses one."""
+    F = PrimeField(11)
+    for A in ([[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+              [[1, 0, 0], [0, 1, 0], [0, 0, 11]]):
+        with pytest.raises(SingularConic):
+            _conic_point_mod(F, A)
+    jt, order = _generic_classes(11, 1)[0]
+    monkeypatch.setattr(reconstruct, "conic_matrix",
+                        lambda values: [[1, 2, 0], [2, 4, 0], [0, 0, 3]])
+    with pytest.raises(SingularConic):
+        reconstruct_generic(F, jt, triple_order=order)
+
+
+#: the worked example of the paper, by the conic of its first triple,
+#: and a point of its conic
+WORKED = ([1, 0, 0, 0, 0, 0, 8, 2, 7], [("C5_2", "C6_2", "C7_2")], (1, 0, 1))
+
+
+def test_residue_path_checks_a_supplied_point():
+    """Over F_11 a supplied point on the conic, given by any integers
+    that reduce to it, gives the worked example's octic; one off it, or
+    not a point of the plane, is refused."""
+    F = PrimeField(11)
+    jt, order, point = WORKED
+    for hint in (point, (12, 11, 1)):
+        octic = reconstruct_generic(F, jt, triple_order=order,
+                                    conic_point_hint=hint)
+        assert [c.value for c in octic.coeffs] == [8, 4, 2, 3, 8, 9, 9, 7, 2]
+    for bad in ((1, 1, 1), (0, 1, 0), (1, 0), (0, 0, 11)):
+        with pytest.raises(PointNotOnConic):
+            reconstruct_generic(F, jt, triple_order=order,
+                                conic_point_hint=bad)
+
+
+def test_class_model_refuses_a_model_that_does_not_round_trip(monkeypatch):
+    """With one quartic value of the chosen triple moved by 1, the octic
+    of the residue path has other invariants, and class_model refuses it
+    (CountMismatch) instead of returning it."""
+    F = PrimeField(11)
+    jt, order = _generic_classes(11, 1)[0]
+    residues = [v.value for v in jt]
+    polys = _first_triple(order, lambda r: r.at_mod(11, residues)).polys
+    true_values = polys.at_mod
+
+    def moved(p, xs):
+        values = true_values(p, xs)
+        values[6] = (values[6] + 1) % p
+        return values
+
+    model, _ = class_model(F, jt)
+    monkeypatch.setattr(polys, "at_mod", moved)
+    assert reconstruct_generic(F, jt) != model
+    with pytest.raises(CountMismatch):
+        class_model(F, jt)

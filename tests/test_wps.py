@@ -37,6 +37,18 @@ def test_wps_point_validation(F7):
                   WeightedPoint(F7, (5, 6), [1, 1]))
 
 
+def test_wps_equal_refuses_points_over_two_fields():
+    """Points over F_11 and F_13 with equal residues, and over F_11 and
+    F_{11^2}, are refused, not compared."""
+    W = (2, 3)
+    for field_b in (PrimeField(13), field_make("Fpk:11:2")):
+        with pytest.raises(WeightMismatch):
+            wps_equal(WeightedPoint(PrimeField(11), W, [1, 1]),
+                      WeightedPoint(field_b, W, [1, 1]))
+    assert wps_equal(WeightedPoint(PrimeField(11), W, [1, 1]),
+                     WeightedPoint(PrimeField(11), W, [4, 8]))
+
+
 @pytest.mark.parametrize("weights", [(0, 1), (-2, 3), (0, 0)])
 def test_weights_must_be_positive(F7, weights):
     with pytest.raises(WeightMismatch):
