@@ -4,8 +4,9 @@ on the residues as plain ints, checked against the same computation over
 Q at the integer lifts, reduced mod p, on both sides of the int64/object
 dtype switch; transvect, products and PolySet.at over F_{p^2}, where they
 run on field elements, checked against F_p; the quartic substitution of
-the conic method against the product per monomial; and properties that
-run through them.
+the conic method against the product per monomial; the conic method on
+residues (line root, conic point, chis, octic, round trip and refusals)
+against its field-element path; and properties that run through them.
 """
 
 import random
@@ -34,7 +35,7 @@ from octicmoduli.forms import (
 from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.reconstruct import (
     QUARTIC_MULTISETS, TRIPLES_19, TRIPLES_C4, _chis, _conic_point_mod,
-    _first_triple, conic_matrix, conic_parametrize, conic_point,
+    _first_triple, _line_root, _line_root_mod, conic_matrix, conic_parametrize, conic_point,
     conic_quartic_models, r_polynomial, reconstruct_generic,
     substitute_quartic,
 )
@@ -452,6 +453,22 @@ def test_class_model_round_trips_over_the_quadratic_extension(p):
                                        shioda(model.to_field(E))),
                          WeightedPoint(E, SHIODA_WEIGHTS,
                                        [E(v) for v in jt]))
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_line_root_on_residues_is_the_element_root(p):
+    """Every a t^2 + b t + c over F_p, its coefficients given reduced and
+    as other integers of their class: the residue line root is
+    _line_root's root on field elements, or None with it (a = b = 0, or
+    a non-square discriminant)."""
+    F = PrimeField(p)
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                want = _line_root(F, F(a), F(b), F(c))
+                want = None if want is None else want[1].value
+                assert _line_root_mod(F, a, b, c) == want
+                assert _line_root_mod(F, a - p, b + 3 * p, c * p + c) == want
 
 
 def test_residue_conic_point_refuses_a_singular_conic(monkeypatch):

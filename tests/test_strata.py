@@ -9,9 +9,10 @@ from octicmoduli.covariants import random_octic, shioda
 from octicmoduli.errors import (
     ExhaustedCandidates, SingularLocus, WeightMismatch,
 )
-from octicmoduli.fields import PrimeField, QQ
+from octicmoduli.fields import ExtField, PrimeField, QQ
 from octicmoduli import strata
 from octicmoduli.forms import BinaryForm, disc_resultant
+from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.strata import (
     ALL_STRATA, STRATA_ORDER, c4_determinants, detect_group,
     reconstruct_stratum, stratum_residuals, stratum_systems,
@@ -64,6 +65,26 @@ def test_detect_group_examples():
     d12 = BinaryForm(QQ, 8, [0, Fraction(-48) - Fraction(8, 81), 0, 0,
                              Fraction(-7, 9), 0, 0, 1, 0])
     assert detect_group(QQ, shioda(d12)) == "D12"
+
+
+def test_detect_group_tests_every_equation_of_a_system(monkeypatch):
+    """With C4's system made J2 = J3 = J4 = 0 and every other one J10 = 0,
+    a tuple with J10 = 1 is C4 only when all three vanish: on residues
+    over F_11 and on field elements over Q and F_{11^2}."""
+    gen = JPolynomial.generator
+    polys, spans = [], {}
+    for name in STRATA_ORDER:
+        eqs = [gen(2), gen(3), gen(4)] if name == "C4" else [gen(10)]
+        spans[name] = (len(polys), len(polys) + len(eqs))
+        polys += eqs
+    monkeypatch.setattr(strata, "_strata_set",
+                        lambda: (PolySet(polys), spans))
+    for field in (PrimeField(11), QQ, ExtField(11, 2)):
+        for head, label in (((0, 0, 0), "C4"), ((5, 0, 0), "C2"),
+                            ((0, 5, 0), "C2"), ((0, 0, 5), "C2"),
+                            ((0, 0, 11), "C4" if field.characteristic
+                             else "C2")):
+            assert detect_group(field, head + (1,) * 6) == label
 
 
 @pytest.mark.parametrize("coords", [[0] * 9, [1, 2], list(range(1, 11))],
