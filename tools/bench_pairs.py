@@ -7,13 +7,13 @@ BENCH_<label>.json.
 
 Each checkout runs its own perfbench/run.py with the same --seconds,
 the parent first in the first pair and the sides alternating from then
-on.  The info and result lines of every run are kept as printed; their
-info carries the git sha, src hash, nproc and versions of the side.
-With --traced-seed each side also runs once with --trace 1, for the
-per-layer figures.  The summary gives, per end-to-end metric of
-BENCHMARK.json, each side's median and quartiles, the change's median
-against the parent's, and the pairs the change won.  A file that
-exists is updated: each workload has its own entry.
+on.  The info and result lines of every run are kept as printed, one
+JSON string each; the info line carries the git sha, src hash, nproc
+and versions of the side.  With --traced-seed each side also runs once
+with --trace 1, for the per-layer figures.  The summary gives, per
+end-to-end metric of BENCHMARK.json, each side's median and quartiles,
+the change's median against the parent's, and the pairs the change
+won.  A file that exists is updated: each workload has its own entry.
 """
 
 import argparse
@@ -30,7 +30,8 @@ def _seeds(text):
 
 
 def _run(checkout, workload, seed, seconds, trace):
-    """The info and result lines of one perfbench/run.py run."""
+    """The info line (without its "info " tag) and the result line of
+    one perfbench/run.py run, as printed."""
     out = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"),
          "--workload", workload, "--seed", str(seed),
@@ -39,8 +40,11 @@ def _run(checkout, workload, seed, seconds, trace):
     info, result = out.rstrip("\n").splitlines()[-2:]
     if not info.startswith("info "):
         raise RuntimeError("no info line from %s: %r" % (checkout, info))
-    return {"seed": seed, "info": json.loads(info[len("info "):]),
-            "result": json.loads(result)}
+    return {"seed": seed, "info": info[len("info "):], "result": result}
+
+
+def _metrics(run):
+    return json.loads(run["result"])["metrics"]
 
 
 def _quartiles(values):
@@ -53,8 +57,8 @@ def _summary(pairs, spec):
     out = {}
     for metric in spec["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
-        sides = {side: [run["result"]["metrics"][name]["value"]
-                        for run in (pair[side] for pair in pairs)]
+        sides = {side: [_metrics(pair[side])[name]["value"]
+                        for pair in pairs]
                  for side in ("parent", "change")}
         wins = sum((c < p) if lower else (c > p)
                    for p, c in zip(sides["parent"], sides["change"]))
@@ -93,8 +97,8 @@ def main(argv=None):
         for side in order:
             pair[side] = _run(checkouts[side], args.workload, seed,
                               args.seconds, 0)
-            print(side, seed, json.dumps(pair[side]["result"]["metrics"]),
-                  file=sys.stderr, flush=True)
+            print(side, seed, pair[side]["result"], file=sys.stderr,
+                  flush=True)
         pairs.append(pair)
     entry = {"seconds": args.seconds, "pairs": pairs,
              "summary": _summary(pairs, spec)}
