@@ -30,7 +30,7 @@ from .forms import (
 )
 from .strata import detect_group, reconstruct_stratum
 from .unipoly import random_element
-from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
+from .wps import SHIODA_WEIGHTS, WeightedPoint, as_point, wps_normalize
 
 
 def expected_counts(p):
@@ -403,9 +403,7 @@ def run_census(p, want_models=False, jobs=1, model_limit=None,
 
 def _model_worker(item):
     p, row, stratum = item
-    field = PrimeField(p)
-    jt = [field(v) for v in row]
-    model, extdeg = class_model(field, jt, stratum)
+    model, extdeg = class_model(PrimeField(p), row, stratum)
     return (",".join(str(v) for v in row), stratum,
             ",".join(str(c) for c in model.coeffs), extdeg)
 
@@ -453,12 +451,13 @@ def _spread_indices(total, limit):
 def class_model(field, jt, stratum=None):
     """One F_p model for a moduli class, with the extension degree the
     closed-form reconstruction passed through before descent."""
+    point = as_point(field, SHIODA_WEIGHTS, jt)
     if stratum is None:
-        stratum = detect_group(field, jt)
-    model = reconstruct_stratum(stratum, field, jt)
+        stratum = detect_group(field, point)
+    model = reconstruct_stratum(stratum, field, point)
     extdeg = model.field.k
     if extdeg > 1:
         model = descend(model, field)
-    if not has_invariants(model, jt):
+    if not has_invariants(model, point):
         raise CountMismatch("reconstructed model invariants differ")
     return model, extdeg

@@ -213,11 +213,8 @@ def _run(args):
                 print(detect_group(field,
                                    _parse_moduli_point(field, payload)))
         else:
-            from .wps import SHIODA_WEIGHTS, WeightedPoint
             for payload in _stdin_records(args.form):
-                f = _parse_form(field, payload)
-                t = WeightedPoint(field, SHIODA_WEIGHTS, shioda(f)).coords
-                print(detect_group(field, t))
+                print(detect_group(field, shioda(_parse_form(field, payload))))
         return 0
 
     if verb == "reconstruct":

@@ -21,14 +21,14 @@ from .errors import (
     IdenticallyZeroQuintic, RankDeficiency, SingularForm, UnknownIdentifier,
     Unresolved, WrongDegree,
 )
-from .fields import ExtField, PrimeField, QQ, residue_dtype
+from .fields import ExtField, FpElement, PrimeField, QQ, residue_dtype
 from .forms import BinaryForm, transvect, transvect_residues
 from .jpoly import (
     JPolynomial, PolySet, _residue, monomial_basis, monomial_matrix, wdeg,
 )
 from .linsolve import solve_rational
 from .unipoly import rational_roots, roots as field_roots
-from .wps import SHIODA_WEIGHTS, WeightedPoint, wps_equal
+from .wps import SHIODA_WEIGHTS, as_point, residues_equal, wps_equal
 
 # ---------------------------------------------------------------------------
 # catalogue
@@ -153,15 +153,15 @@ def covariant_eval(identifier, f, cache=None):
 # Shioda invariants
 
 
-def shioda(f):
+def shioda(f, residues=False):
     """The nine generator invariants (J2, ..., J10) of an octic.
 
     Built from the classical chain of auxiliary covariants; the
     coefficient expansions of J2, J3, J4 are pinned by the calibration
     test, which fixes every normalization here.  Over a prime field the
-    16 transvectants run on arrays of residues (transvect_residues) and
-    only the nine results become field elements; over any other field
-    they are forms (transvect).
+    16 transvectants run on arrays of residues (transvect_residues), and
+    the nine results are field elements, or with residues=True ints mod
+    p; over any other field they are forms (transvect).
     """
     if f.degree != 8:
         raise WrongDegree("Shioda invariants take octics")
@@ -169,8 +169,9 @@ def shioda(f):
     if isinstance(field, PrimeField):
         p = field.p
         a = np.array([c.value for c in f.coeffs], dtype=residue_dtype(p, 9))
-        return tuple(field(int(t[0])) for t in _shioda_chain(
-            a, lambda u, v, h: transvect_residues(u, v, h, p)))
+        jv = [int(t[0]) for t in _shioda_chain(
+            a, lambda u, v, h: transvect_residues(u, v, h, p))]
+        return jv if residues else tuple(FpElement(field, v) for v in jv)
     return tuple(t.coeffs[0] for t in _shioda_chain(f, transvect))
 
 
@@ -201,11 +202,15 @@ def discriminant_poly():
 
 
 def has_invariants(f, jtuple):
-    """Whether the invariants of f are jtuple, a nonzero point, in weighted
-    projective space over f's field; jtuple must coerce into that field."""
+    """Whether the invariants of f are the point jtuple (a WeightedPoint
+    over f's field, or coordinates coercing into it); on residues over F_p."""
+    point = as_point(f.field, SHIODA_WEIGHTS, jtuple)
+    if isinstance(f.field, PrimeField):
+        jv = shioda(f, residues=True)
+        return any(jv) and residues_equal(f.field.p, SHIODA_WEIGHTS, jv,
+                                          [c.value for c in point.coords])
     jv = shioda(f)
-    return any(jv) and wps_equal(WeightedPoint(f.field, SHIODA_WEIGHTS, jv),
-                                 WeightedPoint(f.field, SHIODA_WEIGHTS, jtuple))
+    return any(jv) and wps_equal(as_point(f.field, SHIODA_WEIGHTS, jv), point)
 
 
 def discriminant_J(field, jtuple):

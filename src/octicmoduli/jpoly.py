@@ -75,16 +75,16 @@ class _Chain:
     A monomial's parent is the same monomial with one unit taken off its
     last variable.  Grouped by total degree, the monomials form levels
     (14 to 18 for a covariant triple's conic and quartic), each computed
-    in one array step: vals[lo:hi] = vals[parents] * xs[variables] % p.
+    in one array step: vals[lo:hi] = vals[parents] * xs[variables].
     The polynomials are then one product of their coefficient residues
     with the values of their monomials, summed per polynomial by
     np.add.reduceat.  The arrays are int64 while a product of two
     residues fits in it, and Python ints (dtype object) above that and
-    over Z.
+    over Z.  Levels and terms are reduced only where 2^63 could be passed.
     """
 
     __slots__ = ("p", "size", "levels", "coeffs", "monomials", "starts",
-                 "dens")
+                 "dens", "wide")
 
     def __init__(self, polys, p):
         steps = {}                      # monomial -> (parent, variable)
@@ -100,14 +100,15 @@ class _Chain:
         for ev in order:
             index[ev] = len(index)
         self.p, self.size, self.levels = p, len(index), []
-        lo = 1
+        lo, bound = 1, 1                # bound: of the last level's values
         for _, level in groupby(order, key=sum):
-            level = list(level)
+            level, bound = list(level), bound * (p - 1)
+            reduce = bool(p) and bound * (p - 1) >= 1 << 63
             self.levels.append((
                 lo, lo + len(level),
                 np.array([index[steps[ev][0]] for ev in level], np.intp),
-                np.array([steps[ev][1] for ev in level], np.intp)))
-            lo += len(level)
+                np.array([steps[ev][1] for ev in level], np.intp), reduce))
+            lo, bound = lo + len(level), p - 1 if reduce else bound
         coeffs, monomials, starts, self.dens = [], [], [], []
         for poly in polys:
             starts.append(len(coeffs))
@@ -129,19 +130,23 @@ class _Chain:
                                dtype=residue_dtype(p) if p else object)
         self.monomials = np.array(monomials, np.intp)
         self.starts = np.array(starts, np.intp)
+        self.wide = bool(p) and len(coeffs) * (p - 1) ** 2 >= 1 << 63
 
     def values(self, xs):
         """Each polynomial at the residues xs, reduced mod p, or at the
         integers xs when p is 0: a list of ints."""
         p, dtype = self.p, self.coeffs.dtype
-        xs = np.array(xs, dtype=dtype)
+        xs = np.array([x % p for x in xs] if p else xs, dtype=dtype)
         vals = np.empty(self.size, dtype=dtype)
         vals[0] = 1
-        for lo, hi, parents, variables in self.levels:
+        for lo, hi, parents, variables, reduce in self.levels:
             level = vals[parents] * xs[variables]
-            vals[lo:hi] = level % p if p else level
+            vals[lo:hi] = level % p if reduce else level
+        if p and dtype != object:
+            vals %= p
         terms = self.coeffs * vals[self.monomials]
-        sums = np.add.reduceat(terms % p if p else terms, self.starts)
+        sums = np.add.reduceat(terms % p if self.wide else terms,
+                               self.starts)
         return (sums % p if p else sums).tolist()
 
 

@@ -24,6 +24,7 @@ from .errors import (
 from .fields import PrimeField, QuadExtQ
 from .forms import BinaryForm, _convolve, _operands, omega_pair, transvect
 from .jpoly import PolySet
+from .wps import SHIODA_WEIGHTS, as_point
 
 #: default walk order for the generic method: the nineteen determinants
 #: whose simultaneous vanishing characterizes reduced automorphism groups
@@ -439,12 +440,18 @@ def _substitute(h, chi):
 
 def _first_triple(order, r_value):
     """The models of the first triple of order whose R has a nonzero
-    r_value(R); AllDeterminantsVanish when there is none."""
-    chosen = next((tuple(t) for t in order
-                   if r_value(r_polynomial(tuple(t)))), None)
+    r_value(triple); AllDeterminantsVanish when there is none."""
+    chosen = next((tuple(t) for t in order if r_value(tuple(t))), None)
     if chosen is None:
         raise AllDeterminantsVanish("all determinants vanish at this tuple")
     return conic_quartic_models(chosen)
+
+
+@functools.cache
+def walk_set():
+    """Every R of TRIPLES_19, then the 21 models of its first triple."""
+    return PolySet([r_polynomial(t) for t in TRIPLES_19]
+                   + conic_quartic_models(TRIPLES_19[0]).polys.polys)
 
 
 def _line_root_mod(field, a, b, c):
@@ -480,17 +487,21 @@ def _conic_point_mod(field, A, supplied=None):
     raise SingularConic("no point found; conic must be singular")
 
 
-def _reconstruct_mod(field, jt, order, supplied):
-    """reconstruct_generic's octic over F_p from the tuple's residues jt:
-    the R walk, the 21 values, the conic point, the chis and the
-    substitution run on ints mod p; only the octic is made of field
-    elements."""
-    p = field.p
-    models = _first_triple(order, lambda r: r.at_mod(p, jt))
-    values = models.polys.at_mod(p, jt)
+def _reconstruct_mod(field, point, order, supplied):
+    """reconstruct_generic's octic over F_p at a WeightedPoint whose
+    jvalues, else one pass made here, are walk_set's values: every step
+    runs on ints mod p, and only the octic is made of field elements."""
+    p, jt = field.p, [c.value for c in point.coords]
+    if point.jvalues is None:
+        point.jvalues = walk_set().at_mod(p, jt)
+    known = dict(zip(TRIPLES_19, point.jvalues))
+    models = _first_triple(order, lambda t: known[t] if t in known
+                           else r_polynomial(t).at_mod(p, jt))
+    values = (point.jvalues[len(TRIPLES_19):] if models.triple == TRIPLES_19[0]
+              else models.polys.at_mod(p, jt))
     A = conic_matrix(values)
-    point = _conic_point_mod(field, A, supplied)
-    chis = [[c % p for c in chi] for chi in _chis(A, point)]
+    xyz = _conic_point_mod(field, A, supplied)
+    chis = [[c % p for c in chi] for chi in _chis(A, xyz)]
     return BinaryForm(field, 8, _substitute(
         dict(zip(QUARTIC_MULTISETS, values[6:])), chis))
 
@@ -505,17 +516,18 @@ def reconstruct_generic(field, jtuple, triple_order=None,
     four-group; the per-stratum formulas apply instead).  Over Q without a
     supplied point the result lies over Q(sqrt(D)) when the line on which
     conic_point finds its point has a non-square discriminant D.  Over a
-    prime field every step runs on residues (_reconstruct_mod); over any
-    other field on field elements (conic_point, conic_parametrize,
-    substitute_quartic), which are the reference for the residues.
+    prime field every step runs on residues (_reconstruct_mod, at the
+    tuple's WeightedPoint); over any other field on field elements
+    (conic_point, conic_parametrize, substitute_quartic).
     """
-    jtuple = tuple(field(v) for v in jtuple)
+    point = as_point(field, SHIODA_WEIGHTS, jtuple)
     order = triple_order if triple_order is not None else TRIPLES_19
     if isinstance(field, PrimeField):
-        octic = _reconstruct_mod(field, [v.value for v in jtuple], order,
-                                 conic_point_hint)
+        octic = _reconstruct_mod(field, point, order, conic_point_hint)
     else:
-        models = _first_triple(order, lambda r: r.evaluate(field, jtuple))
+        jtuple = point.coords
+        models = _first_triple(order, lambda t: r_polynomial(t).evaluate(
+            field, jtuple))
         values = models.polys.at(field, jtuple)
         A = conic_matrix(values)
         work_field, point = conic_point(field, A, supplied=conic_point_hint)

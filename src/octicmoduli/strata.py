@@ -21,7 +21,7 @@ from .errors import (
 from .fields import ExtField, PrimeField, QQ, QuadExtQ
 from .forms import BinaryForm, embed_field
 from .jpoly import PolySet
-from .wps import SHIODA_WEIGHTS, WeightedPoint
+from .wps import SHIODA_WEIGHTS, as_point
 
 #: detection order: dimension 0 strata first, then up the lattice; a tuple
 #: is classified by the first system it satisfies
@@ -83,22 +83,31 @@ def stratum_residuals(field, jtuple):
     return {name: tuple(values[lo:hi]) for name, (lo, hi) in spans.items()}
 
 
+@functools.cache
+def _class_set(strata):
+    """strata, then reconstruct.walk_set: what a class over F_p reads."""
+    from .reconstruct import walk_set
+    return PolySet(strata.polys + walk_set().polys)
+
+
 def detect_group(field, jtuple):
     """First stratum in the cascade whose system vanishes; C2 otherwise.
-    Every system is evaluated in one pass, on residues over a prime field
-    (PolySet.at_mod), and the cascade tests zeros on each system's slice
-    of the values.
+    Every system is evaluated in one pass, over F_p on residues with the
+    generic method's walk (_class_set; kept as the point's jvalues), and
+    the cascade tests zeros on each system's slice of the values.
 
     For singular tuples the answer is the label of the matched system; the
     actual automorphism group of a singular orbit may be larger.  A tuple
     that is not 9 coordinates, or is zero, is refused (WeightMismatch).
     """
-    jtuple = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
+    point = as_point(field, SHIODA_WEIGHTS, jtuple)
     polys, spans = _strata_set()
     if isinstance(field, PrimeField):
-        values = polys.at_mod(field.p, [c.value for c in jtuple])
+        values = _class_set(polys).at_mod(
+            field.p, [c.value for c in point.coords])
+        point.jvalues = values[len(polys.polys):]
     else:
-        values = polys.at(field, jtuple)
+        values = polys.at(field, point.coords)
     for name in STRATA_ORDER:
         lo, hi = spans[name]
         if not any(values[lo:hi]):
@@ -192,11 +201,11 @@ def reconstruct_stratum(stratum, field, jtuple):
 
     Degenerate branch guards re-dispatch to the larger group exactly as
     the lemmas direct.  A tuple that is not 9 coordinates, or is zero, is
-    refused (WeightMismatch).
+    refused (WeightMismatch); a WeightedPoint is passed on as it is.
     """
-    jt = WeightedPoint(field, SHIODA_WEIGHTS, jtuple).coords
+    point = as_point(field, SHIODA_WEIGHTS, jtuple)
+    jt, one, zero = point.coords, field.one, field.zero
     j2, j3, j4, j5, j6, j7 = jt[0], jt[1], jt[2], jt[3], jt[4], jt[5]
-    one, zero = field.one, field.zero
 
     if stratum == "C2xS4":
         return BinaryForm(field, 8, [1, 0, 0, 0, 14, 0, 0, 0, 1])
@@ -280,14 +289,14 @@ def reconstruct_stratum(stratum, field, jtuple):
 
     if stratum == "C4":
         from .reconstruct import TRIPLES_C4, reconstruct_generic
-        return reconstruct_generic(field, jt, triple_order=TRIPLES_C4)
+        return reconstruct_generic(field, point, triple_order=TRIPLES_C4)
 
     if stratum == "D4":
         return _reconstruct_d4(field, jt)
 
     if stratum == "C2":
         from .reconstruct import reconstruct_generic
-        return reconstruct_generic(field, jt)
+        return reconstruct_generic(field, point)
 
     raise GuardInconsistency("unknown stratum %r" % (stratum,))
 

@@ -10,6 +10,7 @@ base field.
 
 import functools
 from itertools import combinations, product
+from math import prod
 
 from .errors import WeightMismatch
 from .fields import PrimeField, ext_gcd_multi
@@ -29,7 +30,8 @@ def _check_weights(weights):
 
 
 class WeightedPoint:
-    __slots__ = ("field", "weights", "coords")
+    # jvalues: J-polynomial values kept here by strata.detect_group
+    __slots__ = ("field", "weights", "coords", "jvalues")
 
     def __init__(self, field, weights, coords):
         weights = _check_weights(weights)
@@ -42,6 +44,7 @@ class WeightedPoint:
         self.field = field
         self.weights = weights
         self.coords = coords
+        self.jvalues = None
 
     def support(self):
         return tuple(i for i, c in enumerate(self.coords) if c)
@@ -53,6 +56,13 @@ class WeightedPoint:
 
     def __repr__(self):
         return "(" + " : ".join(repr(c) for c in self.coords) + ")"
+
+
+def as_point(field, weights, coords):
+    """coords if it is a WeightedPoint over field, else a new one."""
+    if getattr(coords, "weights", None) == weights and coords.field == field:
+        return coords
+    return WeightedPoint(field, weights, getattr(coords, "coords", coords))
 
 
 @functools.cache
@@ -68,34 +78,37 @@ def wps_equal(u, v):
 
     Compares supports, then checks V_i/U_i = Lambda^{d_i/d} on the common
     support, where Lambda is the Bezout-weighted product of the ratios;
-    over a prime field on residues, with pow(., ., p).  Points of
-    different spaces or over different fields are refused.
+    over a prime field on residues (residues_equal).  Points of different
+    spaces or over different fields are refused.
     """
     if u.weights != v.weights:
         raise WeightMismatch("points live in different spaces")
     if u.field != v.field:
         raise WeightMismatch("points over %r and %r" % (u.field, v.field))
+    if isinstance(u.field, PrimeField):
+        return residues_equal(u.field.p, u.weights,
+                              [c.value for c in u.coords],
+                              [c.value for c in v.coords])
     su, sv = u.support(), v.support()
     if su != sv:
         return False
     d, cs = _bezout(tuple(u.weights[i] for i in su))
-    if isinstance(u.field, PrimeField):
-        p = u.field.p
-        ratios = [v.coords[i].value * pow(u.coords[i].value, -1, p) % p
-                  for i in su]
-        lam = 1
-        for r, c in zip(ratios, cs):
-            lam = lam * pow(r, c, p) % p
-        return all(r == pow(lam, u.weights[i] // d, p)
-                   for i, r in zip(su, ratios))
     ratios = [v.coords[i] / u.coords[i] for i in su]
     lam = u.field.one
     for r, c in zip(ratios, cs):
         lam = lam * r ** c
-    for i, r in zip(su, ratios):
-        if r != lam ** (u.weights[i] // d):
-            return False
-    return True
+    return all(r == lam ** (u.weights[i] // d) for i, r in zip(su, ratios))
+
+
+def residues_equal(p, weights, u, v):
+    """wps_equal over F_p of two points given by their residues."""
+    su = tuple(i for i, c in enumerate(u) if c)
+    if su != tuple(i for i, c in enumerate(v) if c):
+        return False
+    d, cs = _bezout(tuple(weights[i] for i in su))
+    ratios = [v[i] * pow(u[i], -1, p) % p for i in su]
+    lam = prod(pow(r, c, p) for r, c in zip(ratios, cs)) % p
+    return all(r == pow(lam, weights[i] // d, p) for i, r in zip(su, ratios))
 
 
 def wps_normalize(u):

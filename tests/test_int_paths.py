@@ -19,7 +19,7 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import normal_model
 
-from octicmoduli import covariants, reconstruct
+from octicmoduli import covariants, reconstruct, strata
 from octicmoduli.census import class_model
 from octicmoduli.census_fast import (
     _ModCtx, classify_rows, normalize_rows, strata_labels,
@@ -421,7 +421,8 @@ def test_residue_reconstruction_matches_the_reference(p):
     F, E = PrimeField(p), ExtField(p, 2)
     for jt, order in _generic_classes(p, 4):
         residues = [v.value for v in jt]
-        models = _first_triple(order, lambda r: r.at_mod(p, residues))
+        models = _first_triple(
+            order, lambda t: r_polynomial(t).at_mod(p, residues))
         values = models.polys.at_mod(p, residues)
         ref_values = models.polys.at(F, jt)
         assert values == [v.value for v in ref_values]
@@ -508,22 +509,32 @@ def test_residue_path_checks_a_supplied_point():
 
 
 def test_class_model_refuses_a_model_that_does_not_round_trip(monkeypatch):
-    """With one quartic value of the chosen triple moved by 1, the octic
-    of the residue path has other invariants, and class_model refuses it
+    """With one quartic value of TRIPLES_19[0] moved by 1 in the pass
+    that evaluates it (strata._class_set through detect_group, or
+    reconstruct.walk_set when the stratum is given), the octic of the
+    residue path has other invariants, and class_model refuses it
     (CountMismatch) instead of returning it."""
     F = PrimeField(11)
-    jt, order = _generic_classes(11, 1)[0]
-    residues = [v.value for v in jt]
-    polys = _first_triple(order, lambda r: r.at_mod(11, residues)).polys
-    true_values = polys.at_mod
-
-    def moved(p, xs):
-        values = true_values(p, xs)
-        values[6] = (values[6] + 1) % p
-        return values
-
+    jt = next(jt for jt, order in _generic_classes(11, 4)
+              if order == TRIPLES_19 and r_polynomial(TRIPLES_19[0]).at_mod(
+                  11, [v.value for v in jt]))
     model, _ = class_model(F, jt)
-    monkeypatch.setattr(polys, "at_mod", moved)
+    walk = reconstruct.walk_set()
+    whole = strata._class_set(strata._strata_set()[0])
+    quartic = len(TRIPLES_19) + 6       # the first quartic value
+
+    def move(polys, k):
+        true_values = polys.at_mod
+
+        def moved(p, xs):
+            values = true_values(p, xs)
+            values[k] = (values[k] + 1) % p
+            return values
+        monkeypatch.setattr(polys, "at_mod", moved)
+
+    move(walk, quartic)
+    move(whole, len(whole.polys) - len(walk.polys) + quartic)
     assert reconstruct_generic(F, jt) != model
-    with pytest.raises(CountMismatch):
-        class_model(F, jt)
+    for stratum in (None, "C2"):
+        with pytest.raises(CountMismatch):
+            class_model(F, jt, stratum)

@@ -6,7 +6,8 @@ import pytest
 from octicmoduli.errors import WeightMismatch
 from octicmoduli.fields import PrimeField, field_make
 from octicmoduli.wps import (
-    WeightedPoint, wps_enumerate, wps_equal, wps_normalize,
+    SHIODA_WEIGHTS, WeightedPoint, as_point, residues_equal, wps_enumerate,
+    wps_equal, wps_normalize,
 )
 
 
@@ -47,6 +48,48 @@ def test_wps_equal_refuses_points_over_two_fields():
                       WeightedPoint(field_b, W, [1, 1]))
     assert wps_equal(WeightedPoint(PrimeField(11), W, [1, 1]),
                      WeightedPoint(PrimeField(11), W, [4, 8]))
+
+
+def test_as_point_reuses_only_a_point_of_the_same_space():
+    """A WeightedPoint over the field, in the space, is taken as it is;
+    over another field or weights it is made again from its coordinates;
+    a zero tuple or one of the wrong arity is refused as before."""
+    F, E = PrimeField(11), field_make("Fpk:11:2")
+    point = WeightedPoint(F, SHIODA_WEIGHTS, range(1, 10))
+    assert as_point(F, SHIODA_WEIGHTS, point) is point
+    lifted = as_point(E, SHIODA_WEIGHTS, point)
+    assert lifted.field == E and lifted.coords == tuple(
+        E(v) for v in range(1, 10))
+    flat = as_point(F, (1,) * 9, point)
+    assert flat is not point and flat.weights == (1,) * 9
+    for coords in ([0] * 9, [1, 2]):
+        with pytest.raises(WeightMismatch):
+            as_point(F, SHIODA_WEIGHTS, coords)
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_residues_equal_is_wps_equal_on_field_elements(p):
+    """residues_equal, which wps_equal runs over F_p, against wps_equal
+    over F_{p^2} on field elements: rescalings of seeded points, points
+    with one coordinate moved, and points with another support."""
+    F, E = PrimeField(p), field_make("Fpk:%d:2" % p)
+    rng = random.Random(p)
+    for _ in range(300):
+        u = [rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(9)]
+        if not any(u):
+            continue
+        lam = rng.randrange(1, p)
+        v = [c * pow(lam, w, p) % p for c, w in zip(u, SHIODA_WEIGHTS)]
+        if rng.random() < 0.5:
+            i = rng.randrange(9)
+            v[i] = rng.randrange(p)
+        if not any(v):
+            continue
+        want = wps_equal(WeightedPoint(E, SHIODA_WEIGHTS, u),
+                         WeightedPoint(E, SHIODA_WEIGHTS, v))
+        assert residues_equal(p, SHIODA_WEIGHTS, u, v) == want, (u, v)
+        assert wps_equal(WeightedPoint(F, SHIODA_WEIGHTS, u),
+                         WeightedPoint(F, SHIODA_WEIGHTS, v)) == want
 
 
 @pytest.mark.parametrize("weights", [(0, 1), (-2, 3), (0, 0)])
