@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from octicmoduli.covariants import random_octic, shioda
+from octicmoduli.covariants import has_invariants, random_octic, shioda
+from octicmoduli.reconstruct import reconstruct_generic
 from octicmoduli.errors import (
     ExhaustedCandidates, SingularLocus, WeightMismatch,
 )
@@ -91,12 +92,18 @@ def test_detect_group_tests_every_equation_of_a_system(monkeypatch):
                          ids=["zero", "two-coordinates", "ten-coordinates"])
 def test_library_refuses_a_tuple_that_is_not_a_point(coords, F11):
     """The zero tuple and tuples of the wrong arity are refused, as the
-    CLI refuses them, not classified or given a model."""
+    CLI refuses them, not classified, given a model or compared."""
     with pytest.raises(WeightMismatch):
         detect_group(F11, coords)
     for stratum in ("C2", "C2xS4"):
         with pytest.raises(WeightMismatch):
             reconstruct_stratum(stratum, F11, coords)
+    for field in (F11, QQ):
+        with pytest.raises(WeightMismatch):
+            reconstruct_generic(field, coords)
+        with pytest.raises(WeightMismatch):
+            has_invariants(BinaryForm(field, 8, [1, 0, 0, 0, 14, 0, 0, 0, 1]),
+                           coords)
 
 
 def test_stratum_lattice_consistency():
