@@ -23,7 +23,7 @@ from .errors import (
     CountMismatch, ExhaustedCandidates, MultipleRoot, NotRationalClass,
     WeightMismatch,
 )
-from .fields import ExtField, PrimeField, norm_solve
+from .fields import ExtField, PrimeField, first_nonsquare, norm_solve
 from .forms import (
     BinaryForm, Gl2Matrix, disc_resultant, embed_field, gl2_act,
     roots_in_splitting_field,
@@ -263,11 +263,8 @@ def _normalizer_twists(f):
 @functools.cache
 def _eighth_roots(field):
     """The eight z with z^8 = 1 in F_q, 8 | q - 1, by element_key: the
-    powers of a^((q - 1) / 8) for the first a in element order that is
-    not a square."""
-    n = (field.order - 1) // 8
-    zeta = next(z for z in (a ** n for a in field.elements() if a)
-                if z ** 4 != field.one)
+    powers of a^((q - 1) / 8) for a = first_nonsquare(field)."""
+    zeta = first_nonsquare(field) ** ((field.order - 1) // 8)
     roots = [field.one]
     for _ in range(7):
         roots.append(roots[-1] * zeta)

@@ -21,11 +21,11 @@ from .errors import (
     IdenticallyZeroQuintic, RankDeficiency, SingularForm, UnknownIdentifier,
     Unresolved, WrongDegree,
 )
-from .fields import ExtField, FpElement, PrimeField, QQ, residue_dtype
-from .forms import BinaryForm, transvect, transvect_residues
-from .jpoly import (
-    JPolynomial, PolySet, _residue, monomial_basis, monomial_matrix, wdeg,
+from .fields import (
+    ExtField, FpElement, PrimeField, QQ, fraction_residue, residue_dtype,
 )
+from .forms import BinaryForm, transvect, transvect_residues
+from .jpoly import JPolynomial, PolySet, monomial_basis, monomial_matrix, wdeg
 from .linsolve import solve_rational
 from .unipoly import rational_roots, roots as field_roots
 from .wps import SHIODA_WEIGHTS, as_point, residues_equal, wps_equal
@@ -257,14 +257,14 @@ class _SampleSet:
         out = np.zeros((rows, 9), dtype=np.int64)
         for i, row in enumerate(self.jvals):
             for j, v in enumerate(row):
-                out[i, j] = _residue(v, p)
+                out[i, j] = fraction_residue(v, p)
         return out
 
 
 def _values_mod(values, p):
     out = np.zeros(len(values), dtype=np.int64)
     for i, v in enumerate(values):
-        out[i] = _residue(Fraction(v), p)
+        out[i] = fraction_residue(Fraction(v), p)
     return out
 
 

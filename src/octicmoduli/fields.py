@@ -168,10 +168,17 @@ class _Element:
         return result
 
 
+@functools.cache
+def first_nonsquare(field):
+    """The first element of field.elements() that is not a square in the
+    finite field."""
+    return next(c for c in field.elements()
+                if c and c ** ((field.order - 1) // 2) != field.one)
+
+
 def _finite_sqrt(field, a):
     """Square root in a finite field, or None; deterministic: the root
-    with the smaller element_key.  Tonelli-Shanks with the first
-    non-residue in field.elements() order."""
+    with the smaller element_key.  Tonelli-Shanks with first_nonsquare."""
     a = field(a)
     if not a:
         return a
@@ -185,9 +192,8 @@ def _finite_sqrt(field, a):
     if s == 1:
         r = a ** ((q + 1) // 4)
     else:
-        z = next(c for c in field.elements()
-                 if c and c ** ((q - 1) // 2) != field.one)
-        m, c, t, r = s, z ** Q, a ** Q, a ** ((Q + 1) // 2)
+        m, c, t = s, first_nonsquare(field) ** Q, a ** Q
+        r = a ** ((Q + 1) // 2)
         while t != field.one:
             t2, i = t, 0
             while t2 != field.one:
@@ -303,11 +309,7 @@ class PrimeField:
         if isinstance(value, int):
             return FpElement(self, value)
         if isinstance(value, Fraction):
-            num = value.numerator % self.p
-            den = value.denominator % self.p
-            if den == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % self.p)
-            return FpElement(self, num * pow(den, -1, self.p))
+            return FpElement(self, fraction_residue(value, self.p))
         raise TypeError("cannot coerce %r into F_%d" % (value, self.p))
 
     @property
@@ -338,6 +340,14 @@ class PrimeField:
 
     def __repr__(self):
         return "F_%d" % self.p
+
+
+def fraction_residue(c, p):
+    """The Fraction c mod p, an int; ZeroDivisionError when p divides its
+    denominator."""
+    if not c.denominator % p:
+        raise ZeroDivisionError("denominator divisible by %d" % p)
+    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 def residue_dtype(p, terms=1):

@@ -18,7 +18,7 @@ from .errors import (
     DegreeTooSmall, OrderTooHigh, SingularMatrix, SmallCharacteristic,
     WrongDegree, ZeroForm,
 )
-from .fields import ExtField, PrimeField, residue_dtype
+from .fields import ExtField, PrimeField, fraction_residue, residue_dtype
 
 
 def _falling(n, k):
@@ -26,15 +26,6 @@ def _falling(n, k):
     for i in range(k):
         out *= n - i
     return out
-
-
-def _operands(*forms):
-    """The coefficient lists a product or transvectant of forms runs on:
-    over a prime field the residues as plain ints, which the BinaryForm
-    constructor reduces mod p; else the coefficients."""
-    if all(isinstance(f.field, PrimeField) for f in forms):
-        return [[a.value for a in f.coeffs] for f in forms]
-    return [f.coeffs for f in forms]
 
 
 def _convolve(a, b):
@@ -93,7 +84,7 @@ class BinaryForm:
         if not isinstance(other, BinaryForm):
             return self.scale(other)
         return BinaryForm(self.field, self.degree + other.degree,
-                          _convolve(*_operands(self, other)))
+                          _convolve(self.coeffs, other.coeffs))
 
     __rmul__ = scale
 
@@ -169,20 +160,15 @@ def transvect(f, g, h):
 
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
-    with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one.
-    Over a prime field the formula is a cached bilinear tensor contracted
-    with the residues of f and g (transvect_residues); over any other
-    ring one loop runs on the coefficients.
+    with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one,
+    one loop on the coefficients over every field.  transvect_residues
+    is the same formula on residues over F_p.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
         raise OrderTooHigh("transvectant order %d exceeds degrees (%d, %d)"
                            % (h, r1, r2))
     _check_characteristic(f.field.characteristic)
-    if isinstance(f.field, PrimeField) and isinstance(g.field, PrimeField):
-        out = transvect_residues([a.value for a in f.coeffs],
-                                 [b.value for b in g.coeffs], h, f.field.p)
-        return BinaryForm(f.field, r1 + r2 - 2 * h, out.tolist())
     norm = f.field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
     out = [0] * (r1 + r2 - 2 * h + 1)
     for k in range(h + 1):
@@ -223,8 +209,8 @@ def _transvectant_tensor(r1, r2, h, p):
         for i, x in enumerate(_partial_weights(r1, h - k, k)):
             for j, y in enumerate(_partial_weights(r2, k, h - k)):
                 t[i + j, i + h - k, j + k] += signed * x * y
-    norm = PrimeField(p)(Fraction(1, _falling(r1, h) * _falling(r2, h)))
-    t = (t * norm.value % p).astype(residue_dtype(p, max(r1, r2) + 1))
+    norm = fraction_residue(Fraction(1, _falling(r1, h) * _falling(r2, h)), p)
+    t = (t * norm % p).astype(residue_dtype(p, max(r1, r2) + 1))
     t.flags.writeable = False           # shared by every caller
     return t
 

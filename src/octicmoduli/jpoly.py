@@ -18,7 +18,7 @@ from math import lcm
 
 import numpy as np
 
-from .fields import QQ, FpElement, PrimeField, residue_dtype
+from .fields import QQ, FpElement, PrimeField, fraction_residue, residue_dtype
 
 WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -57,13 +57,6 @@ def grevlex_key(expvec):
     # among equal weighted degrees: a > b iff the last nonzero entry of
     # a - b is negative
     return tuple(-e for e in reversed(expvec))
-
-
-def _residue(c, p):
-    """The Fraction c mod p, as PrimeField(p)(c) would give it."""
-    if not c.denominator % p:
-        raise ZeroDivisionError("denominator divisible by %d" % p)
-    return c.numerator * pow(c.denominator, -1, p) % p
 
 
 class _Chain:
@@ -116,8 +109,8 @@ class _Chain:
                                     for c in poly.terms.values()))
             self.dens.append(den)
             for ev, c in poly.terms.items():
-                r = _residue(c, p) if p else c.numerator * (den
-                                                            // c.denominator)
+                r = (fraction_residue(c, p) if p
+                     else c.numerator * (den // c.denominator))
                 if r:
                     coeffs.append(r)
                     monomials.append(index[ev])
@@ -410,7 +403,7 @@ class PolySet:
             coeffs = np.zeros((len(self.polys), len(monomials)))
             for k, poly in enumerate(self.polys):
                 for ev, c in poly.terms.items():
-                    coeffs[k, column[ev]] = _residue(c, p)
+                    coeffs[k, column[ev]] = fraction_residue(c, p)
             self._coeffs[p] = coeffs
         out = np.empty((rows.shape[0], len(self.polys)), dtype=np.int64)
         for start in range(0, rows.shape[0], CHUNK_ROWS):

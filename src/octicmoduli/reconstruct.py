@@ -22,7 +22,7 @@ from .errors import (
     SingularConic,
 )
 from .fields import PrimeField, QuadExtQ
-from .forms import BinaryForm, _convolve, _operands, omega_pair, transvect
+from .forms import BinaryForm, _convolve, omega_pair, transvect
 from .jpoly import PolySet
 from .wps import SHIODA_WEIGHTS, as_point
 
@@ -409,14 +409,11 @@ def substitute_quartic(field, quartic_values, chis):
     With P_ij = chi_i chi_j, the sum of h_ijkl chi_i chi_j chi_k chi_l
     over the multisets i <= j <= k <= l is the sum over i <= j of
     P_ij Q_ij, where Q_ij is the sum over j <= k <= l of h_ijkl P_kl.
-    The 12 products run on coefficient lists: the residues over F_p, as
-    forms._operands gives them, and the coefficients over any other field.
+    The 12 products run on the coefficients of the chis, over every
+    field; _reconstruct_mod runs the same products on residues.
     """
-    chi = _operands(*chis)
-    h = quartic_values
-    if chi[0] is not chis[0].coeffs:     # residues: the h values too
-        h = {mset: field(v).value for mset, v in h.items()}
-    return BinaryForm(field, 8, _substitute(h, chi))
+    return BinaryForm(field, 8, _substitute(
+        quartic_values, [chi.coeffs for chi in chis]))
 
 
 def _substitute(h, chi):

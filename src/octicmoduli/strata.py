@@ -340,6 +340,7 @@ def _reconstruct_d4(field, jt):
 
     ctx = FieldContext(field)
     a0 = ctx.sqrt(a0sq)
+    a2 = ctx.field.one
     if a0:
         a4l, j2, j3, j4 = (ctx(v) for v in (a4, jt[0], jt[1], jt[2]))
         p4 = a0 * 15750
@@ -351,29 +352,21 @@ def _reconstruct_d4(field, jt):
               + a0 * j2 * j2 * 2881200)
         rdisc = ctx.sqrt(p2 * p2 - p4 * p0 * 4)
         p2, p4 = ctx(p2), ctx(p4)
-        ys = [(-p2 + rdisc * sgn) / (p4 + p4) for sgn in (1, -1)]
-        a2s = [ctx.sqrt(y) for n, y in enumerate(ys) if y or n == 0]
-    else:
-        a2s = [ctx.field.one]
+        a2 = ctx.sqrt((rdisc - p2) / (p4 + p4))
 
+    # x -> 1/x swaps a2 and a6 and x -> ix negates both, so one candidate
+    # serves: a2^2 the first root y, a6 from the product a2 a6, or a6 a
+    # square root when a2 = 0
     lj, a0, a4 = [ctx(v) for v in jt], ctx(a0), ctx(a4)
-    for a2 in [a2 for c in a2s for a2 in (c, -c)]:
-        a2 = ctx(a2)
-        if a2:
-            a6s = [-(a0 * a0 * 140 + a4 * a4 - lj[0] * 70) / (a2 * 5)]
-        else:
-            if not a0:
-                continue
-            r = ctx.sqrt((a4 ** 3 * 24 - a4 * lj[0] * 2940 + lj[1] * 68600)
-                         / (a0 * 1575))
-            lj, a0, a4 = [ctx(v) for v in lj], ctx(a0), ctx(a4)
-            a2 = ctx(a2)
-            a6s = [r, -r]
-        wf = ctx.field
-        for a6 in a6s:
-            model = _even8(wf, a0, a6, a4, a2, a0)
-            if has_invariants(model, lj):
-                return model
+    if a2:
+        a6 = -(a0 * a0 * 140 + a4 * a4 - lj[0] * 70) / (a2 * 5)
+    else:
+        a6 = ctx.sqrt((a4 ** 3 * 24 - a4 * lj[0] * 2940 + lj[1] * 68600)
+                      / (a0 * 1575))
+        lj, a0, a4 = [ctx(v) for v in lj], ctx(a0), ctx(a4)
+    model = _even8(ctx.field, a0, a6, a4, ctx(a2), a0)
+    if has_invariants(model, lj):
+        return model
     return _reconstruct_d4_singular(field, jt, eqs)
 
 

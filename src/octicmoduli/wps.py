@@ -13,7 +13,7 @@ from itertools import combinations, product
 from math import prod
 
 from .errors import WeightMismatch
-from .fields import PrimeField, ext_gcd_multi
+from .fields import ext_gcd_multi
 
 SHIODA_WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -77,18 +77,15 @@ def wps_equal(u, v):
     """Equality test in the weighted projective space.
 
     Compares supports, then checks V_i/U_i = Lambda^{d_i/d} on the common
-    support, where Lambda is the Bezout-weighted product of the ratios;
-    over a prime field on residues (residues_equal).  Points of different
-    spaces or over different fields are refused.
+    support, where Lambda is the Bezout-weighted product of the ratios,
+    on the coordinates over every field (residues_equal is the same test
+    on residues mod p).  Points of different spaces or over different
+    fields are refused.
     """
     if u.weights != v.weights:
         raise WeightMismatch("points live in different spaces")
     if u.field != v.field:
         raise WeightMismatch("points over %r and %r" % (u.field, v.field))
-    if isinstance(u.field, PrimeField):
-        return residues_equal(u.field.p, u.weights,
-                              [c.value for c in u.coords],
-                              [c.value for c in v.coords])
     su, sv = u.support(), v.support()
     if su != sv:
         return False

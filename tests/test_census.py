@@ -5,6 +5,7 @@ from math import lcm
 
 import pytest
 
+from octicmoduli import census
 from octicmoduli.census import (
     CensusReport, _read_checkpoint, class_model, descend, expected_counts,
     find_isomorphism, run_census,
@@ -13,7 +14,8 @@ from octicmoduli.covariants import (
     has_invariants, is_isomorphic, random_octic, shioda,
 )
 from octicmoduli.errors import (
-    CompositeModulus, MultipleRoot, NotRationalClass, WeightMismatch,
+    CompositeModulus, CountMismatch, ExhaustedCandidates, MultipleRoot,
+    NotRationalClass, WeightMismatch,
 )
 from octicmoduli.fields import ExtField, PrimeField, field_make
 from octicmoduli.forms import BinaryForm, Gl2Matrix, disc_resultant, gl2_act
@@ -179,6 +181,40 @@ def test_class_model_descends_through_a_scalar_norm_power(F11):
 def test_expected_counts_sum_to_p5():
     for p in (11, 13, 17, 47):
         assert sum(expected_counts(p).values()) == p ** 5
+
+
+@pytest.mark.parametrize("stratum", ["D4", "C4"])
+def test_run_census_flags_only_an_unproven_count(stratum, monkeypatch):
+    """A stratum count off its closed form is flagged when the formula is
+    unproven (D4) and refused with CountMismatch when it is proven (C4)."""
+    want = expected_counts(11)
+    want[stratum] += 1
+    monkeypatch.setattr(census, "expected_counts", lambda p: want)
+    msg = "stratum %s count %d != expected %d" % (
+        stratum, want[stratum] - 1, want[stratum])
+    if stratum in census.UNPROVEN:
+        assert run_census(11).flags == [msg]
+    else:
+        with pytest.raises(CountMismatch, match=msg):
+            run_census(11)
+
+
+def test_descend_refuses_when_every_candidate_fails(F11, monkeypatch):
+    """ExhaustedCandidates when averaging through the cocycle gives no
+    model for any twisting matrix."""
+    rng = random.Random(33)
+    E = ExtField(11, 2)
+    f = _random_smooth(F11, rng).to_field(E, lambda a: E(a.value))
+    h = gl2_act(Gl2Matrix(E, E.gen(), E(3), E(1), E.gen() ** 7), f)
+    tried = []
+
+    def fail(*args):
+        tried.append(args)
+
+    monkeypatch.setattr(census, "_average_descent", fail)
+    with pytest.raises(ExhaustedCandidates, match="every candidate"):
+        descend(h, F11)
+    assert tried
 
 
 def test_run_census_rejects_composite():

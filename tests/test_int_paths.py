@@ -31,6 +31,7 @@ from octicmoduli.errors import (
 from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
 from octicmoduli.forms import (
     BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
+    transvect_residues,
 )
 from octicmoduli.jpoly import JPolynomial, PolySet
 from octicmoduli.reconstruct import (
@@ -218,8 +219,8 @@ def _substitute_per_monomial(field, quartic_values, chis):
 
 @pytest.mark.parametrize("label", ["F11", "F13", "F11^2", "Q(sqrt 5)"])
 def test_substitute_quartic_matches_the_product_per_monomial(label):
-    """Seeded chis and quartic values, a fifth of the values zero: over
-    F_p on residues, over F_{11^2} and Q(sqrt 5) on elements."""
+    """Seeded chis and quartic values, a fifth of the values zero, over
+    F_11, F_13, F_{11^2} and Q(sqrt 5)."""
     field = {"F11": PrimeField(11), "F13": PrimeField(13),
              "F11^2": ExtField(11, 2), "Q(sqrt 5)": QuadExtQ(5)}[label]
     seed = zlib.crc32(("substitute quartic %s" % label).encode())
@@ -266,11 +267,11 @@ def _transvectant_shapes():
 
 @pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
 def test_transvect_and_products_match_the_rational_path(p):
-    """transvect for every shape shioda and covariant_eval use, and the
-    products covariant_eval forms, on seeded forms with and without a
-    vanishing leading part: equal to the Q results reduced mod p.  Over
-    F_p transvect contracts a cached tensor of residues, over Q it runs
-    the loop."""
+    """transvect and transvect_residues for every shape shioda and
+    covariant_eval use, and the products covariant_eval forms, on seeded
+    forms with and without a vanishing leading part: equal to the Q
+    results reduced mod p.  transvect_residues contracts a cached tensor
+    of residues, transvect runs the loop on field elements."""
     F = PrimeField(p)
     shapes = _transvectant_shapes()
     assert len(shapes) == 26
@@ -284,7 +285,10 @@ def test_transvect_and_products_match_the_rational_path(p):
             b = [rng.randrange(p) for _ in range(r2 + 1)]
             fq, gq = BinaryForm(QQ, r1, a), BinaryForm(QQ, r2, b)
             fp, gp = BinaryForm(F, r1, a), BinaryForm(F, r2, b)
-            assert transvect(fp, gp, h) == transvect(fq, gq, h).to_field(F)
+            want = transvect(fq, gq, h).to_field(F)
+            assert transvect(fp, gp, h) == want
+            assert (transvect_residues(a, b, h, p).tolist()
+                    == [c.value for c in want.coeffs])
             assert fp * gp == (fq * gq).to_field(F)
 
 

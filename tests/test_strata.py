@@ -272,24 +272,48 @@ def test_d4_returns_only_a_verified_model(F11, monkeypatch):
         reconstruct_stratum("D4", F11, jt)
 
 
-#: sha256 prefixes of the "repr(field);coefficients" lines (or the
-#: error's class name) of reconstruct_stratum on every C2p3 and D4 row of
-#: moduli_rows(F_11, filter_singular=False)
-CLOSED_FORM_SHA = {"C2p3": (120, "81fd506a703e"), "D4": (1312, "0b0854baa279")}
+@pytest.mark.parametrize("row, singular", [
+    ((0, 5, 5, 7, 8, 2, 8, 7, 9), False),
+    ((0, 7, 7, 6, 2, 2, 2, 8, 7), True),
+])
+def test_d4_checks_one_even_candidate(F11, monkeypatch, row, singular):
+    """x -> 1/x and x -> ix take the even model's other choices of a2 and
+    a6 to the first, so _reconstruct_d4 checks one candidate: the model
+    of a nonsingular class (here one split over F_{11^4}); a singular
+    class goes to the fallback after that one check."""
+    calls, at_fallback = [], []
+    check, fallback = strata.has_invariants, strata._reconstruct_d4_singular
+
+    def counted(model, jt):
+        calls.append(model)
+        return check(model, jt)
+
+    def recorded(*args):
+        at_fallback.append(len(calls))
+        return fallback(*args)
+
+    monkeypatch.setattr(strata, "has_invariants", counted)
+    monkeypatch.setattr(strata, "_reconstruct_d4_singular", recorded)
+    jt = [F11(v) for v in row]
+    assert detect_group(F11, jt) == "D4"
+    model = reconstruct_stratum("D4", F11, jt)
+    assert at_fallback == ([1] if singular else [])
+    assert len(calls) == 1 + singular
+    assert (model.field == F11) is singular
 
 
-@pytest.mark.slow
-def test_closed_form_models_pin_p11():
-    """The closed-form C2p3 and D4 models over F_11 and its extensions,
-    singular rows included: this pins the cubic's roots, every square
-    root and each embedding between the working fields."""
+def _closed_form_digests(p):
+    """(rows, sha256 prefix) of the "repr(field);coefficients" lines (or
+    the error's class name) of reconstruct_stratum on every C2p3 and D4
+    row of moduli_rows(F_p, filter_singular=False), per stratum."""
     from octicmoduli.census_fast import (
         classify_rows, moduli_rows, strata_labels,
     )
-    F = PrimeField(11)
+    F = PrimeField(p)
     rows = moduli_rows(F, filter_singular=False)
     labels = classify_rows(F, rows)
-    for name, (count, sha) in CLOSED_FORM_SHA.items():
+    out = {}
+    for name in ("C2p3", "D4"):
         digest, n = hashlib.sha256(), 0
         for row in rows[labels == strata_labels().index(name)]:
             try:
@@ -300,7 +324,24 @@ def test_closed_form_models_pin_p11():
                 line = "%s\n" % type(exc).__name__
             digest.update(line.encode())
             n += 1
-        assert (n, digest.hexdigest()[:12]) == (count, sha), name
+        out[name] = (n, digest.hexdigest()[:12])
+    return out
+
+
+@pytest.mark.slow
+def test_closed_form_models_pin_p11():
+    """The closed-form C2p3 and D4 models over F_11 and its extensions,
+    singular rows included: this pins the cubic's roots, every square
+    root and each embedding between the working fields."""
+    assert _closed_form_digests(11) == {"C2p3": (120, "81fd506a703e"),
+                                        "D4": (1312, "0b0854baa279")}
+
+
+@pytest.mark.slow
+def test_closed_form_models_pin_p13():
+    """test_closed_form_models_pin_p11 over F_13."""
+    assert _closed_form_digests(13) == {"C2p3": (168, "88686f01869b"),
+                                        "D4": (2174, "957c1504a129")}
 
 
 @pytest.mark.parametrize("field", [PrimeField(11), QQ], ids=["F11", "Q"])

@@ -13,7 +13,9 @@ and versions of the side.  With --traced-seed each side also runs once
 with --trace 1, for the per-layer figures.  The summary gives, per
 end-to-end metric of BENCHMARK.json, each side's median and quartiles,
 the change's median against the parent's, and the pairs the change
-won.  A file that exists is updated: each workload has its own entry.
+won; under "operations", each side's attempted and failed operations
+summed over its runs and the seeds of its runs that were not correct.
+A file that exists is updated: each workload has its own entry.
 """
 
 import argparse
@@ -47,6 +49,16 @@ def _metrics(run):
     return json.loads(run["result"])["metrics"]
 
 
+def _operations(runs):
+    """The attempted and failed operations of a side's runs, summed, and
+    the seeds of its runs that were not correct."""
+    results = [json.loads(run["result"]) for run in runs]
+    return {"attempted": sum(r["attempted"] for r in results),
+            "failed": sum(r["failed"] for r in results),
+            "incorrect_seeds": [run["seed"] for run, r in zip(runs, results)
+                                if not r["correct"]]}
+
+
 def _quartiles(values):
     if len(values) < 2:
         return [values[0]] * 3
@@ -73,6 +85,8 @@ def _summary(pairs, spec):
             "change_over_parent": change / parent if parent else None,
             "change_wins": wins, "pairs": len(pairs),
         }
+    out["operations"] = {side: _operations([pair[side] for pair in pairs])
+                         for side in ("parent", "change")}
     return out
 
 
