@@ -261,7 +261,7 @@ def test_d4_appendix_count_and_degrees():
 
 
 def test_d4_returns_only_a_verified_model(F11, monkeypatch):
-    """A singular D4 class whose even-model candidates all have other
+    """A singular D4 class whose even-model candidate has other
     invariants: the singular fallback is returned because its invariants
     are the class's; when no model checks out, none is returned."""
     jt = [F11(v) for v in (0, 7, 7, 6, 2, 2, 2, 8, 7)]
