@@ -18,8 +18,7 @@ import numpy as np
 
 from . import store
 from .errors import (
-    IdenticallyZeroQuintic, RankDeficiency, SingularForm, UnknownIdentifier,
-    Unresolved, WrongDegree,
+    RankDeficiency, SingularForm, UnknownIdentifier, Unresolved, WrongDegree,
 )
 from .fields import (
     ExtField, FpElement, PrimeField, QQ, fraction_residue, residue_dtype,
@@ -240,32 +239,22 @@ def random_octic(rng, field=QQ, bound=20):
             return BinaryForm(field, 8, coeffs)
 
 
-class _SampleSet:
-    """Random rational octics with their J-values, reducible mod p."""
+def _samples(count, seed):
+    """count seeded random rational octics, and the function of p that
+    gives their J-values mod p as a (count, 9) int64 array, reducing each
+    octic once per prime.  It runs shioda on residues, which is exact: J
+    over Q of an integer octic has only 2, 3, 5 and 7 in its
+    denominators."""
+    rng = random.Random(seed)
+    forms = [random_octic(rng) for _ in range(count)]
 
-    def __init__(self, count, seed, bound=20):
-        rng = random.Random(seed)
-        self.forms = []
-        self.jvals = []           # rows of 9 Fractions
-        while len(self.forms) < count:
-            f = random_octic(rng, QQ, bound)
-            self.forms.append(f)
-            self.jvals.append(shioda(f))
+    @functools.cache
+    def jmatrix(p):
+        field = PrimeField(p)
+        return np.array([shioda(f.to_field(field), residues=True)
+                         for f in forms], dtype=np.int64)
 
-    def jmatrix_mod(self, p):
-        rows = len(self.jvals)
-        out = np.zeros((rows, 9), dtype=np.int64)
-        for i, row in enumerate(self.jvals):
-            for j, v in enumerate(row):
-                out[i, j] = fraction_residue(v, p)
-        return out
-
-
-def _values_mod(values, p):
-    out = np.zeros(len(values), dtype=np.int64)
-    for i, v in enumerate(values):
-        out[i] = fraction_residue(Fraction(v), p)
-    return out
+    return forms, jmatrix
 
 
 class ExpressResult:
@@ -284,56 +273,53 @@ _EXPRESS_SEED = 0x0C71C
 
 
 def express_in_J(program, degree, seed=_EXPRESS_SEED):
-    """Write an invariant (given as an evaluation program on octics) as a
-    polynomial in J2..J10 of the stated weighted degree.
+    """Write an invariant, given as a program that evaluates it on an
+    octic, as a polynomial in J2..J10 of the stated weighted degree:
+    express_many with one target."""
+    return express_many(lambda f: [program(f)], [degree], seed)[0]
 
-    Evaluation-interpolation: the weighted monomial basis is evaluated on
-    random rational octics along with the program, and the resulting
-    linear system is solved exactly.  From degree 16 on the system is
-    underdetermined modulo the syzygies; the canonical representative sets
-    the coefficients of non-pivot monomials (grevlex order, J2 < ... <
-    J10) to zero, and the nullity is reported.
+
+def express_many(program, degrees, seed=_EXPRESS_SEED):
+    """Write invariants as polynomials in J2..J10, one ExpressResult per
+    entry of degrees, from one program that returns all their values on
+    an octic, in that order.
+
+    Evaluation-interpolation: on seeded random rational octics, the
+    weighted monomial basis of each degree is evaluated on their J-values
+    mod p and the program's values are reduced mod p; the linear system
+    is solved exactly from those images (linsolve.solve_rational) and
+    checked over Q on two further octics.  From degree 16 on the system
+    is underdetermined modulo the syzygies; the canonical representative
+    sets the coefficients of non-pivot monomials (grevlex order, J2 < ...
+    < J10) to zero, and the nullity is reported.
     """
-    outs = express_many([(program, degree)], seed=seed)
-    return outs[0]
-
-
-def express_many(programs_with_degrees, seed=_EXPRESS_SEED):
-    """Interpolate several invariants against one shared sample set."""
-    degrees = [d for _, d in programs_with_degrees]
     if max(degrees) > MAX_EXPRESS_DEGREE:
         raise RankDeficiency("degree %d beyond configured interpolation "
                              "bound %d" % (max(degrees), MAX_EXPRESS_DEGREE))
     bases = {d: monomial_basis(d) for d in set(degrees)}
-    need = max(len(b) for b in bases.values()) + 10
-    samples = _SampleSet(need, seed)
-    values = []
-    for program, _ in programs_with_degrees:
-        values.append([program(f) for f in samples.forms])
+    forms, jmatrix = _samples(max(len(b) for b in bases.values()) + 10, seed)
+    values = [program(f) for f in forms]
 
-    results = [None] * len(programs_with_degrees)
-    for d in sorted(set(degrees)):
-        basis = bases[d]
+    results = [None] * len(degrees)
+    for d, basis in sorted(bases.items()):
         nrows = len(basis) + 10
-        idxs = [i for i, (_, dd) in enumerate(programs_with_degrees)
-                if dd == d]
+        idxs = [i for i, dd in enumerate(degrees) if dd == d]
 
         def build(p, _basis=basis, _n=nrows, _idxs=idxs):
-            jm = samples.jmatrix_mod(p)[:_n]
-            A = monomial_matrix(jm, _basis, p)
-            B = np.stack([_values_mod(values[i][:_n], p) for i in _idxs],
-                         axis=1)
+            A = monomial_matrix(jmatrix(p)[:_n], _basis, p)
+            B = np.array([[fraction_residue(Fraction(row[i]), p)
+                           for i in _idxs] for row in values[:_n]],
+                         dtype=np.int64)
             return A, B
 
         def verify(cols, _basis=basis, _idxs=idxs, _d=d):
             rng = random.Random((seed << 8) ^ (0xF00D + _d))
             for _ in range(2):
                 f = random_octic(rng)
-                jv = shioda(f)
+                jv, vals = shioda(f), program(f)
                 for cj, i in zip(cols, _idxs):
                     poly = _poly_from_coeffs(_d, _basis, cj)
-                    if poly.evaluate(QQ, jv) != Fraction(
-                            programs_with_degrees[i][0](f)):
+                    if poly.evaluate(QQ, jv) != Fraction(vals[i]):
                         return False
             return True
 
@@ -503,10 +489,10 @@ def derive_syzygies(force=False, seed=0x5E55):
     """Determine the five relation coefficient blocks by interpolation.
 
     Each relation is linear in its unknown block coefficients once the
-    leading monomials are pinned (coefficient 1), so evaluating the ten
-    invariants on enough random rational octics and requiring the relation
-    to vanish yields an exactly solvable system with a unique solution.
-    The result is cached on disk.
+    leading monomials are pinned (coefficient 1), so requiring it to
+    vanish at the J-values of enough seeded random rational octics yields
+    a system with a unique solution, solved exactly from its images mod p
+    (linsolve.solve_rational).  The result is cached on disk.
     """
     global _syzygies_cached
     if _syzygies_cached is not None and not force:
@@ -517,30 +503,26 @@ def derive_syzygies(force=False, seed=0x5E55):
             _syzygies_cached = SyzygyCoefficients.from_named_list(stored)
             return _syzygies_cached
 
-    # each relation is linear in the coefficients of its blocks: column
-    # blocks of basis monomials times the multiplier, against minus the
-    # leading monomial
+    # each relation is linear in the coefficients of its blocks: one
+    # column per basis monomial of a block times its multiplier, against
+    # minus the leading monomial
     degree_of = dict(SyzygyCoefficients.BLOCK_NAMES)
-    max_basis = max(len(monomial_basis(d, num_vars=6))
-                    for _, d in SyzygyCoefficients.BLOCK_NAMES if d)
-    samples = _SampleSet(max_basis * 3 + 40, seed)
+    bases = {name: monomial_basis(d, num_vars=6)
+             for name, d in degree_of.items()}
+    ncols = [sum(len(bases[name]) for name, _ in terms)
+             for _, terms in RELATIONS]
+    _, jmatrix = _samples(max(ncols) + 12, seed)
     blocks = {}
-    for lead, terms in RELATIONS:
-        bases = {name: monomial_basis(degree_of[name], num_vars=6)
-                 for name, _ in terms}
-        ncols = sum(len(bases[name]) for name, _ in terms)
-        nrows = ncols + 12
+    for (lead, terms), n in zip(RELATIONS, ncols):
+        columns = [tuple(a + b for a, b in zip(m, mult))
+                   for name, mult in terms for m in bases[name]]
 
-        def build(p, _terms=terms, _bases=bases, _lead=lead, _n=nrows):
-            jm = samples.jmatrix_mod(p)[:_n]
-            A = np.concatenate(
-                [monomial_matrix(jm, _bases[name], p)
-                 * monomial_matrix(jm, [mult], p) % p
-                 for name, mult in _terms], axis=1)
-            B = -monomial_matrix(jm, [_lead], p) % p
-            return A, B
+        def build(p, _columns=columns, _lead=lead, _n=n + 12):
+            jm = jmatrix(p)[:_n]
+            return (monomial_matrix(jm, _columns, p),
+                    -monomial_matrix(jm, [_lead], p) % p)
 
-        outcome = solve_rational(build, ncols, 1)
+        outcome = solve_rational(build, n, 1)
         if outcome.nullity:
             raise RankDeficiency("syzygy block solve was not unique")
         sol = outcome.solution[0]
@@ -597,8 +579,6 @@ def j8_candidates(field, j27):
     prefix through one PolySet.at call."""
     jt = tuple(field(v) for v in j27) + (field.zero,) * 3
     coeffs = _j8_quintic_set().at(field, jt)
-    if all(not c for c in coeffs):
-        raise IdenticallyZeroQuintic("quintic vanished identically")
     if field.characteristic == 0:
         rts = rational_roots(coeffs)
     else:

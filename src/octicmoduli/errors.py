@@ -69,10 +69,6 @@ class RankDeficiency(ModuliError):
     exit_code = 23
 
 
-class IdenticallyZeroQuintic(ModuliError):
-    exit_code = 24
-
-
 class Unresolved(ModuliError):
     exit_code = 25
 

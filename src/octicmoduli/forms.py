@@ -16,7 +16,7 @@ import numpy as np
 from . import unipoly
 from .errors import (
     DegreeTooSmall, OrderTooHigh, SingularMatrix, SmallCharacteristic,
-    WrongDegree, ZeroForm,
+    Unresolved, WrongDegree, ZeroForm,
 )
 from .fields import ExtField, PrimeField, fraction_residue, residue_dtype
 
@@ -325,13 +325,13 @@ def roots_in_splitting_field(f):
     The root at infinity (1 : 0) appears when the top coefficient vanishes.
     Returns (ext_field, [((x, z), multiplicity), ...]), the roots of each
     irreducible factor over f's field F_q sorted by element_key: one root
-    and its conjugates under x -> x^q.
+    and its conjugates under x -> x^q.  Unresolved over Q and Q(sqrt(D)).
     """
     if f.is_zero():
         raise ZeroForm("zero form has no root divisor")
     field = f.field
     if not isinstance(field, (PrimeField, ExtField)):
-        raise TypeError("splitting fields implemented for finite fields only")
+        raise Unresolved("splitting fields implemented for finite fields only")
     n = f.degree
     # affine part: u(x) = sum a_i x^i, top coefficient index d
     d = max(i for i, c in enumerate(f.coeffs) if c)

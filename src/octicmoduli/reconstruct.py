@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 from . import store
-from .covariants import covariant_eval, express_many
+from .covariants import covariant_eval, express_in_J, express_many
 from .errors import (
     AllDeterminantsVanish, InterpolationFailure, PointNotOnConic,
     SingularConic,
@@ -199,16 +199,14 @@ def _stored_models(triple):
 
 
 def _all_triple_values(triple, f):
-    """Every interpolated quantity of a triple on one octic, in one pass."""
+    """R, the A_ij in CONIC_PAIRS order and the h_M in QUARTIC_MULTISETS
+    order of a triple on one octic, in one pass."""
     cache = {}
     q1, q2, q3 = (covariant_eval(name, f, cache) for name in triple)
     data = clebsch_data(q1, q2, q3)
-    out = {"R": data["R"]}
-    for i, j in CONIC_PAIRS:
-        out["A%d%d" % (i, j)] = data["A"][i - 1][j - 1]
-    for mset, val in quartic_coefficients_on_form(f, q1, q2, q3).items():
-        out["H%s" % "".join(map(str, mset))] = val
-    return out
+    h = quartic_coefficients_on_form(f, q1, q2, q3)
+    return ([data["R"]] + [data["A"][i - 1][j - 1] for i, j in CONIC_PAIRS]
+            + [h[mset] for mset in QUARTIC_MULTISETS])
 
 
 #: seed of the sample octics derive_triple_models interpolates on
@@ -217,37 +215,20 @@ _TRIPLE_SEED = 0xD0E
 
 def derive_triple_models(triple):
     """Interpolate R, all A_ij and all h_M for a triple of order-2
-    catalogue covariants; writes the disk cache.
-
-    All 22 target programs share one covariant evaluation per sample.
-    """
-    d1, d2, d3 = triple_degrees(triple)
-    table = {}
-
-    def shared(f):
-        key = tuple(f.coeffs)
-        if key not in table:
-            table[key] = _all_triple_values(triple, f)
-        return table[key]
-
-    def program_factory(name):
-        return lambda f, _n=name: shared(f)[_n]
-
-    jobs = [(program_factory("R"), d1 + d2 + d3)]
-    names = ["R"]
-    degs = {1: d1, 2: d2, 3: d3}
-    for i, j in CONIC_PAIRS:
-        names.append("A%d%d" % (i, j))
-        jobs.append((program_factory(names[-1]), degs[i] + degs[j]))
-    for mset in QUARTIC_MULTISETS:
-        names.append("H%s" % "".join(map(str, mset)))
-        jobs.append((program_factory(names[-1]),
-                     1 + sum(degs[i] for i in mset)))
-
-    results = express_many(jobs, seed=_TRIPLE_SEED)
-    named = list(zip(names, [r.polynomial for r in results]))
-    store.write_artifact(_triple_identifier(triple), named)
-    return TripleModels.from_named_list(triple, named)
+    catalogue covariants, from one covariant evaluation per sample octic
+    (_all_triple_values); writes the disk cache."""
+    degs = dict(zip((1, 2, 3), triple_degrees(triple)))
+    degrees = ([sum(degs.values())]
+               + [degs[i] + degs[j] for i, j in CONIC_PAIRS]
+               + [1 + sum(degs[i] for i in mset)
+                  for mset in QUARTIC_MULTISETS])
+    polys = [r.polynomial for r in express_many(
+        functools.partial(_all_triple_values, triple), degrees,
+        seed=_TRIPLE_SEED)]
+    models = TripleModels(triple, polys[0], dict(zip(CONIC_PAIRS, polys[1:7])),
+                          dict(zip(QUARTIC_MULTISETS, polys[7:])))
+    store.write_artifact(_triple_identifier(triple), models.to_named_list())
+    return models
 
 
 @functools.cache
@@ -262,16 +243,15 @@ def r_polynomial(triple):
         return conic_quartic_models(triple, derive_if_missing=False).r_poly
     except InterpolationFailure:
         pass
-    d1, d2, d3 = triple_degrees(triple)
 
     def run(f):
         cache = {}
         return clebsch_data(*(covariant_eval(name, f, cache)
                               for name in triple))["R"]
 
-    res = express_many([(run, d1 + d2 + d3)])
-    store.write_artifact(ident, [("R", res[0].polynomial)])
-    return res[0].polynomial
+    poly = express_in_J(run, sum(triple_degrees(triple))).polynomial
+    store.write_artifact(ident, [("R", poly)])
+    return poly
 
 
 # ---------------------------------------------------------------------------

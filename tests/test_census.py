@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from octicmoduli import census
+from octicmoduli import census, census_fast
 from octicmoduli.census import (
     CensusReport, _read_checkpoint, class_model, descend, expected_counts,
     find_isomorphism, run_census,
@@ -15,9 +15,9 @@ from octicmoduli.covariants import (
 )
 from octicmoduli.errors import (
     CompositeModulus, CountMismatch, ExhaustedCandidates, MultipleRoot,
-    NotRationalClass, WeightMismatch,
+    NotRationalClass, Unresolved, WeightMismatch,
 )
-from octicmoduli.fields import ExtField, PrimeField, field_make
+from octicmoduli.fields import ExtField, PrimeField, QQ, field_make
 from octicmoduli.forms import BinaryForm, Gl2Matrix, disc_resultant, gl2_act
 from octicmoduli.strata import detect_group
 from octicmoduli.unipoly import degree, factor
@@ -96,6 +96,14 @@ def test_find_isomorphism_pin(F11):
         digest.update(("%r %r %r %r; %r\n" % (
             mat.a, mat.b, mat.c, mat.d, e)).encode())
     assert digest.hexdigest()[:12] == "171b4fc7fca5"
+
+
+def test_find_isomorphism_over_q_is_unresolved():
+    """Root matching needs a splitting field, which is built over finite
+    fields only: over Q the search is refused, not a TypeError."""
+    f = _random_smooth(QQ, random.Random(8))
+    with pytest.raises(Unresolved, match="finite fields only"):
+        find_isomorphism(f, f)
 
 
 def test_descend_identity(F11):
@@ -197,6 +205,16 @@ def test_run_census_flags_only_an_unproven_count(stratum, monkeypatch):
     else:
         with pytest.raises(CountMismatch, match=msg):
             run_census(11)
+
+
+def test_run_census_refuses_a_total_off_p5(monkeypatch):
+    """A census that lost one class is refused on its total, before any
+    stratum count is compared."""
+    rows = census_fast.moduli_rows
+    monkeypatch.setattr(census_fast, "moduli_rows",
+                        lambda *args, **kw: rows(*args, **kw)[1:])
+    with pytest.raises(CountMismatch, match="census total 161050 != 161051"):
+        run_census(11)
 
 
 def test_descend_refuses_when_every_candidate_fails(F11, monkeypatch):

@@ -202,6 +202,14 @@ def test_census_model_lines_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == "69c31aa93694"
 
 
+def test_census_counts_are_pinned(capsys):
+    """census stdout with no models, byte for byte: the total and the
+    count of every stratum over F_11."""
+    code, out, _ = run_cli(capsys, "census", "--field", "Fp:11")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest()[:12] == "954aeb9803c5"
+
+
 def test_census_resumes_from_its_report(capsys, tmp_path):
     """A census rerun on a report that holds some of its model lines, not
     the first ones, and a torn last line prints the bytes of a fresh run
@@ -427,6 +435,12 @@ def test_moduli_enum_prints_the_moduli_rows(capsys):
     assert out.splitlines() == ["11; " + ",".join(map(str, row))
                                 for row in rows]
     assert hashlib.sha256(out.encode()).hexdigest()[:12] == "1ea18296b1f4"
+
+
+def test_moduli_enum_over_an_extension_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "moduli-enum", "--field", "Fpk:11:2")
+    assert code == 2 and out == ""
+    assert err == "usage error: fast enumeration runs over prime fields\n"
 
 
 def test_derive_cache_writes_the_packaged_syzygies(capsys, monkeypatch,

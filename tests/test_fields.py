@@ -8,7 +8,7 @@ import pytest
 
 from octicmoduli.errors import (
     CompositeModulus, EmptyInput, ReducibleModulus, SmallCharacteristic,
-    ZeroNorm,
+    Unresolved, ZeroNorm,
 )
 from octicmoduli.fields import (
     ExtField, PrimeField, QQ, QuadExtQ, _default_modulus, _is_irreducible,
@@ -546,6 +546,18 @@ def test_field_context_lifts_one_embedding_at_a_time():
     assert r4 * r4 == lift(y)
     assert ctx(x) == lift(x) and ctx(F(5)) == E4(5)
     assert ctx(r4) is r4
+
+
+def test_field_context_over_q_extends_once():
+    """Over Q a square root of 2 moves the working field to Q(sqrt(2)); a
+    square root of sqrt(2) would need a degree-4 extension of Q and is
+    refused with Unresolved."""
+    ctx = FieldContext(QQ)
+    r = ctx.sqrt(2)
+    assert isinstance(ctx.field, QuadExtQ) and r * r == ctx.field(2)
+    assert ctx(Fraction(1, 3)) == ctx.field(Fraction(1, 3))
+    with pytest.raises(Unresolved, match="degree-4 extension"):
+        ctx.sqrt(r)
 
 
 def test_ext_elements_of_two_fields_do_not_mix():

@@ -12,8 +12,9 @@ JSON string each; the info line carries the git sha, src hash, nproc
 and versions of the side.  With --traced-seed each side also runs once
 with --trace 1, for the per-layer figures.  The summary gives, per
 end-to-end metric of BENCHMARK.json, each side's median and quartiles,
-the change's median against the parent's, and the pairs the change
-won; under "operations", each side's attempted and failed operations
+the change's median against the parent's, the pairs the change
+won, the metric's bound and whether the change's median is within it
+of the parent's (within_bound); under "operations", each side's attempted and failed operations
 summed over its runs and the seeds of its runs that were not correct.
 A file that exists is updated: each workload has its own entry.
 """
@@ -76,8 +77,12 @@ def _summary(pairs, spec):
                    for p, c in zip(sides["parent"], sides["change"]))
         parent, change = (statistics.median(sides[s])
                           for s in ("parent", "change"))
+        bound = metric["bound"]
         out[name] = {
             "unit": metric["unit"], "better": metric["better"],
+            "bound": bound,
+            "within_bound": (change <= (1 + bound) * parent if lower
+                             else change >= (1 - bound) * parent),
             "parent": {"median": parent,
                        "quartiles": _quartiles(sides["parent"])},
             "change": {"median": change,
