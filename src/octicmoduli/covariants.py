@@ -16,14 +16,12 @@ from math import prod
 
 import numpy as np
 
-from . import store
+from . import forms, store
 from .errors import (
     RankDeficiency, SingularForm, UnknownIdentifier, Unresolved, WrongDegree,
 )
-from .fields import (
-    ExtField, FpElement, PrimeField, QQ, fraction_residue, residue_dtype,
-)
-from .forms import BinaryForm, transvect, transvect_residues
+from .fields import ExtField, FpElement, PrimeField, QQ, fraction_residue
+from .forms import BinaryForm, transvect
 from .jpoly import JPolynomial, PolySet, monomial_basis, monomial_matrix, wdeg
 from .linsolve import solve_rational
 from .unipoly import rational_roots, roots as field_roots
@@ -158,20 +156,45 @@ def shioda(f, residues=False):
     Built from the classical chain of auxiliary covariants; the
     coefficient expansions of J2, J3, J4 are pinned by the calibration
     test, which fixes every normalization here.  Over a prime field the
-    16 transvectants run on arrays of residues (transvect_residues), and
-    the nine results are field elements, or with residues=True ints mod
-    p; over any other field they are forms (transvect).
+    chain runs on residues (_shioda_program) and the nine results are
+    field elements, or with residues=True ints mod p; over any other
+    field they are forms (transvect).
     """
     if f.degree != 8:
         raise WrongDegree("Shioda invariants take octics")
     field = f.field
     if isinstance(field, PrimeField):
-        p = field.p
-        a = np.array([c.value for c in f.coeffs], dtype=residue_dtype(p, 9))
-        jv = [int(t[0]) for t in _shioda_chain(
-            a, lambda u, v, h: transvect_residues(u, v, h, p))]
+        program, jindex = _shioda_program(field.p)
+        jv = program.run([c.value for c in f.coeffs])[jindex].tolist()
         return jv if residues else tuple(FpElement(field, v) for v in jv)
     return tuple(t.coeffs[0] for t in _shioda_chain(f, transvect))
+
+
+@functools.cache
+def _shioda_program(p):
+    """_shioda_chain over F_p as one ResidueProgram on the octic's nine
+    residues, and the indices of J2..J10 in its array.  The chain, run
+    once on node numbers (the octic is node 0), records its 16
+    transvectants; each is staged at its depth in the chain (stages of
+    3, 5, 6 and 2), its terms the nonzero entries of its tensor."""
+    calls, degree, depth, offset = [None], [8], [0], {0: 0}
+
+    def record(a, b, h):
+        calls.append((a, b, h))
+        degree.append(degree[a] + degree[b] - 2 * h)
+        depth.append(1 + max(depth[a], depth[b]))
+        return len(calls) - 1
+
+    js = _shioda_chain(0, record)
+    stages = [[] for _ in range(max(depth))]
+    for node in sorted(range(1, len(calls)), key=depth.__getitem__):
+        (a, b, h), d = calls[node], depth[node] - 1
+        offset[node] = 9 + sum(map(len, stages[:d + 1]))
+        t = forms._transvectant_tensor(degree[a], degree[b], h, p)
+        stages[d] += [[(t[n, u, v], offset[a] + u, offset[b] + v)
+                       for u, v in zip(*np.nonzero(t[n]))]
+                      for n in range(t.shape[0])]
+    return forms.ResidueProgram(p, 9, stages), [offset[j] for j in js]
 
 
 def _shioda_chain(f, tv):

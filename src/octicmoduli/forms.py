@@ -28,16 +28,6 @@ def _falling(n, k):
     return out
 
 
-def _convolve(a, b):
-    """The coefficients of the product of forms with coefficients a, b."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 class BinaryForm:
     __slots__ = ("field", "degree", "coeffs")
 
@@ -83,8 +73,12 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        return BinaryForm(self.field, self.degree + other.degree,
-                          _convolve(self.coeffs, other.coeffs))
+        out = [0] * (self.degree + other.degree + 1)
+        for i, x in enumerate(self.coeffs):
+            if x:
+                for j, y in enumerate(other.coeffs):
+                    out[i + j] += x * y
+        return BinaryForm(self.field, self.degree + other.degree, out)
 
     __rmul__ = scale
 
@@ -161,8 +155,8 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one,
-    one loop on the coefficients over every field.  transvect_residues
-    is the same formula on residues over F_p.
+    one loop on the coefficients over every field.  shioda over F_p runs
+    the same formula on residues (_transvectant_tensor).
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
@@ -188,20 +182,10 @@ def _check_characteristic(char):
             "covariant formulas need characteristic 0 or >= 11")
 
 
-def transvect_residues(a, b, h, p):
-    """The coefficients of (f, g)_h over F_p, as an array of residues,
-    from the residues a of f and b of g (sequences or arrays):
-    (T @ b % p) @ a % p with T the cached tensor of the shape."""
-    t = _transvectant_tensor(len(a) - 1, len(b) - 1, h, p)
-    return (t @ np.asarray(b, t.dtype) % p) @ np.asarray(a, t.dtype) % p
-
-
-@functools.cache
 def _transvectant_tensor(r1, r2, h, p):
     """T with (f, g)_h = sum over (u, v) of T[n, u, v] a_u b_v over F_p,
-    as residues: the closed formula of transvect, one term at a time.
-    int64 while a sum of max(r1, r2) + 1 products of residues fits in
-    it, object above (fields.residue_dtype)."""
+    as residues (Python ints): the closed formula of transvect, one term
+    at a time."""
     _check_characteristic(p)
     t = np.zeros((r1 + r2 - 2 * h + 1, r1 + 1, r2 + 1), dtype=object)
     for k in range(h + 1):
@@ -210,9 +194,41 @@ def _transvectant_tensor(r1, r2, h, p):
             for j, y in enumerate(_partial_weights(r2, k, h - k)):
                 t[i + j, i + h - k, j + k] += signed * x * y
     norm = fraction_residue(Fraction(1, _falling(r1, h) * _falling(r2, h)), p)
-    t = (t * norm % p).astype(residue_dtype(p, max(r1, r2) + 1))
-    t.flags.writeable = False           # shared by every caller
-    return t
+    return t * norm % p
+
+
+class ResidueProgram:
+    """Stages of sums of products mod p on one array of residues: the
+    inputs, then each stage's outputs.  stages holds, per stage and
+    output, its terms (c, u, v): c x_u x_v, c a residue, u and v indices
+    of inputs or earlier outputs.  A stage is one gather, one product and
+    one np.add.reduceat; int64 while the longest sum of products of two
+    residues fits, Python ints above (fields.residue_dtype), and c x_u is
+    reduced where c x_u x_v summed could pass 2^63."""
+
+    def __init__(self, p, n_inputs, stages):
+        stages = [[terms or [(0, 0, 0)] for terms in stage]
+                  for stage in stages]
+        most = [max(map(len, stage)) for stage in stages]
+        self.p, self.dtype, self.stages = p, residue_dtype(p, max(most)), []
+        for stage, n in zip(stages, most):
+            c, u, v = zip(*(term for terms in stage for term in terms))
+            self.stages.append((
+                n_inputs, n_inputs + len(stage), np.array(c, self.dtype),
+                np.array(u), np.array(v), np.cumsum([0] + [
+                    len(terms) for terms in stage[:-1]]),
+                n * (p - 1) ** 3 >= 1 << 63))
+            n_inputs += len(stage)
+
+    def run(self, xs):
+        """The array for the input residues xs: xs, then every stage's
+        outputs, reduced mod p."""
+        p, vals = self.p, np.empty(self.stages[-1][1], self.dtype)
+        vals[:len(xs)] = xs
+        for lo, hi, c, u, v, starts, mid in self.stages:
+            terms = (c * vals[u] % p if mid else c * vals[u]) * vals[v]
+            vals[lo:hi] = np.add.reduceat(terms, starts) % p
+        return vals
 
 
 @functools.cache

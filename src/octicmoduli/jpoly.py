@@ -8,12 +8,12 @@ of.  They evaluate over any field of characteristic 0 or >= 11, one point
 at a time (JPolynomial.evaluate, or PolySet.at for a list of them; at_mod
 on residues), or mod p on arrays of points (PolySet.evaluate_mod).  At one
 point of F_p, or of Q for a list, the evaluation runs on numpy arrays: the
-monomials level by level of total degree, then each polynomial as one sum
-of coefficients times monomial values (_Chain).
+monomials level by level, each the product of two halves, then each
+polynomial as one sum of coefficients times monomial values (_Chain).
 """
 
 from fractions import Fraction
-from itertools import groupby
+from itertools import accumulate, groupby
 from math import lcm
 
 import numpy as np
@@ -65,12 +65,13 @@ class _Chain:
     with p = 0, at one point of Z, each polynomial times the common
     denominator of its coefficients (dens).
 
-    A monomial's parent is the same monomial with one unit taken off its
-    last variable.  Grouped by total degree, the monomials form levels
-    (14 to 18 for a covariant triple's conic and quartic), each computed
-    in one array step: vals[lo:hi] = vals[parents] * xs[variables].
-    The polynomials are then one product of their coefficient residues
-    with the values of their monomials, summed per polynomial by
+    A monomial of total degree d >= 2 is the product of two monomials of
+    degrees ceil(d/2) and floor(d/2), the units of its exponent vector
+    dealt alternately (_halves).  Grouped by ceil(log2 d), the monomials
+    form levels (4 for the class set of strata._class_set), each computed
+    in one array step: vals[lo:hi] = vals[left] * vals[right].  The
+    polynomials are then one product of their coefficient residues with
+    the values of their monomials, summed per polynomial by
     np.add.reduceat.  The arrays are int64 while a product of two
     residues fits in it, and Python ints (dtype object) above that and
     over Z.  Levels and terms are reduced only where 2^63 could be passed.
@@ -80,28 +81,27 @@ class _Chain:
                  "dens", "wide")
 
     def __init__(self, polys, p):
-        steps = {}                      # monomial -> (parent, variable)
-        for poly in polys:
-            for ev in poly.terms:
-                while any(ev) and ev not in steps:
-                    v = max(i for i, e in enumerate(ev) if e)
-                    parent = ev[:v] + (ev[v] - 1,) + ev[v + 1:]
-                    steps[ev] = (parent, v)
-                    ev = parent
-        order = sorted(steps, key=lambda ev: (sum(ev), ev))
-        index = {(0,) * 9: 0}
-        for ev in order:
-            index[ev] = len(index)
-        self.p, self.size, self.levels = p, len(index), []
-        lo, bound = 1, 1                # bound: of the last level's values
-        for _, level in groupby(order, key=sum):
-            level, bound = list(level), bound * (p - 1)
-            reduce = bool(p) and bound * (p - 1) >= 1 << 63
-            self.levels.append((
-                lo, lo + len(level),
-                np.array([index[steps[ev][0]] for ev in level], np.intp),
-                np.array([steps[ev][1] for ev in level], np.intp), reduce))
-            lo, bound = lo + len(level), p - 1 if reduce else bound
+        built, todo = set(), [ev for poly in polys for ev in poly.terms]
+        while todo:
+            ev = todo.pop()
+            if sum(ev) > 1 and ev not in built:
+                built.add(ev)
+                todo += _halves(ev)
+        order = sorted(built, key=lambda ev: (sum(ev), ev))
+        units = [tuple(int(i == v) for i in range(9)) for v in range(9)]
+        index = {ev: n for n, ev in enumerate([(0,) * 9] + units + order)}
+        # top bounds every value so far; a level is reduced where a
+        # product of two of its values could pass 2^63
+        self.p, self.size, self.levels, lo, top = p, len(index), [], 10, p - 1
+        for _, level in groupby(order,
+                                key=lambda ev: (sum(ev) - 1).bit_length()):
+            level, bound = list(level), top * top
+            reduce = bool(p) and bound * bound >= 1 << 63
+            left, right = np.fromiter(
+                (index[half] for ev in level for half in _halves(ev)),
+                np.intp, 2 * len(level)).reshape(-1, 2).T.copy()
+            self.levels.append((lo, lo + len(level), left, right, reduce))
+            lo, top = lo + len(level), max(top, p - 1 if reduce else bound)
         coeffs, monomials, starts, self.dens = [], [], [], []
         for poly in polys:
             starts.append(len(coeffs))
@@ -123,24 +123,30 @@ class _Chain:
                                dtype=residue_dtype(p) if p else object)
         self.monomials = np.array(monomials, np.intp)
         self.starts = np.array(starts, np.intp)
-        self.wide = bool(p) and len(coeffs) * (p - 1) ** 2 >= 1 << 63
+        self.wide = bool(p) and len(coeffs) * (p - 1) * top >= 1 << 63
 
     def values(self, xs):
         """Each polynomial at the residues xs, reduced mod p, or at the
         integers xs when p is 0: a list of ints."""
-        p, dtype = self.p, self.coeffs.dtype
-        xs = np.array([x % p for x in xs] if p else xs, dtype=dtype)
-        vals = np.empty(self.size, dtype=dtype)
+        p, vals = self.p, np.empty(self.size, dtype=self.coeffs.dtype)
         vals[0] = 1
-        for lo, hi, parents, variables, reduce in self.levels:
-            level = vals[parents] * xs[variables]
+        vals[1:10] = [x % p for x in xs] if p else xs
+        for lo, hi, left, right, reduce in self.levels:
+            level = vals[left] * vals[right]
             vals[lo:hi] = level % p if reduce else level
-        if p and dtype != object:
-            vals %= p
         terms = self.coeffs * vals[self.monomials]
         sums = np.add.reduceat(terms % p if self.wide else terms,
                                self.starts)
         return (sums % p if p else sums).tolist()
+
+
+def _halves(ev):
+    """Two exponent vectors of total degrees ceil(d/2) and floor(d/2)
+    whose sum is ev (total degree d): its units, variable by variable,
+    dealt alternately to the first and the second."""
+    first = [(e + 1 - dealt % 2) // 2
+             for e, dealt in zip(ev, accumulate(ev, initial=0))]
+    return tuple(first), tuple([e - a for e, a in zip(ev, first)])
 
 
 class JPolynomial:

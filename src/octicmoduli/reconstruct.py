@@ -22,7 +22,7 @@ from .errors import (
     SingularConic,
 )
 from .fields import PrimeField, QuadExtQ
-from .forms import BinaryForm, _convolve, omega_pair, transvect
+from .forms import BinaryForm, ResidueProgram, omega_pair, transvect
 from .jpoly import PolySet
 from .wps import SHIODA_WEIGHTS, as_point
 
@@ -388,31 +388,45 @@ def substitute_quartic(field, quartic_values, chis):
 
     With P_ij = chi_i chi_j, the sum of h_ijkl chi_i chi_j chi_k chi_l
     over the multisets i <= j <= k <= l is the sum over i <= j of
-    P_ij Q_ij, where Q_ij is the sum over j <= k <= l of h_ijkl P_kl.
-    The 12 products run on the coefficients of the chis, over every
-    field; _reconstruct_mod runs the same products on residues.
+    P_ij Q_ij, where Q_ij is the sum over j <= k <= l of h_ijkl P_kl:
+    the three stages of _substitution_stages, walked here on field
+    elements and run by _reconstruct_mod on residues.
     """
-    return BinaryForm(field, 8, _substitute(
-        quartic_values, [chi.coeffs for chi in chis]))
+    vals = ([c for chi in chis for c in chi.coeffs]
+            + [quartic_values[mset] for mset in QUARTIC_MULTISETS])
+    for stage in _substitution_stages():
+        # c is 1 throughout, and a product with the int 1 is not free
+        vals += [sum([vals[u] * vals[v] if c == 1 else c * vals[u] * vals[v]
+                      for c, u, v in terms]) for terms in stage]
+    return BinaryForm(field, 8, vals[-9:])
 
 
-def _substitute(h, chi):
-    """The nine coefficients of sum_M h_M chi_M (substitute_quartic), from
-    the quartic values h (multiset -> value) and the coefficient lists of
-    the three chis."""
-    prods = {(i, j): _convolve(chi[i - 1], chi[j - 1])
-             for i, j in CONIC_PAIRS}
-    out = [0] * 9
-    for i, j in CONIC_PAIRS:
-        q = [0] * 5
-        for k, l in CONIC_PAIRS:
-            c = h[(i, j, k, l)] if j <= k else 0
-            if c:
-                for n, x in enumerate(prods[(k, l)]):
-                    q[n] += c * x
-        for n, x in enumerate(_convolve(prods[(i, j)], q)):
-            out[n] += x
-    return out
+@functools.cache
+def _substitution_stages():
+    """The terms (c, u, v) of the products P_ij (54), Q_ij (75) and the
+    octic (150), for (i, j) in CONIC_PAIRS, as ResidueProgram takes them:
+    u and v index the chis' 9 coefficients, the 15 quartic values, then
+    the P_ij and Q_ij, five coefficients each."""
+    h = {mset: 9 + n for n, mset in enumerate(QUARTIC_MULTISETS)}
+    P = {pair: 24 + 5 * n for n, pair in enumerate(CONIC_PAIRS)}
+    Q = {pair: 54 + 5 * n for n, pair in enumerate(CONIC_PAIRS)}
+
+    def product(a, b, n, k):    # of the k-coefficient forms at a and b
+        return [(1, a + s, b + n - s) for s in range(k) if 0 <= n - s < k]
+
+    return ([product(3 * i - 3, 3 * j - 3, n, 3)
+             for i, j in CONIC_PAIRS for n in range(5)],
+            [[(1, h[(i, j, k, l)], P[(k, l)] + n)
+              for k, l in CONIC_PAIRS if j <= k]
+             for i, j in CONIC_PAIRS for n in range(5)],
+            [[term for pair in CONIC_PAIRS
+              for term in product(P[pair], Q[pair], n, 5)]
+             for n in range(9)])
+
+
+@functools.cache
+def _substitution_program(p):
+    return ResidueProgram(p, 24, _substitution_stages())
 
 
 def _first_triple(order, r_value):
@@ -478,9 +492,9 @@ def _reconstruct_mod(field, point, order, supplied):
               else models.polys.at_mod(p, jt))
     A = conic_matrix(values)
     xyz = _conic_point_mod(field, A, supplied)
-    chis = [[c % p for c in chi] for chi in _chis(A, xyz)]
-    return BinaryForm(field, 8, _substitute(
-        dict(zip(QUARTIC_MULTISETS, values[6:])), chis))
+    chis = [c % p for chi in _chis(A, xyz) for c in chi]
+    return BinaryForm(field, 8, _substitution_program(p).run(
+        chis + values[6:])[-9:].tolist())
 
 
 def reconstruct_generic(field, jtuple, triple_order=None,

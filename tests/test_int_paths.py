@@ -1,6 +1,7 @@
-"""JPolynomial.evaluate, PolySet.at, transvect and shioda over F_p, where
-they run on numpy arrays of residues, and BinaryForm products, which run
-on the residues as plain ints, checked against the same computation over
+"""JPolynomial.evaluate and PolySet.at over F_p, where they run through
+the halving chain on numpy arrays of residues, shioda and the quartic
+substitution, which run as staged residue programs, and transvect and
+BinaryForm products over F_p, checked against the same computation over
 Q at the integer lifts, reduced mod p, on both sides of the int64/object
 dtype switch; transvect, products and PolySet.at over F_{p^2}, where they
 run on field elements, checked against F_p; the quartic substitution of
@@ -27,13 +28,15 @@ from octicmoduli.census_fast import (
 from octicmoduli.covariants import CATALOGUE, covariant_eval, shioda
 from octicmoduli.errors import (
     CountMismatch, InterpolationFailure, PointNotOnConic, SingularConic,
+    SmallCharacteristic,
 )
 from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
 from octicmoduli.forms import (
-    BinaryForm, Gl2Matrix, disc_resultant, gl2_act, transvect,
-    transvect_residues,
+    BinaryForm, Gl2Matrix, ResidueProgram, disc_resultant, gl2_act,
+    transvect,
 )
 from octicmoduli.jpoly import JPolynomial, PolySet
+from octicmoduli.linsolve import PRIMES30
 from octicmoduli.reconstruct import (
     QUARTIC_MULTISETS, TRIPLES_19, TRIPLES_C4, _chis, _conic_point_mod,
     _first_triple, _line_root, _line_root_mod, conic_matrix, conic_parametrize, conic_point,
@@ -95,6 +98,25 @@ def test_evaluate_matches_the_rational_path(p):
     assert chain.coeffs.dtype == (object if p > 2 ** 32 else np.int64)
 
 
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_class_set_matches_each_polynomial(p):
+    """strata._class_set, the 143 polynomials a class over F_p reads, in
+    one halving chain (PolySet.at_mod) at three points: every value equals
+    the polynomial's own evaluate over F_p and its Q value reduced mod p.
+    Its levels are at most ceil(log2 d), d the largest total degree of a
+    monomial (4 for d = 14)."""
+    F = PrimeField(p)
+    polys = strata._class_set(strata._strata_set()[0])
+    assert len(polys.polys) == 143
+    for pt in _points(p, "class set"):
+        got = polys.at_mod(p, pt)
+        assert got == [poly.evaluate(F, pt).value for poly in polys.polys]
+        assert got == [F(poly.evaluate(QQ, pt)).value
+                       for poly in polys.polys]
+    d = max(sum(ev) for poly in polys.polys for ev in poly.terms)
+    assert len(polys._chain(p).levels) <= (d - 1).bit_length()
+
+
 def test_polynomials_vanishing_mod_p_evaluate_to_zero():
     """A polynomial whose coefficients are all 0 mod 11, and one with no
     terms, evaluate to 0 over F_11, alone and between and after other
@@ -120,9 +142,11 @@ def test_polyset_at_over_q_matches_evaluate_on_fractions():
     """Over Q, PolySet.at evaluates on integers and divides once per
     polynomial; at non-integral points (one with a zero and a negative
     coordinate) every value equals the polynomial's evaluate on
-    Fractions: the stratum systems, the discriminant, a polynomial with
+    Fractions: the stratum systems, the discriminant, the generic walk's
+    R and models (monomials up to total degree 14), a polynomial with
     denominators 3, 7 and 9, and one with no terms."""
     polys = [eq for eqs in stratum_systems().values() for eq in eqs]
+    polys += reconstruct.walk_set().polys
     polys += [covariants.discriminant_poly(), JPolynomial.zero(6),
               JPolynomial(6, {(3, 0, 0, 0, 0, 0, 0, 0, 0): Fraction(2, 3),
                               (0, 2, 0, 0, 0, 0, 0, 0, 0): Fraction(-5, 7),
@@ -205,6 +229,34 @@ def test_polyset_at_over_an_extension_is_the_element_path():
     assert polys.at(E, pt) == [poly.evaluate(E, pt) for poly in polys.polys]
 
 
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_substitution_program_matches_the_product_per_monomial(p):
+    """The substitution as _reconstruct_mod runs it, a ResidueProgram of
+    54, 75 and 150 terms, on seeded residues with a zero chi, some zero
+    quartic values and all of them zero: equal to the product per
+    monomial over F_p; int64 up to 1048573, Python ints above."""
+    F = PrimeField(p)
+    stages = reconstruct._substitution_stages()
+    assert [sum(len(terms) for terms in stage) for stage in stages] == [
+        54, 75, 150]
+    program = reconstruct._substitution_program(p)
+    assert program.dtype == (object if p in LARGE_PRIMES else np.int64)
+    seed = zlib.crc32(b"substitution program %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for n in range(8):
+        chis = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+        if n == 0:
+            chis[1] = [0, 0, 0]
+        values = [rng.randrange(p) if n != 1 and rng.random() < 0.8 else 0
+                  for _ in QUARTIC_MULTISETS]
+        want = _substitute_per_monomial(
+            F, dict(zip(QUARTIC_MULTISETS, map(F, values))),
+            [BinaryForm(F, 2, chi) for chi in chis])
+        got = program.run([c for chi in chis for c in chi] + values)
+        assert got[-9:].tolist() == [c.value for c in want.coeffs]
+
+
 def _substitute_per_monomial(field, quartic_values, chis):
     """The quartic substitution as one form product per monomial: the
     oracle for substitute_quartic's shared products."""
@@ -219,8 +271,8 @@ def _substitute_per_monomial(field, quartic_values, chis):
 
 @pytest.mark.parametrize("label", ["F11", "F13", "F11^2", "Q(sqrt 5)"])
 def test_substitute_quartic_matches_the_product_per_monomial(label):
-    """Seeded chis and quartic values, a fifth of the values zero, over
-    F_11, F_13, F_{11^2} and Q(sqrt 5)."""
+    """Seeded chis and quartic values, a fifth of the values zero, one
+    zero chi, over F_11, F_13, F_{11^2} and Q(sqrt 5)."""
     field = {"F11": PrimeField(11), "F13": PrimeField(13),
              "F11^2": ExtField(11, 2), "Q(sqrt 5)": QuadExtQ(5)}[label]
     seed = zlib.crc32(("substitute quartic %s" % label).encode())
@@ -234,9 +286,10 @@ def test_substitute_quartic_matches_the_product_per_monomial(label):
                        + field(rng.randint(-9, 9)) * gen)
     else:
         elt = lambda: field(rng.randrange(field.p))
-    for _ in range(12):
-        chis = tuple(BinaryForm(field, 2, [elt() for _ in range(3)])
-                     for _ in range(3))
+    for n in range(12):
+        chis = tuple(BinaryForm(field, 2, [elt() if n or i else field.zero
+                                           for _ in range(3)])
+                     for i in range(3))
         values = {mset: elt() if rng.random() < 0.8 else field.zero
                   for mset in QUARTIC_MULTISETS}
         got = substitute_quartic(field, values, chis)
@@ -267,11 +320,9 @@ def _transvectant_shapes():
 
 @pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
 def test_transvect_and_products_match_the_rational_path(p):
-    """transvect and transvect_residues for every shape shioda and
-    covariant_eval use, and the products covariant_eval forms, on seeded
-    forms with and without a vanishing leading part: equal to the Q
-    results reduced mod p.  transvect_residues contracts a cached tensor
-    of residues, transvect runs the loop on field elements."""
+    """transvect for every shape shioda and covariant_eval use, and the
+    products covariant_eval forms, on seeded forms with and without a
+    vanishing leading part: equal to the Q results reduced mod p."""
     F = PrimeField(p)
     shapes = _transvectant_shapes()
     assert len(shapes) == 26
@@ -287,9 +338,71 @@ def test_transvect_and_products_match_the_rational_path(p):
             fp, gp = BinaryForm(F, r1, a), BinaryForm(F, r2, b)
             want = transvect(fq, gq, h).to_field(F)
             assert transvect(fp, gp, h) == want
-            assert (transvect_residues(a, b, h, p).tolist()
-                    == [c.value for c in want.coeffs])
             assert fp * gp == (fq * gq).to_field(F)
+
+
+def _shioda_chain_by_depth(f):
+    """The 16 transvectants of shioda's chain on f by transvect, grouped
+    by their depth in the chain (f at depth 0), in call order within a
+    depth."""
+    depth, staged = {id(f): 0}, {}
+
+    def recording(a, b, h):
+        t = transvect(a, b, h)
+        depth[id(t)] = 1 + max(depth[id(a)], depth[id(b)])
+        staged.setdefault(depth[id(t)], []).append(t)
+        return t
+
+    covariants._shioda_chain(f, recording)
+    return [staged[d] for d in sorted(staged)]
+
+
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES + (PRIMES30[0],))
+def test_shioda_program_matches_the_rational_chain(p):
+    """shioda's residue program over F_p, on seeded octics with and
+    without a vanishing leading part: its array holds the octic, then all
+    16 intermediate covariants of the chain, stage by stage (3, 5, 6 and
+    2 transvectants), each equal to transvect over Q reduced mod p; J2..J10
+    are read at its jindex.  266 terms at p = 11.  At the first
+    interpolation prime, about 2^29.9, a product of three residues passes
+    2^63 and the program reduces c x_u first."""
+    F = PrimeField(p)
+    program, jindex = covariants._shioda_program(p)
+    assert program.dtype == (object if p > 2 ** 31 - 2 else np.int64)
+    if p == 11:
+        assert sum(len(stage[2]) for stage in program.stages) == 266
+    seed = zlib.crc32(b"int path shioda program %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    for zeros in (0, 0, 3, 5):
+        coeffs = [0] * zeros + [rng.randrange(p) for _ in range(9 - zeros)]
+        stages = _shioda_chain_by_depth(BinaryForm(QQ, 8, coeffs))
+        assert [len(stage) for stage in stages] == [3, 5, 6, 2]
+        got = program.run(coeffs).tolist()
+        assert got[:9] == coeffs
+        assert got[9:] == [F(c).value for stage in stages
+                           for t in stage for c in t.coeffs]
+        assert [got[j] for j in jindex] == shioda(
+            BinaryForm(F, 8, coeffs), residues=True)
+
+
+def test_residue_program_reads_an_output_without_terms_as_zero():
+    """An output with no terms is zero, inside a stage and at its end
+    (np.add.reduceat gives the next element for an empty slice)."""
+    program = ResidueProgram(11, 2, [[[(3, 0, 1)], [], [(1, 0, 0), (1, 1, 1)]],
+                                     [[(1, 2, 4)], []]])
+    assert program.run([4, 5]).tolist() == [4, 5, 5, 0, 8, 7, 0]
+
+
+def test_shioda_refuses_characteristic_7():
+    """Over F_7 (allow_small) shioda's program is refused where its
+    transvectant tensors are built."""
+    f = BinaryForm(PrimeField(7, allow_small=True), 8,
+                   [1, 0, 0, 0, 2, 0, 0, 0, 1])
+    with pytest.raises(SmallCharacteristic):
+        shioda(f)
+    with pytest.raises(SmallCharacteristic):
+        shioda(f, residues=True)
 
 
 @pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
