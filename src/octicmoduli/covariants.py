@@ -20,7 +20,7 @@ from . import forms, store
 from .errors import (
     RankDeficiency, SingularForm, UnknownIdentifier, Unresolved, WrongDegree,
 )
-from .fields import ExtField, FpElement, PrimeField, QQ, fraction_residue
+from .fields import ExtField, PrimeField, QQ, fraction_residue
 from .forms import BinaryForm, transvect
 from .jpoly import JPolynomial, PolySet, monomial_basis, monomial_matrix, wdeg
 from .linsolve import solve_rational
@@ -155,28 +155,39 @@ def shioda(f, residues=False):
 
     Built from the classical chain of auxiliary covariants; the
     coefficient expansions of J2, J3, J4 are pinned by the calibration
-    test, which fixes every normalization here.  Over a prime field the
-    chain runs on residues (_shioda_program) and the nine results are
-    field elements, or with residues=True ints mod p; over any other
-    field they are forms (transvect).
+    test, which fixes every normalization here.  Over F_p and F_{p^k}
+    the chain runs as one ResidueProgram (_shioda_program), and the nine
+    results are field elements, or over F_p with residues=True ints mod
+    p; over Q and Q(sqrt(D)) it runs on forms (transvect).
     """
     if f.degree != 8:
         raise WrongDegree("Shioda invariants take octics")
     field = f.field
-    if isinstance(field, PrimeField):
-        program, jindex = _shioda_program(field.p)
-        jv = program.run([c.value for c in f.coeffs])[jindex].tolist()
-        return jv if residues else tuple(FpElement(field, v) for v in jv)
+    if isinstance(field, PrimeField) and residues:
+        program, jindex = _shioda_program(field)
+        return program.run([c.value for c in f.coeffs])[jindex].tolist()
+    if isinstance(field, (PrimeField, ExtField)):
+        program, jindex = _shioda_program(field)
+        return tuple(program.elements(f.coeffs, jindex))
     return tuple(t.coeffs[0] for t in _shioda_chain(f, transvect))
 
 
 @functools.cache
-def _shioda_program(p):
-    """_shioda_chain over F_p as one ResidueProgram on the octic's nine
-    residues, and the indices of J2..J10 in its array.  The chain, run
-    once on node numbers (the octic is node 0), records its 16
-    transvectants; each is staged at its depth in the chain (stages of
-    3, 5, 6 and 2), its terms the nonzero entries of its tensor."""
+def _shioda_program(field):
+    """_shioda_chain over a finite field as one ResidueProgram on the
+    octic's nine coefficients, and the indices of J2..J10 in its array
+    (_shioda_stages)."""
+    stages, jindex = _shioda_stages(field.characteristic)
+    return forms.ResidueProgram(field, 9, stages), jindex
+
+
+@functools.cache
+def _shioda_stages(p):
+    """The stages of _shioda_chain in characteristic p, as ResidueProgram
+    takes them, and the indices of J2..J10.  The chain, run once on node
+    numbers (the octic is node 0), records its 16 transvectants; each is
+    staged at its depth in the chain (stages of 3, 5, 6 and 2), its terms
+    the nonzero entries of its tensor."""
     calls, degree, depth, offset = [None], [8], [0], {0: 0}
 
     def record(a, b, h):
@@ -194,7 +205,7 @@ def _shioda_program(p):
         stages[d] += [[(t[n, u, v], offset[a] + u, offset[b] + v)
                        for u, v in zip(*np.nonzero(t[n]))]
                       for n in range(t.shape[0])]
-    return forms.ResidueProgram(p, 9, stages), [offset[j] for j in js]
+    return stages, [offset[j] for j in js]
 
 
 def _shioda_chain(f, tv):
@@ -225,7 +236,10 @@ def discriminant_poly():
 
 def has_invariants(f, jtuple):
     """Whether the invariants of f are the point jtuple (a WeightedPoint
-    over f's field, or coordinates coercing into it); on residues over F_p."""
+    over f's field, or coordinates coercing into it).  shioda runs its
+    residue program over F_p and F_{p^k}; over F_p the comparison is on
+    residues too (residues_equal), elsewhere on field elements
+    (wps_equal)."""
     point = as_point(f.field, SHIODA_WEIGHTS, jtuple)
     if isinstance(f.field, PrimeField):
         jv = shioda(f, residues=True)

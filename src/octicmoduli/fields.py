@@ -817,13 +817,14 @@ def field_make(spec, allow_small=False):
 def norm_solve(ext, lam):
     """Solve Norm_{F_{p^m}/F_p}(a) = lam, i.e. a^((p^m-1)/(p-1)) = lam.
 
-    For small fields the scan returns the smallest solution in canonical
-    element order.  For larger fields, the first element (in canonical
-    order) whose norm generates F_p^* is raised to the discrete log of lam
-    with respect to that norm; deterministic, and no factorization of
-    p^m - 1 is ever needed.
+    For small fields (p^m <= 4096) the answer is the smallest solution in
+    canonical element order.  For larger fields, the first element (in
+    canonical order) whose norm generates F_p^* is raised to the discrete
+    log of lam with respect to that norm; deterministic, and no
+    factorization of p^m - 1 is ever needed.  The scan of the elements
+    runs once per field (_first_preimages, _norm_generator); over F_p the
+    answer is lam.
     """
-    p = ext.characteristic
     if isinstance(ext, PrimeField):
         lam = ext(lam)
         if not lam:
@@ -832,24 +833,44 @@ def norm_solve(ext, lam):
     lam_val = ext.prime_field(lam) if not isinstance(lam, FpElement) else lam
     if lam_val.value == 0:
         raise ZeroNorm("norm equation with zero target")
-    q = ext.order
-    e = (q - 1) // (p - 1)
-    if q <= 4096:
-        for cand in ext.elements():
-            if cand and cand ** e == ext(lam_val.value):
-                return cand
-        raise ZeroNorm("no norm preimage found (impossible)")
+    if ext.order <= 4096:
+        return _first_preimages(ext)[lam_val.value]
+    b, nb = _norm_generator(ext)
+    # discrete log of lam base nb inside F_p^*
+    acc = 1
+    for x in range(ext.p - 1):
+        if acc == lam_val.value:
+            return b ** x
+        acc = acc * nb % ext.p
+    raise ZeroNorm("no norm preimage found (impossible)")
+
+
+def _norm(ext, a):
+    """The norm of a to the prime field, as a residue."""
+    return (a ** ((ext.order - 1) // (ext.p - 1))).coeffs[0]
+
+
+@functools.cache
+def _first_preimages(ext):
+    """The first nonzero element of ext.elements() of each norm: a dict
+    residue -> element, from one scan that stops once every one of the
+    p - 1 norms is found."""
+    out = {}
+    for a in ext.elements():
+        if a:
+            out.setdefault(_norm(ext, a), a)
+            if len(out) == ext.p - 1:
+                return out
+    raise ZeroNorm("no norm preimage found (impossible)")
+
+
+@functools.cache
+def _norm_generator(ext):
+    """(b, Norm(b)) for the first element b of ext.elements() whose norm
+    generates F_p^*."""
     for b in ext.elements():
-        if not b:
-            continue
-        nb = (b ** e).coeffs[0]
-        if not generates_units(nb, p):
-            continue
-        # discrete log of lam base nb inside F_p^*
-        acc = 1
-        for x in range(p - 1):
-            if acc == lam_val.value:
-                return b ** x
-            acc = acc * nb % p
-        break
+        if b:
+            nb = _norm(ext, b)
+            if generates_units(nb, ext.p):
+                return b, nb
     raise ZeroNorm("no norm preimage found (impossible)")

@@ -18,7 +18,10 @@ from .errors import (
     DegreeTooSmall, OrderTooHigh, SingularMatrix, SmallCharacteristic,
     Unresolved, WrongDegree, ZeroForm,
 )
-from .fields import ExtField, PrimeField, fraction_residue, residue_dtype
+from .fields import (
+    ExtField, FpElement, PrimeField, fraction_residue, residue_dtype,
+)
+from .jpoly import halving_chain
 
 
 def _falling(n, k):
@@ -198,19 +201,35 @@ def _transvectant_tensor(r1, r2, h, p):
 
 
 class ResidueProgram:
-    """Stages of sums of products mod p on one array of residues: the
-    inputs, then each stage's outputs.  stages holds, per stage and
-    output, its terms (c, u, v): c x_u x_v, c a residue, u and v indices
-    of inputs or earlier outputs.  A stage is one gather, one product and
-    one np.add.reduceat; int64 while the longest sum of products of two
-    residues fits, Python ints above (fields.residue_dtype), and c x_u is
+    """Stages of sums of products over a finite field F_q on one array of
+    residues: the inputs, then each stage's outputs.  stages holds, per
+    stage and output, its terms (c, u, v): c x_u x_v, c a residue mod p,
+    u and v indices of inputs or earlier outputs.
+
+    Over F_p a value is one residue, and a stage is one gather, one
+    product and one np.add.reduceat.  Over F_{p^k} a value is its k
+    coefficient residues (ExtElement.coeffs): a term's product is the
+    k x k outer product of the two coefficient vectors, and the stage's
+    sums, reduced mod p, are folded once by the modulus through one
+    (k^2, k) table of t^(i + j) (field.fold).  The arrays are int64 while
+    the longest sum of products of two residues fits (a stage's, or the
+    fold's k^2), Python ints above (fields.residue_dtype); c x_u is
     reduced where c x_u x_v summed could pass 2^63."""
 
-    def __init__(self, p, n_inputs, stages):
+    def __init__(self, field, n_inputs, stages):
         stages = [[terms or [(0, 0, 0)] for terms in stage]
                   for stage in stages]
         most = [max(map(len, stage)) for stage in stages]
-        self.p, self.dtype, self.stages = p, residue_dtype(p, max(most)), []
+        p, k = field.characteristic, field.k
+        self.field, self.p, self.stages = field, p, []
+        self.dtype = residue_dtype(p, max(most + [k * k]))
+        self.fold = None
+        if isinstance(field, ExtField):
+            # row i k + j: t^(i + j), reduced by the modulus from k on
+            rows = [[int(i == n) for i in range(k)] for n in range(k)]
+            rows += [list(row) for row in field.fold]
+            self.fold = np.array([rows[i + j] for i in range(k)
+                                  for j in range(k)], self.dtype)
         for stage, n in zip(stages, most):
             c, u, v = zip(*(term for terms in stage for term in terms))
             self.stages.append((
@@ -221,14 +240,36 @@ class ResidueProgram:
             n_inputs += len(stage)
 
     def run(self, xs):
-        """The array for the input residues xs: xs, then every stage's
-        outputs, reduced mod p."""
-        p, vals = self.p, np.empty(self.stages[-1][1], self.dtype)
+        """The array for the input residues xs (an (n, k) array over
+        F_{p^k}): xs, then every stage's outputs, reduced mod p."""
+        p, fold = self.p, self.fold
+        if fold is None:
+            vals = np.empty(self.stages[-1][1], self.dtype)
+            vals[:len(xs)] = xs
+            for lo, hi, c, u, v, starts, mid in self.stages:
+                terms = (c * vals[u] % p if mid else c * vals[u]) * vals[v]
+                vals[lo:hi] = np.add.reduceat(terms, starts) % p
+            return vals
+        k = fold.shape[1]
+        vals = np.empty((self.stages[-1][1], k), self.dtype)
         vals[:len(xs)] = xs
         for lo, hi, c, u, v, starts, mid in self.stages:
-            terms = (c * vals[u] % p if mid else c * vals[u]) * vals[v]
-            vals[lo:hi] = np.add.reduceat(terms, starts) % p
+            left = c[:, None] * vals[u]
+            if mid:
+                left %= p
+            terms = (left[:, :, None] * vals[v][:, None, :]).reshape(-1, k * k)
+            vals[lo:hi] = np.add.reduceat(terms, starts) % p @ fold % p
         return vals
+
+    def elements(self, xs, index):
+        """The field elements at index (of run's array) for the input
+        elements xs, which are elements of the program's field."""
+        field = self.field
+        if self.fold is None:
+            return [FpElement(field, v) for v in
+                    self.run([x.value for x in xs])[index].tolist()]
+        return [field(row) for row in
+                self.run([x.coeffs for x in xs])[index].tolist()]
 
 
 @functools.cache
@@ -263,10 +304,24 @@ def gl2_act(mat, f):
     """Substitution action: (M.f)(X, Z) = f(aX + bZ, cX + dZ).
 
     Composition is contravariant: gl2_act(M, gl2_act(N, f)) equals
-    gl2_act(N * M, f).
+    gl2_act(N * M, f).  Over F_p and F_{p^k} this is one ResidueProgram
+    (_gl2_program); over Q and Q(sqrt(D)) the powers of the two linear
+    forms are multiplied out on field elements (_gl2_act_elements, which
+    runs over every field).  A singular matrix is refused.
     """
     if not mat.det():
         raise SingularMatrix("matrix is singular")
+    field, n = f.field, f.degree
+    if not isinstance(field, (PrimeField, ExtField)):
+        return _gl2_act_elements(mat, f)
+    inputs = list(f.coeffs) + [field.one] + [
+        field(x) for x in (mat.a, mat.b, mat.c, mat.d)]
+    return BinaryForm(field, n, _gl2_program(field, n).elements(
+        inputs, slice(-n - 1, None)))
+
+
+def _gl2_act_elements(mat, f):
+    """gl2_act on field elements."""
     field = f.field
     n = f.degree
     # powers of the two substituted linear forms
@@ -282,6 +337,30 @@ def gl2_act(mat, f):
         if a:
             out = out + (pow1[i] * pow2[n - i]).scale(a)
     return out
+
+
+@functools.cache
+def _gl2_program(field, n):
+    """gl2_act on a degree-n form over a finite field as one
+    ResidueProgram on the inputs f_0, ..., f_n, 1, a, b, c, d.  The
+    monomials of degree n in a, b, c, d are built by halving
+    (jpoly.halving_chain), one stage per level; then output j is the sum
+    over i and s of C(i, s) C(n - i, j - s) f_i a^s b^(i - s) c^(j - s)
+    d^(n - i - j + s), the coefficient of X^j in
+    f_i (aX + bZ)^i (cX + dZ)^(n - i)."""
+    p = field.characteristic
+    terms = [(comb(i, s) * comb(n - i, j - s) % p, i, (s, i - s, j - s,
+                                                        n - i - j + s))
+             for j in range(n + 1) for i in range(n + 1)
+             for s in range(max(0, j - n + i), min(i, j) + 1)]
+    levels, at = halving_chain([ev for _, _, ev in terms], 4)
+    at = (at + n + 1).tolist()
+    stages = [[[(1, u + n + 1, v + n + 1)] for u, v in zip(left, right)]
+              for _, _, left, right in levels]
+    stages.append([[] for _ in range(n + 1)])
+    for (c, i, ev), m in zip(terms, at):
+        stages[-1][sum(ev[::2])].append((c, i, m))
+    return ResidueProgram(field, n + 6, stages)
 
 
 def disc_resultant(f):
@@ -323,7 +402,21 @@ def _ext_embedding(small, big):
                          % (small.p, small.k, big.p, big.k))
     root = unipoly.conjugate_roots(big, [big(c) for c in small.modulus],
                                    1)[0]
-    return lambda a: unipoly.evaluate(big, a.coeffs, root)
+    # a = sum a_i t^i goes to sum a_i root^i: one F_p-linear map
+    rows = [big.one]
+    for _ in range(small.k - 1):
+        rows.append(rows[-1] * root)
+    rows = [row.coeffs for row in rows]
+
+    def embed(a):
+        out = [0] * big.k
+        for c, row in zip(a.coeffs, rows):
+            if c:
+                for i, r in enumerate(row):
+                    out[i] += c * r
+        return big(out)
+
+    return embed
 
 
 def splitting_extension(field, degrees):

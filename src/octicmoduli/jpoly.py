@@ -13,7 +13,6 @@ polynomial as one sum of coefficients times monomial values (_Chain).
 """
 
 from fractions import Fraction
-from itertools import accumulate, groupby
 from math import lcm
 
 import numpy as np
@@ -65,63 +64,51 @@ class _Chain:
     with p = 0, at one point of Z, each polynomial times the common
     denominator of its coefficients (dens).
 
-    A monomial of total degree d >= 2 is the product of two monomials of
-    degrees ceil(d/2) and floor(d/2), the units of its exponent vector
-    dealt alternately (_halves).  Grouped by ceil(log2 d), the monomials
-    form levels (4 for the class set of strata._class_set), each computed
-    in one array step: vals[lo:hi] = vals[left] * vals[right].  The
-    polynomials are then one product of their coefficient residues with
-    the values of their monomials, summed per polynomial by
-    np.add.reduceat.  The arrays are int64 while a product of two
-    residues fits in it, and Python ints (dtype object) above that and
-    over Z.  Levels and terms are reduced only where 2^63 could be passed.
+    The monomials are built by halving (halving_chain): 4 levels for the
+    class set of strata._class_set, each computed in one array step:
+    vals[lo:hi] = vals[left] * vals[right].  The polynomials are then one
+    product of their coefficient residues with the values of their
+    monomials, summed per polynomial by np.add.reduceat.  The arrays are
+    int64 while a product of two residues fits in it, and Python ints
+    (dtype object) above that and over Z.  Levels and terms are reduced
+    only where 2^63 could be passed.
     """
 
     __slots__ = ("p", "size", "levels", "coeffs", "monomials", "starts",
                  "dens", "wide")
 
     def __init__(self, polys, p):
-        built, todo = set(), [ev for poly in polys for ev in poly.terms]
-        while todo:
-            ev = todo.pop()
-            if sum(ev) > 1 and ev not in built:
-                built.add(ev)
-                todo += _halves(ev)
-        order = sorted(built, key=lambda ev: (sum(ev), ev))
-        units = [tuple(int(i == v) for i in range(9)) for v in range(9)]
-        index = {ev: n for n, ev in enumerate([(0,) * 9] + units + order)}
+        levels, at = halving_chain(
+            [ev for poly in polys for ev in poly.terms], 9)
         # top bounds every value so far; a level is reduced where a
         # product of two of its values could pass 2^63
-        self.p, self.size, self.levels, lo, top = p, len(index), [], 10, p - 1
-        for _, level in groupby(order,
-                                key=lambda ev: (sum(ev) - 1).bit_length()):
-            level, bound = list(level), top * top
+        self.p, self.size, self.levels, top = p, 10, [], p - 1
+        for lo, hi, left, right in levels:
+            bound = top * top
             reduce = bool(p) and bound * bound >= 1 << 63
-            left, right = np.fromiter(
-                (index[half] for ev in level for half in _halves(ev)),
-                np.intp, 2 * len(level)).reshape(-1, 2).T.copy()
-            self.levels.append((lo, lo + len(level), left, right, reduce))
-            lo, top = lo + len(level), max(top, p - 1 if reduce else bound)
-        coeffs, monomials, starts, self.dens = [], [], [], []
+            self.levels.append((lo, hi, left, right, reduce))
+            self.size, top = hi, max(top, p - 1 if reduce else bound)
+        kept, empty, coeffs, starts, self.dens = bytearray(), [], [], [], []
         for poly in polys:
             starts.append(len(coeffs))
             den = 1 if p else lcm(*(c.denominator
                                     for c in poly.terms.values()))
             self.dens.append(den)
-            for ev, c in poly.terms.items():
+            for c in poly.terms.values():
                 r = (fraction_residue(c, p) if p
                      else c.numerator * (den // c.denominator))
+                kept.append(r != 0)
                 if r:
                     coeffs.append(r)
-                    monomials.append(index[ev])
             if len(coeffs) == starts[-1]:
                 # no term survives mod p: one zero term, since reduceat
                 # gives the next element for an empty slice
+                empty.append(len(coeffs) - len(empty))
                 coeffs.append(0)
-                monomials.append(0)
         self.coeffs = np.array(coeffs,
                                dtype=residue_dtype(p) if p else object)
-        self.monomials = np.array(monomials, np.intp)
+        self.monomials = np.insert(at[np.frombuffer(kept, np.bool_)],
+                                   empty, 0)
         self.starts = np.array(starts, np.intp)
         self.wide = bool(p) and len(coeffs) * (p - 1) * top >= 1 << 63
 
@@ -140,13 +127,89 @@ class _Chain:
         return (sums % p if p else sums).tolist()
 
 
-def _halves(ev):
-    """Two exponent vectors of total degrees ceil(d/2) and floor(d/2)
-    whose sum is ev (total degree d): its units, variable by variable,
-    dealt alternately to the first and the second."""
-    first = [(e + 1 - dealt % 2) // 2
-             for e, dealt in zip(ev, accumulate(ev, initial=0))]
-    return tuple(first), tuple([e - a for e, a in zip(ev, first)])
+def _halves(evs):
+    """Two arrays of exponent vectors of total degrees ceil(d/2) and
+    floor(d/2) whose sum is each row of evs (total degree d): its units,
+    variable by variable, dealt alternately to the first and the second."""
+    odd = evs & 1
+    # the parity of the units dealt before each variable
+    dealt = np.bitwise_xor.accumulate(odd, axis=1) ^ odd
+    first = (evs + 1 - dealt) // 2
+    return first, evs - first
+
+
+def _unsplit(evs, code, known):
+    """The rows of evs of total degree >= 2 whose codes are not in the
+    sorted array known, one row per code, by code: (rows, codes,
+    degrees)."""
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    new = np.ones(len(code), bool)
+    new[1:] = code[1:] != code[:-1]
+    if len(known):
+        new &= known[np.minimum(np.searchsorted(known, code),
+                                len(known) - 1)] != code
+    evs, code = evs[order[new]], code[new]
+    degree = evs.sum(axis=1)
+    return evs[degree > 1], code[degree > 1], degree[degree > 1]
+
+
+def halving_chain(evs, v):
+    """How to build the monomials evs, a list of exponent vectors in v
+    variables, from the variables by halving: each monomial of total
+    degree d >= 2 is the product of its two halves, and every monomial is
+    split once (_halves).
+
+    Returns (levels, at).  The values are laid out as 1, the v
+    variables, then the monomials of degree >= 2 on the way, sorted by
+    (degree, exponents).  levels holds (lo, hi, left, right) per
+    ceil(log2 d): the monomials at lo..hi-1 are the products of the
+    values at left and right.  at[i] is the position of evs[i].
+    Monomials are compared as int64 codes, base one more than the largest
+    exponent, the first variable most significant, so code order is
+    exponent order; ValueError when that code does not fit in int64 (or
+    an exponent in int16, the exponent arrays' dtype).
+    """
+    radix = max(2, 1 + max(map(max, evs), default=0))
+    if radix ** v >= 1 << 63 or radix > 1 << 14:
+        raise ValueError("exponents too large for an int64 monomial code")
+    weights = radix ** np.arange(v - 1, -1, -1, dtype=np.int64)
+    evs = np.array(evs, np.int16).reshape(-1, v)
+
+    def encode(a):      # column by column, so a stays int16
+        return sum(a[:, i] * w for i, w in enumerate(weights))
+
+    at = encode(evs)
+    codes, lefts, rights, degrees = ([np.zeros(0, np.int64)]
+                                     for _ in range(4))
+    known = codes[0]        # sorted
+    while len(evs):
+        evs, code, degree = _unsplit(evs, encode(evs), known)
+        known = np.sort(np.concatenate([known, code]))
+        codes.append(code)
+        degrees.append(degree)
+        evs = np.concatenate(_halves(evs))
+        lefts.append(encode(evs[:len(code)]))
+        rights.append(encode(evs[len(code):]))
+    code, left, right, degree = (np.concatenate(x) for x in
+                                 (codes, lefts, rights, degrees))
+    order = np.lexsort((code, degree))
+    code, left, right, degree = (x[order] for x in
+                                 (code, left, right, degree))
+    layout = np.concatenate([[0], weights, code])
+    sorter = np.argsort(layout)
+    ordered = layout[sorter]
+
+    def position(c):
+        return sorter[np.searchsorted(ordered, c)]
+
+    # (d - 1).bit_length(), the level of a monomial of total degree d
+    level = np.searchsorted(1 << np.arange(62, dtype=np.int64),
+                            degree - 1, side="right")
+    cuts = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(code)]
+    return ([(1 + v + lo, 1 + v + hi, position(left[lo:hi]),
+              position(right[lo:hi])) for lo, hi in zip(cuts, cuts[1:])
+             if hi > lo], position(at))
 
 
 class JPolynomial:

@@ -426,7 +426,7 @@ def _substitution_stages():
 
 @functools.cache
 def _substitution_program(p):
-    return ResidueProgram(p, 24, _substitution_stages())
+    return ResidueProgram(PrimeField(p), 24, _substitution_stages())
 
 
 def _first_triple(order, r_value):

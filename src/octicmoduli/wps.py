@@ -10,7 +10,6 @@ base field.
 
 import functools
 from itertools import combinations, product
-from math import prod
 
 from .errors import WeightMismatch
 from .fields import ext_gcd_multi
@@ -76,11 +75,13 @@ def _bezout(weights):
 def wps_equal(u, v):
     """Equality test in the weighted projective space.
 
-    Compares supports, then checks V_i/U_i = Lambda^{d_i/d} on the common
-    support, where Lambda is the Bezout-weighted product of the ratios,
-    on the coordinates over every field (residues_equal is the same test
-    on residues mod p).  Points of different spaces or over different
-    fields are refused.
+    Compares supports, then checks V_i = U_i Lambda^{d_i/d} on the
+    common support, where Lambda is the Bezout-weighted product of the
+    ratios V_i/U_i: num / den, the factors with c_i > 0 in one and those
+    with c_i < 0 in the other, so one division gives it.  On the
+    coordinates over every field (residues_equal is the same test on
+    residues mod p).  Points of different spaces or over different fields
+    are refused.
     """
     if u.weights != v.weights:
         raise WeightMismatch("points live in different spaces")
@@ -90,22 +91,36 @@ def wps_equal(u, v):
     if su != sv:
         return False
     d, cs = _bezout(tuple(u.weights[i] for i in su))
-    ratios = [v.coords[i] / u.coords[i] for i in su]
-    lam = u.field.one
-    for r, c in zip(ratios, cs):
-        lam = lam * r ** c
-    return all(r == lam ** (u.weights[i] // d) for i, r in zip(su, ratios))
+    num = den = u.field.one
+    for i, c in zip(su, cs):
+        if c > 0:
+            num, den = num * v.coords[i] ** c, den * u.coords[i] ** c
+        elif c < 0:
+            num, den = num * u.coords[i] ** -c, den * v.coords[i] ** -c
+    lam = num / den
+    return all(v.coords[i] == u.coords[i] * lam ** (u.weights[i] // d)
+               for i in su)
 
 
 def residues_equal(p, weights, u, v):
-    """wps_equal over F_p of two points given by their residues."""
-    su = tuple(i for i, c in enumerate(u) if c)
-    if su != tuple(i for i, c in enumerate(v) if c):
+    """wps_equal over F_p of two points given by their residues: one
+    inversion for Lambda = num / den, then v_i = u_i Lambda^(d_i / d) on
+    the support."""
+    su = [i for i, c in enumerate(u) if c]
+    if su != [i for i, c in enumerate(v) if c]:
         return False
-    d, cs = _bezout(tuple(weights[i] for i in su))
-    ratios = [v[i] * pow(u[i], -1, p) % p for i in su]
-    lam = prod(pow(r, c, p) for r, c in zip(ratios, cs)) % p
-    return all(r == pow(lam, weights[i] // d, p) for i, r in zip(su, ratios))
+    d, cs = _bezout(tuple([weights[i] for i in su]))
+    num = den = 1
+    for i, c in zip(su, cs):
+        if c > 0:
+            num, den = num * pow(v[i], c, p), den * pow(u[i], c, p)
+        elif c < 0:
+            num, den = num * pow(u[i], -c, p), den * pow(v[i], -c, p)
+    lam = num * pow(den, -1, p) % p
+    for i in su:
+        if (v[i] - u[i] * pow(lam, weights[i] // d, p)) % p:
+            return False
+    return True
 
 
 def wps_normalize(u):

@@ -14,7 +14,7 @@ from octicmoduli.fields import (
     ExtField, PrimeField, QQ, QuadExtQ, _default_modulus, _is_irreducible,
     ext_gcd_multi, field_make, norm_solve,
 )
-from octicmoduli import unipoly
+from octicmoduli import fields, unipoly
 from octicmoduli.forms import (
     BinaryForm, embed_field, roots_in_splitting_field, splitting_extension,
 )
@@ -157,6 +157,46 @@ def test_norm_solve_large_field():
     for lam in (2, 7, 10):
         a = norm_solve(E, PrimeField(11)(lam))
         assert a ** ((11 ** 5 - 1) // 10) == E(lam)
+
+
+def _fresh_norm_solve(ext, lam):
+    """norm_solve's answer by a scan of its own: the smallest preimage in
+    canonical order on fields of order <= 4096, else the first element
+    whose norm generates F_p^*, raised to the discrete log of lam."""
+    p, e = ext.p, (ext.order - 1) // (ext.p - 1)
+    if ext.order <= 4096:
+        return next(a for a in ext.elements() if a and a ** e == ext(lam))
+    for b in ext.elements():
+        nb = (b ** e).coeffs[0]
+        if b and nb and all(pow(nb, (p - 1) // q, p) != 1 for q in (2, 5)):
+            return b ** next(x for x in range(p - 1)
+                             if pow(nb, x, p) == lam)
+
+
+def test_norm_solve_scans_each_field_once(monkeypatch):
+    """norm_solve over F_{11^2}, F_{11^4} and F_{11^8}, twice for every
+    lam, gives the answer of a fresh scan each time, and walks the
+    elements of each field once."""
+    F = PrimeField(11)
+    exts = [ExtField(11, k) for k in (2, 4, 8)]
+    want = {(E.k, lam): _fresh_norm_solve(E, lam)
+            for E in exts for lam in range(1, 11)}
+    scans = []
+    elements = ExtField.elements
+
+    def counted(self):
+        scans.append(self.k)
+        return elements(self)
+
+    monkeypatch.setattr(ExtField, "elements", counted)
+    fields._first_preimages.cache_clear()
+    fields._norm_generator.cache_clear()
+    for E in exts:
+        for lam in list(range(1, 11)) * 2:
+            got = norm_solve(E, F(lam))
+            assert got == want[(E.k, lam)]
+            assert got ** ((E.order - 1) // 10) == E(lam)
+    assert scans == [2, 4, 8]
 
 
 def test_default_modulus_at_a_large_prime_skips_the_binomials():

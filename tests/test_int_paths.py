@@ -20,7 +20,7 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import normal_model
 
-from octicmoduli import covariants, reconstruct, strata
+from octicmoduli import covariants, forms, reconstruct, strata
 from octicmoduli.census import class_model
 from octicmoduli.census_fast import (
     _ModCtx, classify_rows, normalize_rows, strata_labels,
@@ -28,7 +28,7 @@ from octicmoduli.census_fast import (
 from octicmoduli.covariants import CATALOGUE, covariant_eval, shioda
 from octicmoduli.errors import (
     CountMismatch, InterpolationFailure, PointNotOnConic, SingularConic,
-    SmallCharacteristic,
+    SingularMatrix, SmallCharacteristic,
 )
 from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
 from octicmoduli.forms import (
@@ -367,7 +367,7 @@ def test_shioda_program_matches_the_rational_chain(p):
     interpolation prime, about 2^29.9, a product of three residues passes
     2^63 and the program reduces c x_u first."""
     F = PrimeField(p)
-    program, jindex = covariants._shioda_program(p)
+    program, jindex = covariants._shioda_program(F)
     assert program.dtype == (object if p > 2 ** 31 - 2 else np.int64)
     if p == 11:
         assert sum(len(stage[2]) for stage in program.stages) == 266
@@ -386,11 +386,78 @@ def test_shioda_program_matches_the_rational_chain(p):
             BinaryForm(F, 8, coeffs), residues=True)
 
 
+def _finite_field(p, k):
+    return PrimeField(p) if k == 1 else ExtField(p, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("p", PRIMES[:2] + (PRIMES[2], LARGE_PRIMES[0]))
+def test_shioda_and_gl2_act_programs_over_extensions(p, k):
+    """shioda and gl2_act over F_p and F_{p^k}, which run residue
+    programs, equal the field-element chain (_shioda_chain with
+    transvect) and the field-element gl2_act, on seeded forms with and
+    without vanishing coefficients and seeded matrices.  The programs are
+    int64 at p = 1048573 and Python ints at 2^31 - 1, where the fold's
+    k^2 or a stage's 9 products of two residues could pass 2^63."""
+    E = _finite_field(p, k)
+    program, _ = covariants._shioda_program(E)
+    assert program.dtype == (object if p > 2 ** 30 else np.int64)
+    seed = zlib.crc32(b"extension programs %d %d" % (p, k))
+    print("seed", seed)
+    rng = random.Random(seed)
+
+    def element(zero=0.0):
+        if rng.random() < zero:
+            return E.zero
+        return E(rng.randrange(p) if k == 1
+                 else [rng.randrange(p) for _ in range(k)])
+
+    for zeros in (0, 3):
+        f = BinaryForm(E, 8, [E.zero] * zeros
+                       + [element(0.2) for _ in range(9 - zeros)])
+        want = tuple(t.coeffs[0]
+                     for t in covariants._shioda_chain(f, transvect))
+        assert shioda(f) == want
+        assert all(v.field == E for v in shioda(f))
+        for degree in (8, 3, 0):
+            g = BinaryForm(E, degree, f.coeffs[:degree + 1])
+            m = Gl2Matrix(E, *[element(0.3) for _ in range(4)])
+            if not m.det():
+                m = m + Gl2Matrix(E, 1, 0, 0, 1)
+            if m.det():
+                assert gl2_act(m, g) == forms._gl2_act_elements(m, g)
+
+
+def test_gl2_act_over_f11_4_composes_and_refuses_singular_matrices():
+    """gl2_act over F_{11^4}, a residue program: contravariant
+    composition on seeded matrices, the identity, a matrix over F_11
+    acting on a form over F_{11^4}, and SingularMatrix for a matrix of
+    determinant 0."""
+    E = ExtField(11, 4)
+    rng = random.Random(zlib.crc32(b"gl2_act over F_11^4"))
+
+    def element():
+        return E([rng.randrange(11) for _ in range(4)])
+
+    f = BinaryForm(E, 8, [element() for _ in range(9)])
+    assert gl2_act(Gl2Matrix(E, 1, 0, 0, 1), f) == f
+    for _ in range(5):
+        m1 = Gl2Matrix(E, *[element() for _ in range(4)])
+        m2 = Gl2Matrix(E, *[element() for _ in range(4)])
+        assert gl2_act(m1, gl2_act(m2, f)) == gl2_act(m2 * m1, f)
+    m = Gl2Matrix(PrimeField(11), 2, 3, 5, 7)
+    assert gl2_act(m, f) == gl2_act(Gl2Matrix(E, 2, 3, 5, 7), f)
+    t = E.gen()
+    with pytest.raises(SingularMatrix):
+        gl2_act(Gl2Matrix(E, t, t * 2, E(3), E(6)), f)
+
+
 def test_residue_program_reads_an_output_without_terms_as_zero():
     """An output with no terms is zero, inside a stage and at its end
     (np.add.reduceat gives the next element for an empty slice)."""
-    program = ResidueProgram(11, 2, [[[(3, 0, 1)], [], [(1, 0, 0), (1, 1, 1)]],
-                                     [[(1, 2, 4)], []]])
+    program = ResidueProgram(PrimeField(11), 2,
+                             [[[(3, 0, 1)], [], [(1, 0, 0), (1, 1, 1)]],
+                              [[(1, 2, 4)], []]])
     assert program.run([4, 5]).tolist() == [4, 5, 5, 0, 8, 7, 0]
 
 

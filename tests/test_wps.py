@@ -1,5 +1,6 @@
 import hashlib
 import random
+import zlib
 
 import pytest
 
@@ -90,6 +91,42 @@ def test_residues_equal_is_wps_equal_on_field_elements(p):
         assert residues_equal(p, SHIODA_WEIGHTS, u, v) == want, (u, v)
         assert wps_equal(WeightedPoint(F, SHIODA_WEIGHTS, u),
                          WeightedPoint(F, SHIODA_WEIGHTS, v)) == want
+
+
+@pytest.mark.parametrize("p", [11, 2 ** 31 - 1])
+def test_residues_equal_is_wps_equal_over_the_prime_field(p):
+    """residues_equal, one inversion for Lambda, against wps_equal over
+    F_p on seeded pairs in three spaces: rescalings, rescalings with one
+    coordinate moved, pairs with another support, and pairs with zero
+    coordinates; each kind occurs, and both answers occur."""
+    F = PrimeField(p)
+    rng = random.Random(zlib.crc32(b"residues_equal %d" % p))
+    seen = set()
+    for weights in (SHIODA_WEIGHTS, (1, 2), (4, 6, 9)):
+        m = len(weights)
+        for _ in range(300):
+            u = [rng.randrange(1, p) if rng.random() < 0.7 else 0
+                 for _ in range(m)]
+            if not any(u):
+                continue
+            lam = rng.randrange(1, p)
+            v = [c * pow(lam, w, p) % p for c, w in zip(u, weights)]
+            kind = rng.randrange(3)
+            if kind == 1:
+                i = rng.choice([i for i, c in enumerate(u) if c])
+                v[i] = rng.randrange(1, p)
+            elif kind == 2:
+                v[rng.randrange(m)] = rng.randrange(2) * rng.randrange(1, p)
+            if not any(v):
+                continue
+            want = wps_equal(WeightedPoint(F, weights, u),
+                             WeightedPoint(F, weights, v))
+            assert residues_equal(p, weights, u, v) == want, (u, v)
+            supports = ([bool(c) for c in u] == [bool(c) for c in v])
+            seen.add((kind, supports, want, 0 in u))
+    assert {(want, supports) for _, supports, want, _ in seen} == {
+        (True, True), (False, True), (False, False)}
+    assert {zero for *_, zero in seen} == {True, False}
 
 
 @pytest.mark.parametrize("weights", [(0, 1), (-2, 3), (0, 0)])
