@@ -158,8 +158,10 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one,
-    one loop on the coefficients over every field.  shioda over F_p runs
-    the same formula on residues (_transvectant_tensor).
+    one loop on the coefficients over every field: the path of
+    covariant_eval, and of shioda over Q and Q(sqrt(D)).  shioda over
+    F_p and F_{p^k} runs the same formula in a residue program
+    (_transvectant_tensor), and the tests compare the two.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
