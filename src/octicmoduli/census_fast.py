@@ -36,7 +36,10 @@ Primes are at most MAX_FAST_PRIME = 127, so that p^9 < 2^63 and keys fit
 in int64, and a census that would not fit in physical memory is refused
 before anything is allocated.  Residue arithmetic stays in int64: a
 product of two residues is below 2^14, and the (J9, J10) closed form far
-below 2^63.  J-polynomials are evaluated by PolySet: monomials in int64,
+below 2^63.  J-polynomials are evaluated by PolySet.evaluate_mod: each
+monomial is g to the sum of its variables' discrete logarithms, read
+from the same tables of powers and logarithms of a primitive root g
+(fields.log_tables) as the congruences above, and the monomials are
 combined with the coefficients in float64, which is exact while
 n_monomials * (p - 1)^2 < 2^53.
 """
@@ -53,9 +56,9 @@ from .covariants import (
     SyzygyCoefficients, _relation_values, derive_syzygies, discriminant_poly,
     j8_determinant, j9_j10_closed_form, r1_r2_linear, shioda,
 )
-from .fields import PrimeField, ext_gcd_multi, generates_units
+from .fields import PrimeField, ext_gcd_multi, log_tables
 from .forms import BinaryForm
-from .jpoly import CHUNK_ROWS, WEIGHTS, PolySet
+from .jpoly import WEIGHTS, PolySet
 
 #: the largest prime whose row keys fit in int64: 127^9 < 2^63 <= 131^9
 MAX_FAST_PRIME = 127
@@ -65,23 +68,22 @@ MAX_FAST_PRIME = 127
 #: and labels are 80 (at p = 17 the interpreter's 50 MB make it 135)
 BYTES_PER_CLASS = 128
 
-#: rows per chunk of classify_rows
-CLASSIFY_ROWS = 1 << 16
+#: rows per chunk of prefixes in moduli_rows, and of keys in its
+#: discriminant filter
+CHUNK_ROWS = 4096
+
+#: rows per chunk of classify_rows: a stage's evaluation plan is built
+#: once per prime, so chunks of 16,384 rows classify p = 11 as fast as
+#: chunks of 65,536, at a lower peak
+CLASSIFY_ROWS = 1 << 14
 
 
 class _ModCtx:
-    """Tables for F_p arithmetic on arrays."""
+    """Tables for F_p arithmetic on arrays (fields.log_tables)."""
 
     def __init__(self, p):
         self.p = p
-        self.g = next(g for g in range(1, p) if generates_units(g, p))
-        pw = np.ones(p - 1, dtype=np.int64)
-        for i in range(1, p - 1):
-            pw[i] = pw[i - 1] * self.g % p
-        self.POW = pw
-        log = np.zeros(p, dtype=np.int64)
-        log[pw] = np.arange(p - 1)
-        self.LOG = log
+        self.g, self.POW, self.LOG = log_tables(p)
 
     def inv(self, arr):
         """Vector inverse of nonzero residues."""

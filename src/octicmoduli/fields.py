@@ -211,6 +211,35 @@ def generates_units(g, p):
                               for q in set(_prime_factors(p - 1)))
 
 
+#: the most entries of a table of powers or discrete logarithms mod p
+#: (8 bytes each) that the package builds
+MAX_LOG_TABLE = 1 << 24
+
+
+@functools.cache
+def log_tables(p):
+    """(g, POW, LOG) for the prime p: g the least primitive root mod p,
+    POW[e] = g^e mod p for 0 <= e < p - 1 and LOG[x] the e with
+    g^e = x for 0 < x < p (LOG[0] = 0), as int64 arrays.
+
+    POW doubles in length a step, each new half the old one times one
+    power of g, so the build makes about log2(p) array operations.
+    ValueError, before anything is allocated, when p > MAX_LOG_TABLE.
+    """
+    if p > MAX_LOG_TABLE:
+        raise ValueError("discrete-log tables mod %d would pass the bound "
+                         "MAX_LOG_TABLE = %d entries" % (p, MAX_LOG_TABLE))
+    g = next(g for g in range(1, p) if generates_units(g, p))
+    pw = np.ones(1, np.int64)
+    while pw.size < p - 1:
+        pw = np.concatenate([pw, pw * pow(g, pw.size, p) % p])
+    pw = pw[:p - 1]
+    log = np.zeros(p, np.int64)
+    log[pw] = np.arange(p - 1)
+    pw.flags.writeable = log.flags.writeable = False    # shared by callers
+    return g, pw, log
+
+
 # ---------------------------------------------------------------------------
 # prime fields
 

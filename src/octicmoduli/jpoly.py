@@ -9,7 +9,11 @@ at a time (JPolynomial.evaluate, or PolySet.at for a list of them; at_mod
 on residues), or mod p on arrays of points (PolySet.evaluate_mod).  At one
 point of F_p, or of Q for a list, the evaluation runs on numpy arrays: the
 monomials level by level, each the product of two halves, then each
-polynomial as one sum of coefficients times monomial values (_Chain).
+polynomial as one sum of coefficients times monomial values (_Chain).  On
+arrays of points, a monomial is g to the sum of its variables' discrete
+logarithms to a primitive root g, so a chunk of rows takes two matrix
+products and two gathers (_LogPlan); monomial_matrix, which multiplies power
+tables, is left to the interpolation matrices at 30-bit primes.
 """
 
 from fractions import Fraction
@@ -17,7 +21,10 @@ from math import lcm
 
 import numpy as np
 
-from .fields import QQ, FpElement, PrimeField, fraction_residue, residue_dtype
+from .fields import (
+    MAX_LOG_TABLE, QQ, FpElement, PrimeField, fraction_residue, log_tables,
+    residue_dtype,
+)
 
 WEIGHTS = (2, 3, 4, 5, 6, 7, 8, 9, 10)
 
@@ -370,7 +377,9 @@ def monomial_matrix(rows, monomials, p):
     J2, J3, ... as far as the monomials reach.  Each monomial multiplies
     in, from per-variable power tables, only the variables it uses, and
     reduces mod p only where the next product could pass 2^63; so the
-    result is exact for every p < 2^31.
+    result is exact for every p < 2^31.  The interpolation matrices of
+    covariants use it, at 30-bit primes, where a table of discrete
+    logarithms would be too large; PolySet.evaluate_mod does not.
     """
     n = rows.shape[0]
     tables = {}
@@ -398,9 +407,56 @@ def monomial_matrix(rows, monomials, p):
     return out.T
 
 
-#: rows per chunk of a PolySet evaluation; the work arrays of one chunk
-#: hold CHUNK_ROWS x (number of monomials) entries
-CHUNK_ROWS = 4096
+#: rows per chunk of PolySet.evaluate_mod; its work arrays hold
+#: EVAL_ROWS x (number of monomials) entries
+EVAL_ROWS = 1024
+
+
+class _LogPlan:
+    """The tables of PolySet.evaluate_mod at one prime p, which evaluate
+    the union of the polynomials' monomials by discrete logarithms to the
+    primitive root g of fields.log_tables.
+
+    exps holds the exponents (9, m) of the m monomials, nvars the number of
+    leading generators they use, and coeffs the coefficient residues
+    (m, n_polys).  A nonzero residue x has log[x] = log_g(x) <= p - 2, and
+    0 has log[0] = zero = D (p - 2) + 1, for D the largest total degree of
+    a monomial: more than any monomial's sum of logs of nonzero residues.
+    So at a row, the sum log[row] @ exps of a monomial is below zero
+    exactly when none of the variables it uses is 0, and powers holds
+    g^e mod p at every e < zero and 0 at zero, where np.take clamps every
+    larger sum.  A variable of exponent 0 adds nothing, so 0^0 = 1.  The
+    tables are float64, so both products are BLAS products, exact as
+    every sum stays below 2^53.  powers has zero + 1 entries, so a plan
+    past MAX_LOG_TABLE is refused before it is allocated.
+    """
+
+    __slots__ = ("nvars", "exps", "coeffs", "log", "powers")
+
+    def __init__(self, polys, p):
+        monomials = sorted({ev for poly in polys for ev in poly.terms})
+        if len(monomials) * (p - 1) ** 2 >= 1 << 53:
+            raise ValueError("%d monomials mod %d overflow the float64 "
+                             "evaluation" % (len(monomials), p))
+        exps = np.array(monomials, np.int64).reshape(-1, 9)
+        degree = int(exps.sum(axis=1).max(initial=0))
+        zero = degree * (p - 2) + 1
+        if zero + 1 > MAX_LOG_TABLE:
+            raise ValueError("the power table of monomials of total degree "
+                             "%d mod %d would pass the bound MAX_LOG_TABLE "
+                             "= %d entries" % (degree, p, MAX_LOG_TABLE))
+        _, pw, lg = log_tables(p)
+        self.log = lg.astype(np.float64)
+        self.log[0] = zero
+        self.powers = np.zeros(zero + 1)
+        self.powers[:zero] = np.resize(pw, zero)
+        self.nvars = int(np.flatnonzero(exps.any(axis=0)).max(initial=-1)) + 1
+        self.exps = exps.T.astype(np.float64)
+        column = {ev: j for j, ev in enumerate(monomials)}
+        self.coeffs = np.zeros((len(monomials), len(polys)))
+        for k, poly in enumerate(polys):
+            for ev, c in poly.terms.items():
+                self.coeffs[column[ev], k] = fraction_residue(c, p)
 
 
 class PolySet:
@@ -408,21 +464,21 @@ class PolySet:
     (evaluate_mod), at one point of residues (at_mod), or at one point of
     a field (at).
 
-    evaluate_mod evaluates the union of their monomials once per chunk of
-    rows by monomial_matrix and combines it with the coefficients in one
-    float64 matrix product.  Each entry of that product is a sum of
-    n_monomials products of two residues, so it is exact while
+    evaluate_mod evaluates the union of their monomials by discrete
+    logarithms (_LogPlan) and combines them with the coefficients in one
+    float64 matrix product: a chunk of rows takes two matrix products,
+    two gathers and one reduction.  Each entry of the second product is a
+    sum of n_monomials products of two residues, so it is exact while
     n_monomials * (p - 1)^2 < 2^53; evaluate_mod checks this first.
     at_mod, and at over F_p and over Q, run one level chain (_Chain) for
-    the whole list.
-    The monomial list, the coefficient matrix and the chain for a prime
-    (or for Z) are built on the first evaluation that needs them.
+    the whole list.  The plan and the chain for a prime (or the chain for
+    Z) are built on the first evaluation that needs them and kept on the
+    PolySet.
     """
 
     def __init__(self, polys):
         self.polys = list(polys)
-        self._monomials = None
-        self._coeffs = {}             # p -> (n_polys, n_monomials) float64
+        self._plans = {}              # p -> _LogPlan of the polys
         self._chains = {}             # p, or 0 for Z -> _Chain of the polys
 
     def _chain(self, p):
@@ -458,26 +514,23 @@ class PolySet:
 
     def evaluate_mod(self, rows, p):
         """(N, len(polys)) int64: every polynomial at every row of the
-        (N, m) residue array rows, mod p."""
-        if self._monomials is None:
-            self._monomials = sorted({ev for poly in self.polys
-                                      for ev in poly.terms})
-        monomials = self._monomials
-        if len(monomials) * (p - 1) ** 2 >= 1 << 53:
-            raise ValueError("%d monomials mod %d overflow the float64 "
-                             "evaluation" % (len(monomials), p))
-        coeffs = self._coeffs.get(p)
-        if coeffs is None:
-            column = {ev: j for j, ev in enumerate(monomials)}
-            coeffs = np.zeros((len(self.polys), len(monomials)))
-            for k, poly in enumerate(self.polys):
-                for ev, c in poly.terms.items():
-                    coeffs[k, column[ev]] = fraction_residue(c, p)
-            self._coeffs[p] = coeffs
+        (N, m) int array rows, mod p; m is at least the number of
+        generators the polynomials use, and entries outside 0..p-1 are
+        reduced first.  Per chunk of EVAL_ROWS rows: the monomials' sums of
+        logs in one product, their values in one gather from the power
+        table, one product with the coefficients and one reduction."""
+        plan = (self._plans.get(p)
+                or self._plans.setdefault(p, _LogPlan(self.polys, p)))
+        if rows.shape[1] < plan.nvars:
+            raise ValueError("rows of %d residues; the polynomials use "
+                             "%d generators" % (rows.shape[1], plan.nvars))
+        if rows.size and (rows.min() < 0 or rows.max() >= p):
+            rows = rows % p
+        exps = plan.exps[:rows.shape[1]]
         out = np.empty((rows.shape[0], len(self.polys)), dtype=np.int64)
-        for start in range(0, rows.shape[0], CHUNK_ROWS):
-            mono = monomial_matrix(rows[start:start + CHUNK_ROWS],
-                                   monomials, p).T.astype(np.float64)
-            out[start:start + CHUNK_ROWS] = (coeffs @ mono % p).T
+        for start in range(0, rows.shape[0], EVAL_ROWS):
+            ex = plan.log[rows[start:start + EVAL_ROWS]] @ exps
+            mono = np.take(plan.powers, ex.astype(np.intp), mode="clip")
+            np.remainder((mono @ plan.coeffs).astype(np.int64), p,
+                         out=out[start:start + EVAL_ROWS])
         return out
-

@@ -4,7 +4,7 @@ per-class models at 11 (every C4 class among them), models of sampled
 Klein-four classes at 11 and 13 and their descent's normalizer twists
 against root matching, sampled oracles built from the scalar solvers,
 the J8 quintic and the detection cascade, and the batch J-polynomial
-evaluator."""
+evaluator against the level chain, with its table bound."""
 
 import hashlib
 import random
@@ -18,6 +18,7 @@ import pytest
 from octicmoduli import census, census_fast
 from octicmoduli.census import (
     _normalizer_twists, _root_matching_twists, class_model, expected_counts,
+    run_census,
 )
 from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
 from octicmoduli.covariants import (
@@ -25,12 +26,12 @@ from octicmoduli.covariants import (
     discriminant_poly, has_invariants, j8_candidates, j8_determinant,
     j8_quintic, j9_j10_closed_form, shioda, solve_j9_j10,
 )
-from octicmoduli.fields import PrimeField
+from octicmoduli.fields import MAX_LOG_TABLE, PrimeField
 from octicmoduli.forms import (
     BinaryForm, disc_resultant, embed_field, gl2_act,
     roots_in_splitting_field,
 )
-from octicmoduli.jpoly import JPolynomial, PolySet
+from octicmoduli.jpoly import EVAL_ROWS, JPolynomial, PolySet
 from octicmoduli.reconstruct import TRIPLES_19, r_polynomial
 from octicmoduli.strata import (
     detect_group, reconstruct_stratum, stratum_systems,
@@ -513,6 +514,87 @@ def test_polyset_matches_scalar_evaluation():
         assert PolySet(polys).evaluate_mod(rows, p).tolist() == want
     with pytest.raises(ValueError):
         PolySet(polys).evaluate_mod(rows, (1 << 31) - 1)
+
+
+@pytest.mark.parametrize("p", [11, 13, 127, 1048573])
+def test_evaluate_mod_equals_the_level_chain(p):
+    """evaluate_mod, by discrete logarithms, equals at_mod, the level
+    chain, row by row: on seeded rows (some with zeros), the all-zero row,
+    a zero in each coordinate, only J10 nonzero, and on rows given by
+    other representatives of the same residues."""
+    polys = [discriminant_poly()] + stratum_systems()["D4"][:4]
+    seed = zlib.crc32(b"evaluate_mod %d" % p)
+    print("seed", seed)
+    rng = random.Random(seed)
+    full = [[rng.randrange(1, p) for _ in range(9)] for _ in range(9)]
+    rows = np.array(
+        [[0] * 9, [0] * 8 + [rng.randrange(1, p)]]
+        + [row[:i] + [0] + row[i + 1:] for i, row in enumerate(full)]
+        + full + [[rng.choice([0, rng.randrange(p)]) for _ in range(9)]
+                  for _ in range(40)], dtype=np.int64)
+    pset = PolySet(polys)
+    want = [pset.at_mod(p, row) for row in rows.tolist()]
+    assert pset.evaluate_mod(rows, p).tolist() == want
+    assert pset.evaluate_mod(rows - p, p).tolist() == want
+    assert pset.evaluate_mod(rows + 3 * p, p).tolist() == want
+
+
+def test_evaluate_mod_on_prefix_rows_of_any_count():
+    """The 22 syzygy blocks on 6-column prefix rows: no row, one row, and
+    a count that is not a multiple of EVAL_ROWS, equal the level chain;
+    rows shorter than the generators the blocks use are refused."""
+    p = 13
+    block_set = derive_syzygies().block_set
+    rng = random.Random(zlib.crc32(b"evaluate_mod blocks"))
+    rows = np.array([[rng.randrange(p) for _ in range(6)]
+                     for _ in range(2 * EVAL_ROWS + 37)], dtype=np.int64)
+    rows[np.arange(6), np.arange(6)] = 0
+    want = np.array([block_set.at_mod(p, row + [0, 0, 0])
+                     for row in rows.tolist()], dtype=np.int64)
+    for n in (0, 1, EVAL_ROWS, rows.shape[0]):
+        got = block_set.evaluate_mod(rows[:n], p)
+        assert got.shape == (n, len(BLOCK_NAMES))
+        assert (got == want[:n]).all()
+    with pytest.raises(ValueError, match="use 6 generators"):
+        block_set.evaluate_mod(rows[:, :5], p)
+
+
+def test_evaluate_mod_refuses_a_table_beyond_the_bound():
+    """A plan whose power table would pass MAX_LOG_TABLE, D (p - 2) + 2
+    entries for monomials of total degree up to D, is refused before
+    anything is allocated: J2 at the least prime above 2^24, and the
+    discriminant (D = 7) at the least prime above 2^24 / 7, though it is
+    evaluated at p = 1048573.  2^31 - 1 passes the float64 bound."""
+    row = np.ones((1, 9), dtype=np.int64)
+    for poly, p in ((JPolynomial.generator(2), 16777259),
+                    (discriminant_poly(), 2396759)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="MAX_LOG_TABLE = %d"
+                                                 % MAX_LOG_TABLE):
+                PolySet([poly]).evaluate_mod(row, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    with pytest.raises(ValueError, match="overflow the float64"):
+        PolySet([JPolynomial.generator(2)]).evaluate_mod(row, (1 << 31) - 1)
+
+
+def test_census_p11_memory_peak():
+    """The tracemalloc peak of run_census(11), once its caches are warm,
+    is at most the 15.2 MB it measured when PolySet.evaluate_mod went to
+    discrete logarithms and CLASSIFY_ROWS to 16,384; it was 22.3 MB
+    before, with monomial_matrix and CLASSIFY_ROWS = 65,536.  Its int64
+    rows and labels are 12.9 MB of it."""
+    run_census(11)
+    tracemalloc.start()
+    try:
+        run_census(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15.2 * 2 ** 20
 
 
 def test_polyset_values_follow_their_polynomials():

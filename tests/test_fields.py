@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from octicmoduli.errors import (
     Unresolved, ZeroNorm,
 )
 from octicmoduli.fields import (
-    ExtField, PrimeField, QQ, QuadExtQ, _default_modulus, _is_irreducible,
-    ext_gcd_multi, field_make, norm_solve,
+    MAX_LOG_TABLE, ExtField, PrimeField, QQ, QuadExtQ, _default_modulus,
+    _is_irreducible, ext_gcd_multi, field_make, generates_units, log_tables,
+    norm_solve,
 )
 from octicmoduli import fields, unipoly
 from octicmoduli.forms import (
@@ -197,6 +199,39 @@ def test_norm_solve_scans_each_field_once(monkeypatch):
             assert got == want[(E.k, lam)]
             assert got ** ((E.order - 1) // 10) == E(lam)
     assert scans == [2, 4, 8]
+
+
+@pytest.mark.parametrize("p", [11, 13, 127, 1048573])
+def test_log_tables_are_powers_and_logarithms(p):
+    """log_tables(p) gives the least primitive root g, its powers and
+    their logarithms, read-only since every caller shares them."""
+    g, pw, log = log_tables(p)
+    assert generates_units(g, p)
+    assert not any(generates_units(h, p) for h in range(1, g))
+    assert pw.shape == (p - 1,) and log.shape == (p,) and log[0] == 0
+    rng = random.Random(zlib.crc32(b"log tables %d" % p))
+    for e in [0, 1, p - 2] + [rng.randrange(p - 1) for _ in range(50)]:
+        assert pw[e] == pow(g, e, p) and log[pw[e]] == e
+    assert sorted(pw.tolist()) == list(range(1, p))
+    with pytest.raises(ValueError):
+        pw[0] = 2
+    assert log_tables(p)[1] is pw
+
+
+def test_log_tables_refuse_a_prime_beyond_the_bound():
+    """A prime above MAX_LOG_TABLE is refused, naming the bound, before
+    a table is allocated."""
+    p = 16777259                          # the least prime above 2^24
+    assert p > MAX_LOG_TABLE
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="MAX_LOG_TABLE = %d"
+                                             % MAX_LOG_TABLE):
+            log_tables(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_modulus_at_a_large_prime_skips_the_binomials():
