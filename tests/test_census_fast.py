@@ -564,7 +564,8 @@ def test_evaluate_mod_refuses_a_table_beyond_the_bound():
     entries for monomials of total degree up to D, is refused before
     anything is allocated: J2 at the least prime above 2^24, and the
     discriminant (D = 7) at the least prime above 2^24 / 7, though it is
-    evaluated at p = 1048573.  2^31 - 1 passes the float64 bound."""
+    evaluated at p = 1048573.  At 2^31 - 1 the float64 bound refuses
+    first."""
     row = np.ones((1, 9), dtype=np.int64)
     for poly, p in ((JPolynomial.generator(2), 16777259),
                     (discriminant_poly(), 2396759)):
