@@ -14,34 +14,38 @@ evaluated.  The J8 values of a prefix are the x in F_p where
 covariants.j8_determinant, the determinant j8_quintic is built from,
 vanishes on the block values mod p; its leading coefficient is the
 constant -1, so it has the roots of the quintic at every p.  It has
-degree 5 in x, so it is evaluated at x = 0..5 only and interpolated to
-the rest of F_p.  Where delta of the (J9, J10) closed form is nonzero,
-the closed form gives the one candidate; where it is zero, R1 and R2 are
-evaluated at all p^2 points (J9, J10) and a row is built only where both
-vanish.  Every candidate is then checked on all five relations by
-covariants._relation_values, the evaluator the scalar solvers use, run on
-the columns of the candidate rows.  The chunk's rows are normalized and
-only one int64 key a row is kept, key = sum r_i p^(8 - i): its order is
-the lexicographic order of the rows, as 0 <= r_i < p.  One np.unique on
-the keys of all chunks sorts and deduplicates them, the discriminant
-filter runs on chunks of decoded keys, and the survivors are decoded once
-into the (N, 9) rows.  classify_rows walks the strata in the order of
-strata.detect_group on chunks of rows and evaluates each stratum's
-equations one at a time, each only on the rows where the ones before it
-vanished: fewest terms first, except that equations which vanish at the
-invariants of a few random octics over F_p, and so likely on every row,
-go last.
+degree 5 in x, so one call evaluates it at x = 0..5 on (n, 1) block
+columns and it is interpolated to the rest of F_p.  Where delta of the
+(J9, J10) closed form is nonzero, the closed form gives the one
+candidate; where it is zero, R1 and R2 have rank at most 1 and vanish
+together on a line, on all of F_p^2 or nowhere.  Every candidate is then
+checked on all five relations by covariants._relation_values, the
+evaluator the scalar solvers use, run on the columns of the candidate
+rows.  The chunk's rows are normalized with Bezout coefficients read from
+tables by support pattern, and only one int64 key a row is kept, key =
+sum r_i p^(8 - i): its order is the lexicographic order of the rows, as
+0 <= r_i < p.  One np.unique on the keys of all chunks sorts and
+deduplicates them, the discriminant filter runs on chunks of decoded
+keys, and the survivors are decoded once into the (N, 9) rows.
+classify_rows evaluates every stratum's first equation on a chunk of rows
+in one pass, then walks the strata in the order of strata.detect_group,
+each stratum's other equations one at a time, only on the unlabelled rows
+where the ones before it vanished: fewest terms first, except that
+equations which vanish at the invariants of a few random octics over F_p,
+and so likely on every row, go last.
 
 Primes are at most MAX_FAST_PRIME = 127, so that p^9 < 2^63 and keys fit
 in int64, and a census that would not fit in physical memory is refused
-before anything is allocated.  Residue arithmetic stays in int64: a
-product of two residues is below 2^14, and the (J9, J10) closed form far
-below 2^63.  J-polynomials are evaluated by PolySet.evaluate_mod: each
-monomial is g to the sum of its variables' discrete logarithms, read
-from the same tables of powers and logarithms of a primitive root g
-(fields.log_tables) as the congruences above, and the monomials are
-combined with the coefficients in float64, which is exact while
-n_monomials * (p - 1)^2 < 2^53.
+before anything is allocated.  Residue arithmetic stays in int64 and a
+formula is reduced mod p once, at its end: on residues below 127 a
+product of two is below 2^14, every intermediate of the J8 determinant
+at x <= 5 below 2^42, a relation value below 2^31 and the (J9, J10)
+closed form far below 2^63.  J-polynomials are evaluated by
+PolySet.evaluate_mod: each monomial is g to the sum of its variables'
+discrete logarithms, read from the same tables of powers and logarithms
+of a primitive root g (fields.log_tables) as the congruences above, and
+the monomials are combined with the coefficients in float64, which is
+exact while n_monomials * (p - 1)^2 < 2^53.
 """
 
 import functools
@@ -210,12 +214,13 @@ def _j8_values(v, p):
     """(n, p): j8_determinant mod p at every x of F_p, for the block
     values v (name -> (n,) residues) of n prefixes.
 
-    The determinant has degree 5 in x, so its values at x = 0..5 and the
-    Lagrange basis give the rest in one float64 product, exact as each
-    entry is a sum of 6 products below p^2.
+    The determinant has degree 5 in x: one call on the (n, 1) block
+    columns against x = 0..5, reduced mod p once, and the Lagrange basis
+    give the rest in one float64 product, exact as each entry is a sum of
+    6 products below p^2.
     """
-    at_nodes = np.column_stack([j8_determinant(v, x, lambda a: a % p)
-                                for x in range(6)])
+    at_nodes = j8_determinant({name: col[:, None] for name, col in v.items()},
+                              np.arange(6, dtype=np.int64)) % p
     return at_nodes.astype(np.float64) @ _j8_interpolation(p) % p
 
 
@@ -223,10 +228,6 @@ def _completions(ctx, block_set, prefixes):
     """The nonzero rows (N, 9) on all five relations that extend the
     (n, 6) prefix rows."""
     p = ctx.p
-
-    def mod(a):
-        return a % p
-
     bvals = block_set.evaluate_mod(prefixes, p)
     # (prefix, j8) pairs, in order of j8: the roots of the J8 quintic
     j8, idx = np.nonzero(_j8_values(SyzygyCoefficients.named(bvals.T), p).T
@@ -240,108 +241,120 @@ def _completions(ctx, block_set, prefixes):
     generic = np.column_stack([n9[gi] * dinv % p, n10[gi] * dinv % p])
     # degenerate pairs (delta = 0): every point where R1 and R2 vanish
     di = np.nonzero(delta_v == 0)[0]
-    k, j9, j10 = _r1_r2_zeros({name: col[di] for name, col in v.items()},
-                              j8[di], p)
+    k, j9, j10 = _r1_r2_zeros(ctx, {n: c[di] for n, c in v.items()}, j8[di])
     pair = np.concatenate([gi, di[k]])
     cand = np.column_stack([
         prefixes[idx[pair]], j8[pair],
         np.concatenate([generic, np.column_stack([j9, j10])])])
-    values = _relation_values(
-        cand.T, SyzygyCoefficients.named(bvals[idx[pair]].T), mod)
-    cand = cand[~np.any(values, axis=0)]
+    values = np.array(_relation_values(
+        cand.T, SyzygyCoefficients.named(bvals[idx[pair]].T))) % p
+    cand = cand[~values.any(axis=0)]
     return cand[cand.any(axis=1)]
 
 
-def _r1_r2_zeros(v, j8, p):
+def _r1_r2_zeros(ctx, v, j8):
     """(k, j9, j10): every pair k, with block values v[name][k] and
-    J8 = j8[k], and every point (j9, j10) of F_p^2 where R1 and R2 vanish.
+    J8 = j8[k], and every point (j9, j10) of F_p^2 where R1 and R2 vanish,
+    for pairs whose forms have rank at most 1 (delta = 0).
 
-    Where both linear forms are zero that is all p^2 points, where they
-    have rank 1 a line, and where they are inconsistent nothing.
+    Where both forms are constant that is all p^2 points or none; else
+    the points of the line where R1 (or R2, if R1 is constant) vanishes
+    at which the other form vanishes too: all p of them, or none.
     """
+    p = ctx.p
     (q, a7, a6), (r, s, b7) = ((c % p for c in form)
                                for form in r1_r2_linear(v, j8))
-    j10 = np.arange(p, dtype=np.int64)
-    ks, j9s, j10s = [], [], []
-    for j9 in range(p):
-        ok = ((q + a7 * j9)[:, None] + a6[:, None] * j10) % p == 0
-        ok &= ((r + s * j9)[:, None] + b7[:, None] * j10) % p == 0
-        k, b = np.nonzero(ok)
-        ks.append(k)
-        j9s.append(np.full(k.size, j9, dtype=np.int64))
-        j10s.append(b)
-    return np.concatenate(ks), np.concatenate(j9s), np.concatenate(j10s)
+    t = np.arange(p, dtype=np.int64)
+    on_r1 = (a7 != 0) | (a6 != 0)
+    flat = ~on_r1 & (s == 0) & (b7 == 0)
+    line = np.nonzero(~flat)[0]
+    c, a, b, c2, a2, b2 = (np.where(on_r1, x, y)[line, None] for x, y in (
+        (q, r), (a7, s), (a6, b7), (r, q), (s, a7), (b7, a6)))
+    # on c + a J9 + b J10 = 0, J10 is a function of J9 = t where b is
+    # nonzero, else J9 = -c / a and J10 = t
+    across = b != 0
+    inv = ctx.inv(np.where(across, b, a))
+    j9 = np.where(across, t, -c * inv % p)
+    j10 = np.where(across, -(c + a * t) * inv % p, t)
+    k, i = np.nonzero((c2 + a2 * j9 + b2 * j10) % p == 0)
+    full = np.nonzero(flat & (q == 0) & (r == 0))[0]
+    return (np.concatenate([line[k], np.repeat(full, p * p)]),
+            np.concatenate([j9[k, i], np.tile(np.repeat(t, p), full.size)]),
+            np.concatenate([j10[k, i], np.tile(t, p * full.size)]))
+
+
+@functools.cache
+def _normalizer_tables(p):
+    """(2, 512, 9) int64: by support pattern (bit i set where coordinate
+    i is nonzero), the ext_gcd_multi coefficients of the support's
+    weights mod p - 1 and the weights over their gcd, 0 off the support."""
+    tables = np.zeros((2, 512, 9), dtype=np.int64)
+    for pat in range(1, 512):
+        supp = [i for i in range(9) if pat >> i & 1]
+        d, cs = ext_gcd_multi([WEIGHTS[i] for i in supp])
+        tables[:, pat, supp] = (np.array(cs) % (p - 1),
+                                np.array(WEIGHTS)[supp] // d)
+    return tables
 
 
 def normalize_rows(ctx, rows):
     """Vectorized canonical representatives (same convention as
-    wps_normalize) for rows of weight (2..10) tuples."""
-    p = ctx.p
-    order = p - 1
-    n = rows.shape[0]
-    out = rows.copy()
+    wps_normalize) for rows of weight (2..10) tuples: in logs, lambda is
+    the Bezout sum of the support, and each coordinate loses its weight
+    quotient times lambda, read from _normalizer_tables by pattern."""
     nonzero = rows != 0
-    patterns = nonzero.dot(1 << np.arange(9, dtype=np.int64))
-    for pat in np.unique(patterns):
-        supp = [i for i in range(9) if (int(pat) >> i) & 1]
-        sel = np.nonzero(patterns == pat)[0]
-        d, cs = ext_gcd_multi([WEIGHTS[i] for i in supp])
-        lam_log = np.zeros(sel.size, dtype=np.int64)
-        for i, c in zip(supp, cs):
-            lam_log = (lam_log + (c % order) * ctx.LOG[rows[sel, i]]) % order
-        for i in supp:
-            e = WEIGHTS[i] // d
-            new_log = (ctx.LOG[rows[sel, i]] - e * lam_log) % order
-            out[sel, i] = ctx.POW[new_log]
-    return out
+    coef, quot = _normalizer_tables(ctx.p)[:, nonzero @ (1 << np.arange(9))]
+    logs = ctx.LOG[rows]
+    logs -= quot * (np.einsum("ij,ij->i", coef, logs) % (ctx.p - 1))[:, None]
+    return np.where(nonzero, ctx.POW[logs % (ctx.p - 1)], 0)
 
 
 @functools.cache
 def _stratum_stages(p):
-    """Stratum name -> one PolySet per equation of its system, in cascade
-    order at p: fewest terms first, but last the equations that vanish at
-    the invariants of a few seeded random octics over F_p, and so most
-    likely on every row."""
+    """One PolySet of each stratum's first equation, in STRATA_ORDER, and
+    per stratum one PolySet per other equation, in cascade order at p:
+    fewest terms first, but last those that vanish at the invariants of a
+    few seeded random octics over F_p, and so most likely on every row."""
     from .strata import STRATA_ORDER, stratum_systems
     F = PrimeField(p)
     rng = random.Random(p)
     points = np.array([[c.value for c in shioda(BinaryForm(
         F, 8, [rng.randrange(p) for _ in range(9)]))] for _ in range(4)],
         dtype=np.int64)
-    stages = {}
+    firsts, rests = [], []
     for name in STRATA_ORDER:
         eqs = stratum_systems()[name]
         everywhere = ~PolySet(eqs).evaluate_mod(points, p).any(axis=0)
         order = sorted(range(len(eqs)),
                        key=lambda i: (everywhere[i], len(eqs[i].terms)))
-        stages[name] = [PolySet([eqs[i]]) for i in order]
-    return stages
+        firsts.append(eqs[order[0]])
+        rests.append([PolySet([eqs[i]]) for i in order[1:]])
+    return PolySet(firsts), rests
 
 
 def classify_rows(field, rows):
     """Stratum label per row, by the detection cascade, fully vectorized.
 
-    On chunks of CLASSIFY_ROWS rows, each stratum's equations are
-    evaluated one at a time, each only on the rows where the ones before
-    it vanished.  Returns an integer array indexing into strata_labels().
+    On chunks of CLASSIFY_ROWS rows, every stratum's first equation is
+    evaluated in one pass, then each stratum's others one at a time, only
+    on the unlabelled rows where the ones before vanished.  Returns an
+    integer array indexing into strata_labels().
     """
-    from .strata import STRATA_ORDER
     p = field.p
-    stages = _stratum_stages(p)
-    generic = len(STRATA_ORDER)                 # the label of C2
+    firsts, rests = _stratum_stages(p)
+    generic = len(rests)                        # the label of C2
     label = np.full(rows.shape[0], generic, dtype=np.int64)
     for start in range(0, rows.shape[0], CLASSIFY_ROWS):
         chunk = rows[start:start + CLASSIFY_ROWS]
         out = label[start:start + CLASSIFY_ROWS]
-        left = np.arange(chunk.shape[0])        # rows not yet labelled
-        for k, name in enumerate(STRATA_ORDER):
-            hit = left
-            for stage in stages[name]:
+        first = firsts.evaluate_mod(chunk, p) == 0
+        for k, stages in enumerate(rests):
+            hit = np.nonzero(first[:, k] & (out == generic))[0]
+            for stage in stages:
                 if not hit.size:
                     break
                 hit = hit[stage.evaluate_mod(chunk[hit], p)[:, 0] == 0]
             out[hit] = k
-            left = left[out[left] == generic]
     return label
 
 

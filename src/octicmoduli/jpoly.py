@@ -517,8 +517,9 @@ class PolySet:
         (N, m) int array rows, mod p; m is at least the number of
         generators the polynomials use, and entries outside 0..p-1 are
         reduced first.  Per chunk of EVAL_ROWS rows: the monomials' sums of
-        logs in one product, their values in one gather from the power
-        table, one product with the coefficients and one reduction."""
+        logs in one product, their values gathered over them in place (one
+        array fewer at the peak), one product with the coefficients and
+        one reduction."""
         plan = (self._plans.get(p)
                 or self._plans.setdefault(p, _LogPlan(self.polys, p)))
         if rows.shape[1] < plan.nvars:
@@ -529,8 +530,8 @@ class PolySet:
         exps = plan.exps[:rows.shape[1]]
         out = np.empty((rows.shape[0], len(self.polys)), dtype=np.int64)
         for start in range(0, rows.shape[0], EVAL_ROWS):
-            ex = plan.log[rows[start:start + EVAL_ROWS]] @ exps
-            mono = np.take(plan.powers, ex.astype(np.intp), mode="clip")
+            mono = plan.log[rows[start:start + EVAL_ROWS]] @ exps
+            np.take(plan.powers, mono.astype(np.intp), mode="clip", out=mono)
             np.remainder((mono @ plan.coeffs).astype(np.int64), p,
                          out=out[start:start + EVAL_ROWS])
         return out

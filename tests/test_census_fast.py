@@ -1,9 +1,11 @@
 """The vectorized census kernel: the memory guard and its budget, output
-pins at p = 11 and 13, stratum counts at 11, 13 and 17, pins of the
-per-class models at 11 (every C4 class among them), models of sampled
-Klein-four classes at 11 and 13 and their descent's normalizer twists
-against root matching, sampled oracles built from the scalar solvers,
-the J8 quintic and the detection cascade, and the batch J-polynomial
+pins and stratum counts at p = 11, 13 and 17, pins of the per-class
+models at 11 (every C4 class among them), models of sampled Klein-four
+classes at 11 and 13 and their descent's normalizer twists against root
+matching, sampled oracles built from the scalar solvers, the J8 quintic
+and the detection cascade, the arithmetic reduced once at p = 127, the
+table-driven normalizer on every support, the degenerate (J9, J10)
+solver against a scan of the plane, and the batch J-polynomial
 evaluator against the level chain, with its table bound."""
 
 import hashlib
@@ -20,7 +22,9 @@ from octicmoduli.census import (
     _normalizer_twists, _root_matching_twists, class_model, expected_counts,
     run_census,
 )
-from octicmoduli.census_fast import classify_rows, moduli_rows, strata_labels
+from octicmoduli.census_fast import (
+    classify_rows, moduli_rows, normalize_rows, strata_labels,
+)
 from octicmoduli.covariants import (
     SyzygyCoefficients, _relation_values, derive_syzygies, discriminant_J,
     discriminant_poly, has_invariants, j8_candidates, j8_determinant,
@@ -41,7 +45,7 @@ from octicmoduli.wps import SHIODA_WEIGHTS, WeightedPoint, wps_normalize
 BLOCK_NAMES = SyzygyCoefficients.BLOCK_NAMES
 
 #: sha256 prefixes of moduli_rows(PrimeField(p)).astype(int64).tobytes()
-ROWS_SHA = {11: "423d80cbdd08", 13: "4c617579dd32"}
+ROWS_SHA = {11: "423d80cbdd08", 13: "4c617579dd32", 17: "328eb406b81d"}
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +190,8 @@ def test_normalizer_twists_are_the_root_matching_twists(p, rows_p11,
     exactly the Frobenius twisting matrices root matching finds over the
     splitting field: a matrix and its product with x -> -x."""
     F = PrimeField(p)
-    rows, labels = {11: (rows_p11, labels_p11),
-                    13: (rows_p13, classify_rows(F, rows_p13))}[p]
+    rows, labels = ((rows_p11, labels_p11) if p == 11
+                    else (rows_p13, classify_rows(F, rows_p13)))
     need = {2: 2, 4: 2}
     for row in _d4_rows(rows, labels, "normalizer twists %d" % p):
         if not any(need.values()):
@@ -212,7 +216,7 @@ def test_normalizer_twists_are_the_root_matching_twists(p, rows_p11,
 @pytest.mark.slow
 def test_classify_rows_counts_p17():
     rows = moduli_rows(PrimeField(17))
-    _check_counts(17, classify_rows(PrimeField(17), rows))
+    _check_pins(17, rows, classify_rows(PrimeField(17), rows))
 
 
 def _random_prefix(rng, p, sparse):
@@ -263,6 +267,139 @@ def test_j8_values_interpolate_the_determinant(p):
     want = np.column_stack([j8_determinant(v, x, lambda a: a % p)
                             for x in range(p)])
     assert np.array_equal(census_fast._j8_values(v, p), want)
+
+
+class _Magnitude(int):
+    """A bound on the absolute value of an integer expression: a sum or a
+    difference of bounds is their sum, a product their product."""
+
+    def __add__(self, other):
+        return _Magnitude(int(self) + abs(int(other)))
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other):
+        return _Magnitude(int(self) * abs(int(other)))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return self
+
+    def __pow__(self, e):
+        return _Magnitude(int(self) ** e)
+
+
+def test_reduce_once_is_exact_at_the_largest_census_prime():
+    """At p = MAX_FAST_PRIME = 127, j8_determinant at x = 0..5 and
+    _relation_values, computed with no reduce and one % p at the end,
+    equal the values reduced mod p at every step: on block values and
+    rows whose every residue is p - 1, and on seeded random ones.  The
+    bounds the census relies on hold for every input: no intermediate
+    of the determinant reaches 2^42, and no relation value 2^31."""
+    p = census_fast.MAX_FAST_PRIME
+    names = [name for name, _ in BLOCK_NAMES]
+    seed = zlib.crc32(b"reduce once %d" % p)
+    print("seed", seed)
+    rng = np.random.default_rng(seed)
+    blocks = np.vstack([np.full((1, len(names)), p - 1),
+                        rng.integers(0, p, (255, len(names)))])
+    rows = np.vstack([np.full((1, 9), p - 1), rng.integers(0, p, (255, 9))])
+    v = SyzygyCoefficients.named(blocks.T)
+    x = np.arange(6, dtype=np.int64)
+    wide = {name: col[:, None] for name, col in v.items()}
+    assert np.array_equal(j8_determinant(wide, x) % p,
+                          j8_determinant(wide, x, lambda a: a % p))
+    assert np.array_equal(np.array(_relation_values(rows.T, v)) % p,
+                          np.array(_relation_values(rows.T, v,
+                                                    lambda a: a % p)))
+
+    seen = []
+
+    def track(a):
+        seen.append(int(a))
+        return a
+    top = {name: _Magnitude(p - 1) for name in names}
+    j8_determinant(top, _Magnitude(5), track)
+    assert max(seen) < 2 ** 42
+    assert max(_relation_values([_Magnitude(p - 1)] * 9, top)) < 2 ** 31
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_normalize_rows_on_every_support_pattern(p):
+    """normalize_rows, read from its tables by support pattern, equals
+    wps_normalize on seeded nonzero values on every one of the 511
+    nonzero supports, and normalizing its output again changes nothing."""
+    F = PrimeField(p)
+    seed = zlib.crc32(b"normalize patterns %d" % p)
+    print("seed", seed)
+    rng = np.random.default_rng(seed)
+    support = (np.arange(1, 512)[:, None] >> np.arange(9)) & 1
+    rows = support * rng.integers(1, p, (4, 511, 9))
+    rows = rows.reshape(-1, 9)
+    ctx = census_fast._ModCtx(p)
+    fast = normalize_rows(ctx, rows)
+    for row, out in zip(rows.tolist(), fast.tolist()):
+        pure = wps_normalize(WeightedPoint(F, SHIODA_WEIGHTS, row))
+        assert [c.value for c in pure.coords] == out, row
+    assert np.array_equal(normalize_rows(ctx, fast), fast)
+
+
+def _degenerate_pairs(rng, p, n):
+    """n pairs of R1 and R2 coefficients (q, a7, a6), (r, s, b7) of rank at
+    most 1, in turn rank 0 inconsistent, rank 0 consistent, rank 1
+    inconsistent and rank 1 consistent: the rows of a rank-1 pair are
+    lam[0] u and lam[1] u.  Each coordinate drawn is zero one time in
+    three, so either form may be the zero one."""
+    def draw(nonzero=False):
+        while True:
+            c = [int(c) if rng.random() < 2 / 3 else 0
+                 for c in rng.integers(1, p, 2)]
+            if any(c) or not nonzero:
+                return c
+
+    pairs = []
+    for i in range(n):
+        rank, consistent = divmod(i % 4, 2)
+        u, lam = (draw(True), draw(True)) if rank else ([0, 0], [0, 0])
+        while True:
+            c = draw()
+            if consistent:
+                c = [lam[0] * c[0] % p, lam[1] * c[0] % p]
+            if ((c[0] * lam[1] - c[1] * lam[0]) % p == 0 if rank
+                    else not any(c)) == bool(consistent):
+                break
+        pairs.append((c[0], lam[0] * u[0] % p, lam[0] * u[1] % p,
+                      c[1], lam[1] * u[0] % p, lam[1] * u[1] % p))
+    return pairs
+
+
+@pytest.mark.parametrize("p", [11, 127])
+def test_r1_r2_zeros_equal_a_scan_of_the_plane(p):
+    """_r1_r2_zeros gives exactly the points of F_p^2 where R1 and R2
+    vanish, found by trying all p^2 of them, on seeded degenerate pairs:
+    rank 0 and rank 1, consistent and inconsistent."""
+    seed = zlib.crc32(b"r1 r2 zeros %d" % p)
+    print("seed", seed)
+    rng = np.random.default_rng(seed)
+    pairs = np.array(_degenerate_pairs(rng, p, 48), dtype=np.int64)
+    q, a7, a6, r, s, b7 = pairs.T
+    j8 = rng.integers(0, p, pairs.shape[0])
+    # block values with r1_r2_linear(v, j8) = ((q, a7, a6), (r, s, b7))
+    v = {"A6": a6, "A7": a7, "A8": np.zeros_like(j8),
+         "A16": (q - j8 * j8) % p, "B7": b7, "B8": (s - j8) % p,
+         "B9": np.zeros_like(j8), "B17": r}
+    got = set(zip(*(a.tolist() for a in census_fast._r1_r2_zeros(
+        census_fast._ModCtx(p), v, j8))))
+    j9, j10 = (a.ravel() for a in np.indices((p, p)))
+    want = set()
+    for k, (q, a7, a6, r, s, b7) in enumerate(pairs.tolist()):
+        on = ((q + a7 * j9 + a6 * j10) % p == 0) & (
+            (r + s * j9 + b7 * j10) % p == 0)
+        want |= {(k, a, b) for a, b in zip(j9[on].tolist(), j10[on].tolist())}
+    assert got == want
+    # the consistent pairs, and only they, have zeros
+    assert {k for k, _, _ in want} == set(range(1, pairs.shape[0], 2))
 
 
 @pytest.mark.parametrize("p", [11, 1048573])
