@@ -158,7 +158,8 @@ def shioda(f, residues=False):
     test, which fixes every normalization here.  Over F_p and F_{p^k}
     the chain runs as one ResidueProgram (_shioda_program), and the nine
     results are field elements, or over F_p with residues=True ints mod
-    p; over Q and Q(sqrt(D)) it runs on forms (transvect).
+    p; over Q and Q(sqrt(D)) it runs on forms (transvect), over Q on
+    integer numerators with one Fraction per output coefficient.
     """
     if f.degree != 8:
         raise WrongDegree("Shioda invariants take octics")

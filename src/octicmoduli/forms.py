@@ -19,7 +19,8 @@ from .errors import (
     Unresolved, WrongDegree, ZeroForm,
 )
 from .fields import (
-    ExtField, FpElement, PrimeField, fraction_residue, residue_dtype,
+    ExtField, FpElement, PrimeField, Rationals, fraction_residue,
+    residue_dtype,
 )
 from .jpoly import halving_chain
 
@@ -76,12 +77,13 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        out = [0] * (self.degree + other.degree + 1)
-        for i, x in enumerate(self.coeffs):
-            if x:
-                for j, y in enumerate(other.coeffs):
-                    out[i + j] += x * y
-        return BinaryForm(self.field, self.degree + other.degree, out)
+        n = self.degree + other.degree
+        if isinstance(self.field, Rationals):
+            (a, da), (b, db) = _integral(self.coeffs), _integral(other.coeffs)
+            return BinaryForm(self.field, n, [
+                Fraction(c, da * db) for c in _convolve([0] * (n + 1), a, b)])
+        return BinaryForm(self.field, n, _convolve(
+            [0] * (n + 1), self.coeffs, other.coeffs))
 
     __rmul__ = scale
 
@@ -158,27 +160,57 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one,
-    one loop on the coefficients over every field: the path of
-    covariant_eval, and of shioda over Q and Q(sqrt(D)).  shioda over
-    F_p and F_{p^k} runs the same formula in a residue program
-    (_transvectant_tensor), and the tests compare the two.
+    one loop on the coefficients (_transvectant_sum): the path of
+    covariant_eval, and of shioda over Q and Q(sqrt(D)).  Over Q the loop
+    runs on integers, each form's numerators over its common denominator
+    (_integral), and each output coefficient is one Fraction; over every
+    other field it runs on field elements.  shioda over F_p and F_{p^k}
+    runs the same formula in a residue program (_transvectant_tensor),
+    and the tests compare the two.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
         raise OrderTooHigh("transvectant order %d exceeds degrees (%d, %d)"
                            % (h, r1, r2))
-    _check_characteristic(f.field.characteristic)
-    norm = f.field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
-    out = [0] * (r1 + r2 - 2 * h + 1)
+    field = f.field
+    _check_characteristic(field.characteristic)
+    div = _falling(r1, h) * _falling(r2, h)
+    if isinstance(field, Rationals):
+        (a, df), (b, dg) = _integral(f.coeffs), _integral(g.coeffs)
+        den = df * dg * div
+        return BinaryForm(field, r1 + r2 - 2 * h, [
+            Fraction(c, den) for c in _transvectant_sum(a, b, h)])
+    norm = field(Fraction(1, div))
+    return BinaryForm(field, r1 + r2 - 2 * h, [
+        c * norm for c in _transvectant_sum(f.coeffs, g.coeffs, h)])
+
+
+def _transvectant_sum(a, b, h):
+    """sum_k (-1)^k C(h,k) F_k G_k on the coefficients a and b (ints or
+    field elements) of forms of degrees r1 and r2: r1 + r2 - 2h + 1
+    values, not yet divided by ff(r1,h) ff(r2,h)."""
+    out = [0] * (len(a) + len(b) - 2 * h - 1)
     for k in range(h + 1):
         signed = -comb(h, k) if k % 2 else comb(h, k)
-        fk, gk = _partial(f.coeffs, h - k, k), _partial(g.coeffs, k, h - k)
-        for i, x in enumerate(fk):
-            if x:
-                x = x * signed
-                for j, y in enumerate(gk):
-                    out[i + j] += x * y
-    return BinaryForm(f.field, r1 + r2 - 2 * h, [c * norm for c in out])
+        _convolve(out, _partial(a, h - k, k, signed), _partial(b, k, h - k))
+    return out
+
+
+def _convolve(out, xs, ys):
+    """out with out[i + j] += x y for every nonzero x of xs and y of ys:
+    the coefficient loop of products and transvectants."""
+    for i, x in enumerate(xs):
+        if x:
+            for j, y in enumerate(ys):
+                out[i + j] += x * y
+    return out
+
+
+def _integral(coeffs):
+    """Numerators over one common denominator of Fractions: (nums, den)
+    with coeffs[i] = nums[i] / den, den the lcm of their denominators."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _check_characteristic(char):
@@ -282,10 +314,10 @@ def _partial_weights(n, m, l):
                  for i in range(n - m - l + 1))
 
 
-def _partial(coeffs, m, l):
-    """Coefficients of d^m/dX^m d^l/dZ^l of the form with coefficients
-    coeffs (a_0, ..., a_n)."""
-    return [a * w for a, w in
+def _partial(coeffs, m, l, scale=1):
+    """Coefficients of scale times d^m/dX^m d^l/dZ^l of the form with
+    coefficients coeffs (a_0, ..., a_n)."""
+    return [a * (w * scale) for a, w in
             zip(coeffs[m:], _partial_weights(len(coeffs) - 1, m, l))]
 
 

@@ -269,6 +269,16 @@ def test_j8_values_interpolate_the_determinant(p):
     assert np.array_equal(census_fast._j8_values(v, p), want)
 
 
+@pytest.mark.parametrize("p", [11, 127])
+def test_float_mod_is_exact_on_every_lagrange_product(p):
+    """_float_mod equals integer % on every value _j8_values can reduce:
+    0 .. 6 (p - 1)^2, six products of two residues."""
+    y = np.arange(6 * (p - 1) ** 2 + 1, dtype=np.int64)
+    got = census_fast._float_mod(y.astype(np.float64), p)
+    assert np.array_equal(got.astype(np.int64), y % p)
+    assert np.array_equal(got, np.floor(got))
+
+
 class _Magnitude(int):
     """A bound on the absolute value of an integer expression: a sum or a
     difference of bounds is their sum, a product their product."""

@@ -448,3 +448,39 @@ def test_r_polynomial_derives_the_packaged_r(monkeypatch, tmp_path):
             cached.cache_clear()
     assert os.listdir(tmp_path / "cache") == [store.artifact_filename(
         reconstruct._r_identifier(triple))]
+
+
+def test_packaged_r_polynomials_re_derive(monkeypatch, tmp_path):
+    """Each of the 18 packaged triple-r artifacts is express_in_J of the
+    R of clebsch_data on the triple's covariants, serialized byte for
+    byte as packaged; the derivation writes nothing to any cache."""
+    import os
+    from octicmoduli import reconstruct
+    from octicmoduli.covariants import express_in_J
+    from octicmoduli.reconstruct import triple_degrees
+
+    def refuse(identifier, named_polys):
+        raise AssertionError("wrote %s" % identifier)
+
+    monkeypatch.setattr(store, "_override_dir", str(tmp_path / "cache"))
+    monkeypatch.setattr(store, "write_artifact", refuse)
+    derived = 0
+    for triple in TRIPLES_19:
+        path = os.path.join(store.data_dir(), store.artifact_filename(
+            reconstruct._r_identifier(triple)))
+        if not os.path.exists(path):
+            continue
+        with open(path) as fh:
+            name, _, payload = fh.read().splitlines()[1].partition(" | ")
+        assert name == "R"
+
+        def run(f, triple=triple):
+            cache = {}
+            return clebsch_data(*(covariant_eval(n, f, cache)
+                                  for n in triple))["R"]
+
+        poly = express_in_J(run, sum(triple_degrees(triple))).polynomial
+        assert poly.serialize() == payload, triple
+        derived += 1
+    assert derived == 18
+    assert not (tmp_path / "cache").exists()
