@@ -279,18 +279,19 @@ def random_octic(rng, field=QQ, bound=20):
 
 def _samples(count, seed):
     """count seeded random rational octics, and the function of p that
-    gives their J-values mod p as a (count, 9) int64 array, reducing each
-    octic once per prime.  It runs shioda on residues, which is exact: J
-    over Q of an integer octic has only 2, 3, 5 and 7 in its
-    denominators."""
+    gives their J-values mod p as a (count, 9) int64 array: one run of
+    _shioda_program per prime on the (9, count) array of the octics'
+    integer coefficients mod p.  Residues are exact here: J over Q of an
+    integer octic has only 2, 3, 5 and 7 in its denominators."""
     rng = random.Random(seed)
     forms = [random_octic(rng) for _ in range(count)]
+    coeffs = np.array([[int(c) for c in f.coeffs] for f in forms],
+                      dtype=np.int64).T
 
     @functools.cache
     def jmatrix(p):
-        field = PrimeField(p)
-        return np.array([shioda(f.to_field(field), residues=True)
-                         for f in forms], dtype=np.int64)
+        program, jindex = _shioda_program(PrimeField(p))
+        return program.run(coeffs % p)[jindex].T.astype(np.int64)
 
     return forms, jmatrix
 

@@ -275,12 +275,18 @@ class ResidueProgram:
 
     def run(self, xs):
         """The array for the input residues xs (an (n, k) array over
-        F_{p^k}): xs, then every stage's outputs, reduced mod p."""
+        F_{p^k}): xs, then every stage's outputs, reduced mod p.  Over
+        F_p xs may also be an (n, rows) numpy array, one column per
+        point: the array is then (values, rows), each stage one gather,
+        product and np.add.reduceat on axis 0 for every point at once."""
         p, fold = self.p, self.fold
         if fold is None:
-            vals = np.empty(self.stages[-1][1], self.dtype)
+            rows = xs.shape[1:] if isinstance(xs, np.ndarray) else ()
+            vals = np.empty((self.stages[-1][1],) + rows, self.dtype)
             vals[:len(xs)] = xs
             for lo, hi, c, u, v, starts, mid in self.stages:
+                if rows:
+                    c = c[:, None]
                 terms = (c * vals[u] % p if mid else c * vals[u]) * vals[v]
                 vals[lo:hi] = np.add.reduceat(terms, starts) % p
             return vals
@@ -324,14 +330,21 @@ def _partial(coeffs, m, l, scale=1):
 def omega_pair(f, g):
     """Unnormalized Omega^2 contraction of f against a quadratic g.
 
-    Maps an order-r covariant to order r-2; equals 2*r*(r-1)*(f, g)_2.
-    The quartic construction applies this operator nest four times.
+    Maps an order-r covariant to order r-2; equals 2*r*(r-1)*(f, g)_2,
+    transvect's sum before its division (_transvectant_sum), over Q on
+    integer numerators with one Fraction per coefficient.  The quartic
+    construction applies this operator nest four times.
     """
     r1, r2 = f.degree, g.degree
     if r2 != 2 or r1 < 2:
         raise OrderTooHigh("omega_pair expects a quadratic second argument")
-    t = transvect(f, g, 2)
-    return t.scale(f.field(_falling(r1, 2) * _falling(r2, 2)))
+    field = f.field
+    _check_characteristic(field.characteristic)
+    if isinstance(field, Rationals):
+        (a, df), (b, dg) = _integral(f.coeffs), _integral(g.coeffs)
+        return BinaryForm(field, r1 - 2, [
+            Fraction(c, df * dg) for c in _transvectant_sum(a, b, 2)])
+    return BinaryForm(field, r1 - 2, _transvectant_sum(f.coeffs, g.coeffs, 2))
 
 
 def gl2_act(mat, f):

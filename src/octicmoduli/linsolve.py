@@ -2,11 +2,12 @@
 
 Systems here have a few hundred unknowns with rational solutions of modest
 height, so the effective strategy is: reduce the system modulo a batch of
-30-bit primes, row-reduce each image with vectorized numpy arithmetic,
-combine by CRT, lift entries by rational reconstruction, and finally let
-the caller verify the candidate exactly.  Bad primes (rank drop or pivot
-disagreement) are discarded: the image of higher rank is trusted, and a
-system is refused as inconsistent only once two images agree on it.
+30-bit primes, solve each image by forward elimination and
+back-substitution on one numpy array (rref_mod), combine by CRT, lift
+entries by rational reconstruction, and finally let the caller verify the
+candidate exactly.  Bad primes (rank drop or pivot disagreement) are
+discarded: the image of higher rank is trusted, and a system is refused
+as inconsistent only once two images agree on it.
 """
 
 from fractions import Fraction
@@ -36,42 +37,47 @@ _MIN_PRIMES = 4
 
 
 def rref_mod(A, B, p):
-    """Reduced row echelon form of [A | B] over F_p (in place on copies).
+    """Solve A X = B over F_p by forward elimination on one int64 array
+    [A | B] (a copy), then back-substitution on the pivot rows.
 
     Returns (pivot column list, solution matrix with free variables set to
-    zero, consistent flag).  A is (m, n), B is (m, k).
+    zero, consistent flag).  A is (m, n), B is (m, k).  Each pivot is the
+    first nonzero entry of its column at or below the current row, so the
+    pivots are the column rank profile of A.  The pivot row is scaled to 1
+    from its column on, and only the block below and right of the pivot
+    is eliminated.  The pivot rows are then unit upper triangular on the
+    pivot columns; back-substituting their B part gives the solution of
+    the reduced row echelon form, in about n^3/3 + r^2 k products for
+    rank r rather than m n (n + k).  Products of two residues fit in
+    int64 for p < 2^31.
     """
     A = np.array(A, dtype=np.int64) % p
-    B = np.array(B, dtype=np.int64) % p
+    M = np.concatenate([A, np.array(B, dtype=np.int64) % p], axis=1)
     m, n = A.shape
-    k = B.shape[1]
     pivots = []
     r = 0
     for c in range(n):
-        if r >= m:
+        if r == m:
             break
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
+        nz = np.flatnonzero(M[r:, c])
+        if not nz.size:
             continue
         i = r + int(nz[0])
         if i != r:
-            A[[r, i]] = A[[i, r]]
-            B[[r, i]] = B[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
-        B[r] = B[r] * inv % p
-        col = A[:, c].copy()
-        col[r] = 0
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            A[rows] = (A[rows] - col[rows, None] * A[r][None, :]) % p
-            B[rows] = (B[rows] - col[rows, None] * B[r][None, :]) % p
+            M[[r, i]] = M[[i, r]]
+        M[r, c:] = M[r, c:] * pow(int(M[r, c]), -1, p) % p
+        below = M[r + 1:, c:]
+        below -= below[:, :1] * M[r, c:]
+        below %= p
         pivots.append(c)
         r += 1
-    consistent = not B[r:].any() if r < m else True
-    sol = np.zeros((n, k), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        sol[c] = B[i]
+    consistent = not M[r:, n:].any()
+    X = M[:r, n:]
+    for i in range(r - 1, 0, -1):
+        X[:i] -= M[:i, pivots[i], None] * X[i]
+        X[:i] %= p
+    sol = np.zeros((n, X.shape[1]), dtype=np.int64)
+    sol[pivots] = X
     return pivots, sol, consistent
 
 

@@ -257,6 +257,42 @@ def test_substitution_program_matches_the_product_per_monomial(p):
         assert got[-9:].tolist() == [c.value for c in want.coeffs]
 
 
+@pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)
+def test_substitution_program_on_rows_equals_its_one_point_runs(p):
+    """The substitution program on a (24, 8) array of seeded residues,
+    one column per point, one with a zero chi and one all zero: column j
+    of its array is its run on column j alone."""
+    program = reconstruct._substitution_program(p)
+    rng = random.Random(zlib.crc32(b"substitution rows %d" % p))
+    xs = np.array([[rng.randrange(p) for _ in range(8)] for _ in range(24)],
+                  dtype=np.int64)
+    xs[3:6, 0] = 0
+    xs[:, 1] = 0
+    got = program.run(xs)
+    assert got.shape == (program.stages[-1][1], 8)
+    for j in range(8):
+        assert got[:, j].tolist() == program.run(xs[:, j].tolist()).tolist()
+
+
+@pytest.mark.parametrize("p", (11, 13, PRIMES30[0]))
+def test_shioda_program_on_rows_equals_shioda_per_form(p):
+    """shioda's program on the (9, n) array of seeded octics' residues,
+    one column per octic, some with vanishing leading coefficients and
+    the zero octic among them: J2..J10 of column j are shioda of octic j
+    on residues."""
+    F = PrimeField(p)
+    program, jindex = covariants._shioda_program(F)
+    rng = random.Random(zlib.crc32(b"shioda rows %d" % p))
+    octics = [BinaryForm(F, 8, [0] * zeros + [rng.randrange(p) for _ in
+                                              range(9 - zeros)])
+              for zeros in (0, 0, 0, 3, 5, 8, 9)]
+    xs = np.array([[c.value for c in f.coeffs] for f in octics],
+                  dtype=np.int64).T
+    got = program.run(xs)[jindex]
+    for j, f in enumerate(octics):
+        assert got[:, j].tolist() == shioda(f, residues=True)
+
+
 def _substitute_per_monomial(field, quartic_values, chis):
     """The quartic substitution as one form product per monomial: the
     oracle for substitute_quartic's shared products."""

@@ -1,14 +1,16 @@
 import hashlib
+import os
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from octicmoduli import covariants, store
 from octicmoduli.covariants import (
-    INVARIANT_IDS, catalogue_degree_order, covariant_eval, derive_syzygies,
-    express_in_J, j8_candidates, j8_quintic, random_octic, shioda,
-    solve_j9_j10,
+    INVARIANT_IDS, _samples, catalogue_degree_order, covariant_eval,
+    derive_syzygies, express_in_J, j8_candidates, j8_quintic, random_octic,
+    shioda, solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField, QQ
 from octicmoduli.errors import InconsistentSystem
@@ -94,6 +96,33 @@ def test_syzygies_on_random_octics():
         fm = f.to_field(F11)
         jm = shioda(fm)
         assert not any(syz.relations_residuals(F11, jm))
+
+
+@pytest.mark.parametrize("p", [11, PRIMES30[0]])
+def test_sample_jmatrix_equals_shioda_per_form(p):
+    """The interpolation samples' J-values mod p, one program run on all
+    of them, equal shioda on residues of each sample reduced mod p."""
+    octics, jmatrix = _samples(20, 0x5E55)
+    F = PrimeField(p)
+    got = jmatrix(p)
+    assert got.dtype == np.int64 and got.shape == (20, 9)
+    assert got.tolist() == [shioda(f.to_field(F), residues=True)
+                            for f in octics]
+
+
+@pytest.mark.parametrize("seed", [1, 0xC0FFEE])
+def test_forced_syzygy_derivation_writes_the_packaged_blocks(
+        seed, monkeypatch, tmp_path):
+    """derive_syzygies(force=True) at seeds other than the default
+    interpolates the same five relation blocks: the artifact it writes is
+    byte for byte the packaged one."""
+    monkeypatch.setattr(store, "_override_dir", str(tmp_path))
+    monkeypatch.setattr(covariants, "_syzygies_cached", None)
+    derive_syzygies(force=True, seed=seed)
+    name = store.artifact_filename(covariants._SYZYGY_ID)
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+    with open(os.path.join(store.data_dir(), name), "rb") as fh:
+        assert (tmp_path / name).read_bytes() == fh.read()
 
 
 def test_quintic_shape():
