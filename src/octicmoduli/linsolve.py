@@ -51,9 +51,9 @@ def rref_mod(A, B, p):
     rank r rather than m n (n + k).  Products of two residues fit in
     int64 for p < 2^31.
     """
-    A = np.array(A, dtype=np.int64) % p
-    M = np.concatenate([A, np.array(B, dtype=np.int64) % p], axis=1)
-    m, n = A.shape
+    m, n = np.shape(A)
+    M = np.concatenate([A, B], axis=1, dtype=np.int64)
+    M %= p
     pivots = []
     r = 0
     for c in range(n):
