@@ -52,7 +52,7 @@ def rref_mod(A, B, p):
     int64 for p < 2^31.
     """
     m, n = np.shape(A)
-    M = np.concatenate([A, B], axis=1, dtype=np.int64)
+    M = np.asarray(np.concatenate([A, B], axis=1), dtype=np.int64)
     M %= p
     pivots = []
     r = 0

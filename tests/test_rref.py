@@ -96,7 +96,8 @@ def test_rref_mod_equals_gauss_jordan(system):
 def test_rref_mod_on_edge_shapes():
     """No rows, no unknowns, no right-hand sides, the zero matrix, a zero
     column between pivots and an inconsistent row, at p = 11 and at the
-    first interpolation prime."""
+    first interpolation prime, given as int64 arrays, as arrays of Python
+    ints (dtype object) and as lists."""
     for p in (11, PRIMES30[0]):
         cases = [
             (np.zeros((0, 3)), np.zeros((0, 2))),
@@ -110,8 +111,14 @@ def test_rref_mod_on_edge_shapes():
             ([[1, 1, 1], [1, 1, 1]], [[-1], [p - 1]]),
         ]
         for A, B in cases:
-            A, B = np.array(A, np.int64), np.array(B, np.int64)
-            _assert_same(rref_mod(A, B, p), reference_rref(A, B, p))
+            want = reference_rref(np.array(A, np.int64),
+                                  np.array(B, np.int64), p)
+            for kind in (np.int64, object):
+                _assert_same(rref_mod(np.array(A, kind), np.array(B, kind),
+                                      p), want)
+            if len(A) and len(A[0]):
+                _assert_same(rref_mod([list(row) for row in A],
+                                      [list(row) for row in B], p), want)
 
 
 def test_rref_mod_pins_a_small_system():
