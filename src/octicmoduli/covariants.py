@@ -150,45 +150,29 @@ def covariant_eval(identifier, f, cache=None):
 # Shioda invariants
 
 
-def shioda(f, residues=False):
+def shioda(f):
     """The nine generator invariants (J2, ..., J10) of an octic.
 
     Built from the classical chain of auxiliary covariants; the
     coefficient expansions of J2, J3, J4 are pinned by the calibration
-    test, which fixes every normalization here.  Over F_p and F_{p^k}
-    the chain runs as one ResidueProgram (_shioda_program), and the nine
-    results are field elements, or over F_p with residues=True ints mod
-    p; over Q and Q(sqrt(D)) it runs on forms (transvect), over Q on
-    integer numerators with one Fraction per output coefficient.
+    test, which fixes every normalization here.  The chain runs as one
+    ResidueProgram (_shioda_program) over every field, and the nine
+    results are field elements.
     """
     if f.degree != 8:
         raise WrongDegree("Shioda invariants take octics")
-    field = f.field
-    if isinstance(field, PrimeField) and residues:
-        program, jindex = _shioda_program(field)
-        return program.run([c.value for c in f.coeffs])[jindex].tolist()
-    if isinstance(field, (PrimeField, ExtField)):
-        program, jindex = _shioda_program(field)
-        return tuple(program.elements(f.coeffs, jindex))
-    return tuple(t.coeffs[0] for t in _shioda_chain(f, transvect))
+    program, jindex = _shioda_program(f.field)
+    return tuple(program.elements(f.field, f.coeffs, jindex))
 
 
-@functools.cache
+@forms.program_cache
 def _shioda_program(field):
-    """_shioda_chain over a finite field as one ResidueProgram on the
-    octic's nine coefficients, and the indices of J2..J10 in its array
-    (_shioda_stages)."""
-    stages, jindex = _shioda_stages(field.characteristic)
-    return forms.ResidueProgram(field, 9, stages), jindex
-
-
-@functools.cache
-def _shioda_stages(p):
-    """The stages of _shioda_chain in characteristic p, as ResidueProgram
-    takes them, and the indices of J2..J10.  The chain, run once on node
-    numbers (the octic is node 0), records its 16 transvectants; each is
-    staged at its depth in the chain (stages of 3, 5, 6 and 2), its terms
-    the nonzero entries of its tensor."""
+    """_shioda_chain as one ResidueProgram on the octic's nine
+    coefficients, and the indices of J2..J10 in its array.  The chain,
+    run once on node numbers (the octic is node 0), records its 16
+    transvectants; each is staged at its depth in the chain (stages of 3,
+    5, 6 and 2), its terms those of forms._transvectant_terms."""
+    forms._check_characteristic(field.characteristic)
     calls, degree, depth, offset = [None], [8], [0], {0: 0}
 
     def record(a, b, h):
@@ -202,11 +186,11 @@ def _shioda_stages(p):
     for node in sorted(range(1, len(calls)), key=depth.__getitem__):
         (a, b, h), d = calls[node], depth[node] - 1
         offset[node] = 9 + sum(map(len, stages[:d + 1]))
-        t = forms._transvectant_tensor(degree[a], degree[b], h, p)
-        stages[d] += [[(t[n, u, v], offset[a] + u, offset[b] + v)
-                       for u, v in zip(*np.nonzero(t[n]))]
-                      for n in range(t.shape[0])]
-    return stages, [offset[j] for j in js]
+        shift = offset[b] - degree[a] - 1
+        stages[d] += [[(c, offset[a] + u, shift + v) for c, u, v in terms]
+                      for terms in forms._transvectant_terms(
+                          degree[a], degree[b], h)]
+    return forms.ResidueProgram(field, 9, stages), [offset[j] for j in js]
 
 
 def _shioda_chain(f, tv):
@@ -237,13 +221,13 @@ def discriminant_poly():
 
 def has_invariants(f, jtuple):
     """Whether the invariants of f are the point jtuple (a WeightedPoint
-    over f's field, or coordinates coercing into it).  shioda runs its
-    residue program over F_p and F_{p^k}; over F_p the comparison is on
-    residues too (residues_equal), elsewhere on field elements
-    (wps_equal)."""
+    over f's field, or coordinates coercing into it).  Over F_p shioda's
+    program runs on residues and the comparison is on residues too
+    (residues_equal), elsewhere on field elements (wps_equal)."""
     point = as_point(f.field, SHIODA_WEIGHTS, jtuple)
     if isinstance(f.field, PrimeField):
-        jv = shioda(f, residues=True)
+        program, jindex = _shioda_program(f.field)
+        jv = program.run([c.value for c in f.coeffs])[jindex].tolist()
         return any(jv) and residues_equal(f.field.p, SHIODA_WEIGHTS, jv,
                                           [c.value for c in point.coords])
     jv = shioda(f)

@@ -88,6 +88,7 @@ class Rationals:
     """The field Q; elements are fractions.Fraction values."""
 
     characteristic = 0
+    k = 1
 
     def __call__(self, value):
         if isinstance(value, Fraction):
@@ -773,11 +774,15 @@ class QuadExtQ:
     """
 
     characteristic = 0
+    k = 2
 
     def __init__(self, d):
         self.d = Fraction(d)
         if QQ.sqrt(self.d) is not None:
             raise ValueError("d is a perfect square; use Q instead")
+        # a + b sqrt(d) is a + (b/q) s, s^2 = nq for d = n/q: the row
+        # t^2 of ExtField.fold (forms.ResidueProgram)
+        self.fold = ((self.d.numerator * self.d.denominator, 0),)
 
     def __call__(self, value):
         if isinstance(value, QuadElement) and value.field == self:

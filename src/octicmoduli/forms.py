@@ -5,6 +5,10 @@ A form of degree n is sum(a_i * X^i * Z^(n-i)), stored as the coefficient
 tuple (a_0, ..., a_n).  The degree is a fixed attribute: a degree-7
 polynomial embedded in degree 8 is a different value (it has picked up a
 root at infinity).
+
+Transvectants, products of forms and the GL2 action run as one
+ResidueProgram each, over every field: residues over F_p and F_{p^k},
+integer numerators over Q and Q(sqrt D).
 """
 
 import functools
@@ -19,8 +23,8 @@ from .errors import (
     Unresolved, WrongDegree, ZeroForm,
 )
 from .fields import (
-    ExtField, FpElement, PrimeField, Rationals, fraction_residue,
-    residue_dtype,
+    QQ, ExtField, FpElement, PrimeField, QuadElement, QuadExtQ, Rationals,
+    fraction_residue, residue_dtype,
 )
 from .jpoly import halving_chain
 
@@ -77,13 +81,7 @@ class BinaryForm:
     def __mul__(self, other):
         if not isinstance(other, BinaryForm):
             return self.scale(other)
-        n = self.degree + other.degree
-        if isinstance(self.field, Rationals):
-            (a, da), (b, db) = _integral(self.coeffs), _integral(other.coeffs)
-            return BinaryForm(self.field, n, [
-                Fraction(c, da * db) for c in _convolve([0] * (n + 1), a, b)])
-        return BinaryForm(self.field, n, _convolve(
-            [0] * (n + 1), self.coeffs, other.coeffs))
+        return transvect(self, other, 0)
 
     __rmul__ = scale
 
@@ -160,50 +158,28 @@ def transvect(f, g, h):
     Computed through the closed coefficient formula
       (f,g)_h = 1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
     with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one,
-    one loop on the coefficients (_transvectant_sum): the path of
-    covariant_eval, and of shioda over Q and Q(sqrt(D)).  Over Q the loop
-    runs on integers, each form's numerators over its common denominator
-    (_integral), and each output coefficient is one Fraction; over every
-    other field it runs on field elements.  shioda over F_p and F_{p^k}
-    runs the same formula in a residue program (_transvectant_tensor),
-    and the tests compare the two.
+    as one stage of a ResidueProgram on the coefficients of f and g
+    (_transvect_program), over every field.  The product f g is (f, g)_0.
+    Forms over different fields are refused with TypeError.
     """
     r1, r2 = f.degree, g.degree
     if h < 0 or h > min(r1, r2):
         raise OrderTooHigh("transvectant order %d exceeds degrees (%d, %d)"
                            % (h, r1, r2))
-    field = f.field
+    field = _same_field(f, g)
     _check_characteristic(field.characteristic)
-    div = _falling(r1, h) * _falling(r2, h)
-    if isinstance(field, Rationals):
-        (a, df), (b, dg) = _integral(f.coeffs), _integral(g.coeffs)
-        den = df * dg * div
-        return BinaryForm(field, r1 + r2 - 2 * h, [
-            Fraction(c, den) for c in _transvectant_sum(a, b, h)])
-    norm = field(Fraction(1, div))
-    return BinaryForm(field, r1 + r2 - 2 * h, [
-        c * norm for c in _transvectant_sum(f.coeffs, g.coeffs, h)])
+    return BinaryForm(field, r1 + r2 - 2 * h, _transvect_program(
+        field, r1, r2, h).elements(field, f.coeffs + g.coeffs,
+                                   slice(r1 + r2 + 2, None)))
 
 
-def _transvectant_sum(a, b, h):
-    """sum_k (-1)^k C(h,k) F_k G_k on the coefficients a and b (ints or
-    field elements) of forms of degrees r1 and r2: r1 + r2 - 2h + 1
-    values, not yet divided by ff(r1,h) ff(r2,h)."""
-    out = [0] * (len(a) + len(b) - 2 * h - 1)
-    for k in range(h + 1):
-        signed = -comb(h, k) if k % 2 else comb(h, k)
-        _convolve(out, _partial(a, h - k, k, signed), _partial(b, k, h - k))
-    return out
-
-
-def _convolve(out, xs, ys):
-    """out with out[i + j] += x y for every nonzero x of xs and y of ys:
-    the coefficient loop of products and transvectants."""
-    for i, x in enumerate(xs):
-        if x:
-            for j, y in enumerate(ys):
-                out[i + j] += x * y
-    return out
+def _same_field(a, b):
+    """The field of a and b (forms or matrices); TypeError naming both
+    fields when they differ."""
+    if a.field != b.field:
+        raise TypeError("operands over different fields: %r and %r"
+                        % (a.field, b.field))
+    return a.field
 
 
 def _integral(coeffs):
@@ -219,67 +195,113 @@ def _check_characteristic(char):
             "covariant formulas need characteristic 0 or >= 11")
 
 
-def _transvectant_tensor(r1, r2, h, p):
-    """T with (f, g)_h = sum over (u, v) of T[n, u, v] a_u b_v over F_p,
-    as residues (Python ints): the closed formula of transvect, one term
-    at a time."""
-    _check_characteristic(p)
-    t = np.zeros((r1 + r2 - 2 * h + 1, r1 + 1, r2 + 1), dtype=object)
+@functools.cache
+def _transvectant_terms(r1, r2, h):
+    """Per coefficient n of (f, g)_h for forms of degrees r1 and r2, its
+    terms (c, u, v), c a nonzero Fraction and (u, v) in increasing order,
+    on the inputs f_0, ..., f_r1, g_0, ..., g_r2 (f_u at u, g_v at
+    r1 + 1 + v): the closed formula of transvect."""
+    t = np.zeros((r1 + 1, r2 + 1), dtype=object)    # a_u b_v: n = u + v - h
     for k in range(h + 1):
         signed = -comb(h, k) if k % 2 else comb(h, k)
         for i, x in enumerate(_partial_weights(r1, h - k, k)):
             for j, y in enumerate(_partial_weights(r2, k, h - k)):
-                t[i + j, i + h - k, j + k] += signed * x * y
-    norm = fraction_residue(Fraction(1, _falling(r1, h) * _falling(r2, h)), p)
-    return t * norm % p
+                t[i + h - k, j + k] += signed * x * y
+    div = _falling(r1, h) * _falling(r2, h)
+    out = [[] for _ in range(r1 + r2 - 2 * h + 1)]
+    for u, v in zip(*np.nonzero(t)):
+        out[u + v - h].append((Fraction(t[u, v], div), u, r1 + 1 + v))
+    return out
+
+
+def program_cache(build):
+    """functools.cache of build(field, *args) for a ResidueProgram,
+    keyed by the field over F_p and F_{p^k} and by Q over characteristic
+    0: a program over Q serves Q and every Q(sqrt D), and reconstruction
+    over Q makes a new Q(sqrt D) each time."""
+    cached = functools.cache(build)
+
+    def program(field, *args):
+        return cached(field if field.characteristic else QQ, *args)
+
+    program.cache_info = cached.cache_info
+    return functools.update_wrapper(program, build)
+
+
+@program_cache
+def _transvect_program(field, r1, r2, h):
+    """(f, g)_h as one stage (_transvectant_terms)."""
+    return ResidueProgram(field, r1 + r2 + 2, [_transvectant_terms(r1, r2, h)])
 
 
 class ResidueProgram:
-    """Stages of sums of products over a finite field F_q on one array of
-    residues: the inputs, then each stage's outputs.  stages holds, per
-    stage and output, its terms (c, u, v): c x_u x_v, c a residue mod p,
-    u and v indices of inputs or earlier outputs.
+    """Stages of sums of products on one array of values: the inputs,
+    then each stage's outputs.  stages holds, per stage and output, its
+    terms (c, u, v): c x_u x_v, c an int or a Fraction, u and v indices
+    of inputs or earlier outputs.
 
-    Over F_p a value is one residue, and a stage is one gather, one
-    product and one np.add.reduceat.  Over F_{p^k} a value is its k
-    coefficient residues (ExtElement.coeffs): a term's product is the
-    k x k outer product of the two coefficient vectors, and the stage's
-    sums, reduced mod p, are folded once by the modulus through one
-    (k^2, k) table of t^(i + j) (field.fold).  The arrays are int64 while
-    the longest sum of products of two residues fits (a stage's, or the
-    fold's k^2), Python ints above (fields.residue_dtype); c x_u is
-    reduced where c x_u x_v summed could pass 2^63."""
+    Over F_p a value is one residue, c is reduced mod p (terms with c = 0
+    mod p are dropped), and a stage is one gather, one product and one
+    np.add.reduceat.  Over F_{p^k} a value is its k coefficient residues
+    (ExtElement.coeffs): a term's product is the k x k outer product of
+    the two coefficient vectors, and the stage's sums, reduced mod p, are
+    folded once by the modulus through one (k^2, k) table of t^(i + j)
+    (field.fold).  The arrays are int64 while the longest sum of
+    products of two residues fits (a stage's, or the fold's k^2), Python
+    ints above (fields.residue_dtype); c x_u is reduced where c x_u x_v
+    summed could pass 2^63.
+
+    A program built for Q serves Q and every Q(sqrt D) (elements).  Its
+    values are integer numerators in object arrays, never reduced: the
+    inputs are numerators over one common denominator L, and an output
+    is its numerator over den L^deg, with deg its degree in the inputs
+    and den the lcm of its terms' denominators, both fixed here;
+    ValueError when the terms of one output differ in degree.  Over
+    Q(sqrt D), D = n/q in lowest terms, a + b sqrt(D) is the pair
+    (a, b/q) in Z[s], s^2 = nq: k = 2 with the fold t^2 = nq
+    (QuadExtQ.fold), taken from the field at run time."""
 
     def __init__(self, field, n_inputs, stages):
-        stages = [[terms or [(0, 0, 0)] for terms in stage]
-                  for stage in stages]
-        most = [max(map(len, stage)) for stage in stages]
         p, k = field.characteristic, field.k
-        self.field, self.p, self.stages = field, p, []
-        self.dtype = residue_dtype(p, max(most + [k * k]))
-        self.fold = None
-        if isinstance(field, ExtField):
-            # row i k + j: t^(i + j), reduced by the modulus from k on
-            rows = [[int(i == n) for i in range(k)] for n in range(k)]
-            rows += [list(row) for row in field.fold]
-            self.fold = np.array([rows[i + j] for i in range(k)
-                                  for j in range(k)], self.dtype)
-        for stage, n in zip(stages, most):
+        self.p, self.stages = p, []
+        scale = [(1, 1)] * n_inputs       # (den, deg) per value over Q
+        staged = []
+        for stage in stages:
+            staged.append([])
+            for terms in stage:
+                if p:
+                    terms = [(fraction_residue(Fraction(c), p), u, v)
+                             for c, u, v in terms]
+                    terms = [term for term in terms if term[0]]
+                else:
+                    terms, at = _integral_terms(terms, scale)
+                    scale.append(at)
+                staged[-1].append(terms or [(0, 0, 0)])
+        most = [max(map(len, stage)) for stage in staged]
+        self.dtype = residue_dtype(p, max(most + [k * k])) if p else object
+        self.fold = _fold_table(field, self.dtype) if p and k > 1 else None
+        self.den = np.array([at[0] if at else 1 for at in scale], object)
+        self.deg = np.array([at[1] if at else 0 for at in scale])
+        for stage, n in zip(staged, most):
             c, u, v = zip(*(term for terms in stage for term in terms))
             self.stages.append((
                 n_inputs, n_inputs + len(stage), np.array(c, self.dtype),
                 np.array(u), np.array(v), np.cumsum([0] + [
                     len(terms) for terms in stage[:-1]]),
-                n * (p - 1) ** 3 >= 1 << 63))
+                p > 0 and n * (p - 1) ** 3 >= 1 << 63))
             n_inputs += len(stage)
 
-    def run(self, xs):
-        """The array for the input residues xs (an (n, k) array over
-        F_{p^k}): xs, then every stage's outputs, reduced mod p.  Over
-        F_p xs may also be an (n, rows) numpy array, one column per
-        point: the array is then (values, rows), each stage one gather,
-        product and np.add.reduceat on axis 0 for every point at once."""
-        p, fold = self.p, self.fold
+    def run(self, xs, fold=None):
+        """The array for the input values xs (an (n, k) array over
+        F_{p^k}): xs, then every stage's outputs, reduced mod p over a
+        finite field.  Over F_p xs may also be an (n, rows) numpy array,
+        one column per point: the array is then (values, rows), each stage
+        one gather, product and np.add.reduceat on axis 0 for every point
+        at once.  fold is the (k^2, k) table of pairs over Q(sqrt D) (the
+        program's own over F_{p^k})."""
+        p = self.p
+        if fold is None:
+            fold = self.fold
         if fold is None:
             rows = xs.shape[1:] if isinstance(xs, np.ndarray) else ()
             vals = np.empty((self.stages[-1][1],) + rows, self.dtype)
@@ -288,7 +310,8 @@ class ResidueProgram:
                 if rows:
                     c = c[:, None]
                 terms = (c * vals[u] % p if mid else c * vals[u]) * vals[v]
-                vals[lo:hi] = np.add.reduceat(terms, starts) % p
+                sums = np.add.reduceat(terms, starts)
+                vals[lo:hi] = sums % p if p else sums
             return vals
         k = fold.shape[1]
         vals = np.empty((self.stages[-1][1], k), self.dtype)
@@ -298,18 +321,61 @@ class ResidueProgram:
             if mid:
                 left %= p
             terms = (left[:, :, None] * vals[v][:, None, :]).reshape(-1, k * k)
-            vals[lo:hi] = np.add.reduceat(terms, starts) % p @ fold % p
+            sums = np.add.reduceat(terms, starts)
+            vals[lo:hi] = sums % p @ fold % p if p else sums @ fold
         return vals
 
-    def elements(self, xs, index):
-        """The field elements at index (of run's array) for the input
-        elements xs, which are elements of the program's field."""
-        field = self.field
-        if self.fold is None:
-            return [FpElement(field, v) for v in
-                    self.run([x.value for x in xs])[index].tolist()]
-        return [field(row) for row in
-                self.run([x.coeffs for x in xs])[index].tolist()]
+    def elements(self, field, xs, index):
+        """The elements at index (of run's array) for the input elements
+        xs of field: the program's field, or for a program built for Q,
+        Q, any Q(sqrt D) or another ring over Q, whose elements it runs
+        on as they are (the polynomials of the calibration test)."""
+        if self.p:
+            if self.fold is None:
+                return [FpElement(field, v) for v in
+                        self.run([x.value for x in xs])[index].tolist()]
+            return [field(row) for row in
+                    self.run([x.coeffs for x in xs])[index].tolist()]
+        den, deg = self.den[index].tolist(), self.deg[index].tolist()
+        if isinstance(field, Rationals):
+            nums, L = _integral(xs)
+            vals = self.run(np.array(nums, object))[index].tolist()
+            return [Fraction(x, d * L ** e) for x, d, e in zip(vals, den, deg)]
+        if not isinstance(field, QuadExtQ):
+            vals = self.run(np.array(xs, object))[index].tolist()
+            return [x * Fraction(1, d) for x, d in zip(vals, den)]
+        q, n = field.d.denominator, len(xs)
+        nums, L = _integral([x.a for x in xs] + [x.b / q for x in xs])
+        vals = self.run(np.array([nums[:n], nums[n:]], object).T,
+                        _fold_table(field, object))[index].tolist()
+        return [QuadElement(field, Fraction(a, d * L ** e),
+                            Fraction(b * q, d * L ** e))
+                for (a, b), d, e in zip(vals, den, deg)]
+
+
+def _integral_terms(terms, scale):
+    """One output's terms with integer c over Q, and its (den, deg), from
+    the (den, deg) of the values before it; None for a value that is zero
+    by construction (no terms), whose products are dropped."""
+    terms = [(Fraction(c), u, v) for c, u, v in terms
+             if c and scale[u] and scale[v]]
+    degs = {scale[u][1] + scale[v][1] for _, u, v in terms}
+    if len(degs) > 1:
+        raise ValueError("the terms of one output differ in degree")
+    dens = [c.denominator * scale[u][0] * scale[v][0] for c, u, v in terms]
+    den = lcm(*dens)
+    return ([(c.numerator * (den // d), u, v)
+             for (c, u, v), d in zip(terms, dens)],
+            (den, degs.pop()) if terms else None)
+
+
+def _fold_table(field, dtype):
+    """The (k^2, k) table whose row i k + j is t^(i + j), reduced by the
+    field's fold rows from k on."""
+    k = field.k
+    rows = [[int(i == n) for i in range(k)] for n in range(k)]
+    rows += [list(row) for row in field.fold]
+    return np.array([rows[i + j] for i in range(k) for j in range(k)], dtype)
 
 
 @functools.cache
@@ -320,84 +386,39 @@ def _partial_weights(n, m, l):
                  for i in range(n - m - l + 1))
 
 
-def _partial(coeffs, m, l, scale=1):
-    """Coefficients of scale times d^m/dX^m d^l/dZ^l of the form with
-    coefficients coeffs (a_0, ..., a_n)."""
-    return [a * (w * scale) for a, w in
+def _partial(coeffs, m, l):
+    """Coefficients of d^m/dX^m d^l/dZ^l of the form with coefficients
+    coeffs (a_0, ..., a_n)."""
+    return [a * w for a, w in
             zip(coeffs[m:], _partial_weights(len(coeffs) - 1, m, l))]
-
-
-def omega_pair(f, g):
-    """Unnormalized Omega^2 contraction of f against a quadratic g.
-
-    Maps an order-r covariant to order r-2; equals 2*r*(r-1)*(f, g)_2,
-    transvect's sum before its division (_transvectant_sum), over Q on
-    integer numerators with one Fraction per coefficient.  The quartic
-    construction applies this operator nest four times.
-    """
-    r1, r2 = f.degree, g.degree
-    if r2 != 2 or r1 < 2:
-        raise OrderTooHigh("omega_pair expects a quadratic second argument")
-    field = f.field
-    _check_characteristic(field.characteristic)
-    if isinstance(field, Rationals):
-        (a, df), (b, dg) = _integral(f.coeffs), _integral(g.coeffs)
-        return BinaryForm(field, r1 - 2, [
-            Fraction(c, df * dg) for c in _transvectant_sum(a, b, 2)])
-    return BinaryForm(field, r1 - 2, _transvectant_sum(f.coeffs, g.coeffs, 2))
 
 
 def gl2_act(mat, f):
     """Substitution action: (M.f)(X, Z) = f(aX + bZ, cX + dZ).
 
     Composition is contravariant: gl2_act(M, gl2_act(N, f)) equals
-    gl2_act(N * M, f).  Over F_p and F_{p^k} this is one ResidueProgram
-    (_gl2_program); over Q and Q(sqrt(D)) the powers of the two linear
-    forms are multiplied out on field elements (_gl2_act_elements, which
-    runs over every field).  A singular matrix is refused.
+    gl2_act(N * M, f).  One ResidueProgram (_gl2_program) over every
+    field.  A singular matrix is refused, and a matrix over another
+    field than f's with TypeError.
     """
+    field, n = _same_field(mat, f), f.degree
     if not mat.det():
         raise SingularMatrix("matrix is singular")
-    field, n = f.field, f.degree
-    if not isinstance(field, (PrimeField, ExtField)):
-        return _gl2_act_elements(mat, f)
-    inputs = list(f.coeffs) + [field.one] + [
-        field(x) for x in (mat.a, mat.b, mat.c, mat.d)]
+    inputs = list(f.coeffs) + [field.one, mat.a, mat.b, mat.c, mat.d]
     return BinaryForm(field, n, _gl2_program(field, n).elements(
-        inputs, slice(-n - 1, None)))
+        field, inputs, slice(-n - 1, None)))
 
 
-def _gl2_act_elements(mat, f):
-    """gl2_act on field elements."""
-    field = f.field
-    n = f.degree
-    # powers of the two substituted linear forms
-    lin1 = BinaryForm(field, 1, [mat.b, mat.a])   # aX + bZ
-    lin2 = BinaryForm(field, 1, [mat.d, mat.c])   # cX + dZ
-    pow1 = [BinaryForm(field, 0, [field.one])]
-    pow2 = [BinaryForm(field, 0, [field.one])]
-    for _ in range(n):
-        pow1.append(pow1[-1] * lin1)
-        pow2.append(pow2[-1] * lin2)
-    out = BinaryForm(field, n, [field.zero] * (n + 1))
-    for i, a in enumerate(f.coeffs):
-        if a:
-            out = out + (pow1[i] * pow2[n - i]).scale(a)
-    return out
-
-
-@functools.cache
+@program_cache
 def _gl2_program(field, n):
-    """gl2_act on a degree-n form over a finite field as one
-    ResidueProgram on the inputs f_0, ..., f_n, 1, a, b, c, d.  The
-    monomials of degree n in a, b, c, d are built by halving
-    (jpoly.halving_chain), one stage per level; then output j is the sum
-    over i and s of C(i, s) C(n - i, j - s) f_i a^s b^(i - s) c^(j - s)
-    d^(n - i - j + s), the coefficient of X^j in
+    """gl2_act on a degree-n form as one ResidueProgram on the inputs
+    f_0, ..., f_n, 1, a, b, c, d.  The monomials of degree n in a, b, c,
+    d are built by halving (jpoly.halving_chain), one stage per level;
+    then output j is the sum over i and s of C(i, s) C(n - i, j - s) f_i
+    a^s b^(i - s) c^(j - s) d^(n - i - j + s), the coefficient of X^j in
     f_i (aX + bZ)^i (cX + dZ)^(n - i)."""
-    p = field.characteristic
-    terms = [(comb(i, s) * comb(n - i, j - s) % p, i, (s, i - s, j - s,
-                                                        n - i - j + s))
+    terms = [(comb(i, s) * comb(n - i, j - s), i, (s, i - s, j - s,
+                                                   n - i - j + s))
              for j in range(n + 1) for i in range(n + 1)
              for s in range(max(0, j - n + i), min(i, j) + 1)]
     levels, at = halving_chain([ev for _, _, ev in terms], 4)

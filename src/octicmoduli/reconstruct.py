@@ -11,9 +11,7 @@ returns an octic with the requested invariants.
 """
 
 import functools
-from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
-from math import factorial
+from itertools import combinations_with_replacement, permutations, product
 
 from . import store
 from .covariants import covariant_eval, express_in_J, express_many
@@ -22,7 +20,7 @@ from .errors import (
     SingularConic,
 )
 from .fields import PrimeField, QuadExtQ
-from .forms import BinaryForm, ResidueProgram, omega_pair, transvect
+from .forms import BinaryForm, ResidueProgram, program_cache, transvect
 from .jpoly import PolySet
 from .wps import SHIODA_WEIGHTS, as_point
 
@@ -96,28 +94,19 @@ def quartic_coefficients_on_form(f, q1, q2, q3):
 
     h_M is 1/8! times the sum, over the orderings of the multiset M, of
     the nested Omega-contraction of f against the q's; it satisfies
-    sum_M h_M q*_M = R^4 f.
+    sum_M h_M q*_M = R^4 f.  On an order-r form that contraction is
+    2 r (r - 1) (., q)_2, and the product of 2 r (r - 1) over r = 8, 6,
+    4, 2 is 645,120 = 16 * 8!: so h_M is 16 times the sum of the nested
+    transvectants (transvect(., q, 2)), one per sequence of q's.
     """
-    field = f.field
     qs = {1: q1, 2: q2, 3: q3}
-    inv_fact = field(Fraction(1, factorial(8)))
-    nest_cache = {(): f}
-
-    def nest(seq):
-        if seq in nest_cache:
-            return nest_cache[seq]
-        prev = nest(seq[:-1])
-        val = omega_pair(prev, qs[seq[-1]])
-        nest_cache[seq] = val
-        return val
-
-    out = {}
-    for mset in QUARTIC_MULTISETS:
-        total = field.zero
-        for perm in set(permutations(mset)):
-            total = total + nest(perm).coeffs[0]
-        out[mset] = total * inv_fact
-    return out
+    nests = {(): f}
+    for n in range(1, 5):
+        for seq in product((1, 2, 3), repeat=n):
+            nests[seq] = transvect(nests[seq[:-1]], qs[seq[-1]], 2)
+    return {mset: sum((nests[perm].coeffs[0]
+                       for perm in set(permutations(mset))), f.field.zero) * 16
+            for mset in QUARTIC_MULTISETS}
 
 
 # ---------------------------------------------------------------------------
@@ -384,21 +373,20 @@ def _chis(A, point):
 
 
 def substitute_quartic(field, quartic_values, chis):
-    """Plug three (T, U)-quadratics into a ternary quartic; degree-8 form.
+    """Plug three (T, U)-quadratics into a ternary quartic; degree-8 form
+    over field, into which the coefficients and values are lifted.
 
     With P_ij = chi_i chi_j, the sum of h_ijkl chi_i chi_j chi_k chi_l
     over the multisets i <= j <= k <= l is the sum over i <= j of
     P_ij Q_ij, where Q_ij is the sum over j <= k <= l of h_ijkl P_kl:
-    the three stages of _substitution_stages, walked here on field
-    elements and run by _reconstruct_mod on residues.
+    the three stages of _substitution_stages, run as one ResidueProgram
+    over every field (_substitution_program), the program that
+    _reconstruct_mod runs on residues.
     """
-    vals = ([c for chi in chis for c in chi.coeffs]
-            + [quartic_values[mset] for mset in QUARTIC_MULTISETS])
-    for stage in _substitution_stages():
-        # c is 1 throughout, and a product with the int 1 is not free
-        vals += [sum([vals[u] * vals[v] if c == 1 else c * vals[u] * vals[v]
-                      for c, u, v in terms]) for terms in stage]
-    return BinaryForm(field, 8, vals[-9:])
+    inputs = [field(c) for chi in chis for c in chi.coeffs] + [
+        field(quartic_values[mset]) for mset in QUARTIC_MULTISETS]
+    return BinaryForm(field, 8, _substitution_program(field).elements(
+        field, inputs, slice(-9, None)))
 
 
 @functools.cache
@@ -411,22 +399,22 @@ def _substitution_stages():
     P = {pair: 24 + 5 * n for n, pair in enumerate(CONIC_PAIRS)}
     Q = {pair: 54 + 5 * n for n, pair in enumerate(CONIC_PAIRS)}
 
-    def product(a, b, n, k):    # of the k-coefficient forms at a and b
+    def times(a, b, n, k):      # of the k-coefficient forms at a and b
         return [(1, a + s, b + n - s) for s in range(k) if 0 <= n - s < k]
 
-    return ([product(3 * i - 3, 3 * j - 3, n, 3)
+    return ([times(3 * i - 3, 3 * j - 3, n, 3)
              for i, j in CONIC_PAIRS for n in range(5)],
             [[(1, h[(i, j, k, l)], P[(k, l)] + n)
               for k, l in CONIC_PAIRS if j <= k]
              for i, j in CONIC_PAIRS for n in range(5)],
             [[term for pair in CONIC_PAIRS
-              for term in product(P[pair], Q[pair], n, 5)]
+              for term in times(P[pair], Q[pair], n, 5)]
              for n in range(9)])
 
 
-@functools.cache
-def _substitution_program(p):
-    return ResidueProgram(PrimeField(p), 24, _substitution_stages())
+@program_cache
+def _substitution_program(field):
+    return ResidueProgram(field, 24, _substitution_stages())
 
 
 def _first_triple(order, r_value):
@@ -493,7 +481,7 @@ def _reconstruct_mod(field, point, order, supplied):
     A = conic_matrix(values)
     xyz = _conic_point_mod(field, A, supplied)
     chis = [c % p for chi in _chis(A, xyz) for c in chi]
-    return BinaryForm(field, 8, _substitution_program(p).run(
+    return BinaryForm(field, 8, _substitution_program(field).run(
         chis + values[6:])[-9:].tolist())
 
 
@@ -508,8 +496,9 @@ def reconstruct_generic(field, jtuple, triple_order=None,
     supplied point the result lies over Q(sqrt(D)) when the line on which
     conic_point finds its point has a non-square discriminant D.  Over a
     prime field every step runs on residues (_reconstruct_mod, at the
-    tuple's WeightedPoint); over any other field on field elements
-    (conic_point, conic_parametrize, substitute_quartic).
+    tuple's WeightedPoint); over any other field the conic steps run on
+    field elements (conic_point, conic_parametrize) and the substitution
+    as a program (substitute_quartic).
     """
     point = as_point(field, SHIODA_WEIGHTS, jtuple)
     order = triple_order if triple_order is not None else TRIPLES_19
@@ -523,10 +512,9 @@ def reconstruct_generic(field, jtuple, triple_order=None,
         A = conic_matrix(values)
         work_field, point = conic_point(field, A, supplied=conic_point_hint)
         chis = conic_parametrize(work_field, A, point)
-        # the tuple is over field: evaluated there, the values are lifted
-        quartic_values = {mset: work_field(v) for mset, v
-                          in zip(QUARTIC_MULTISETS, values[6:])}
-        octic = substitute_quartic(work_field, quartic_values, chis)
+        # the values over field, which substitute_quartic lifts
+        octic = substitute_quartic(work_field, dict(zip(
+            QUARTIC_MULTISETS, values[6:])), chis)
     if octic.is_zero():
         raise InterpolationFailure("reconstruction produced the zero form")
     return octic

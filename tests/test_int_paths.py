@@ -19,6 +19,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import normal_model
+from reference import reference_gl2_act, reference_transvect
 
 from octicmoduli import covariants, forms, reconstruct, strata
 from octicmoduli.census import class_model
@@ -239,7 +240,7 @@ def test_substitution_program_matches_the_product_per_monomial(p):
     stages = reconstruct._substitution_stages()
     assert [sum(len(terms) for terms in stage) for stage in stages] == [
         54, 75, 150]
-    program = reconstruct._substitution_program(p)
+    program = reconstruct._substitution_program(F)
     assert program.dtype == (object if p in LARGE_PRIMES else np.int64)
     seed = zlib.crc32(b"substitution program %d" % p)
     print("seed", seed)
@@ -262,7 +263,7 @@ def test_substitution_program_on_rows_equals_its_one_point_runs(p):
     """The substitution program on a (24, 8) array of seeded residues,
     one column per point, one with a zero chi and one all zero: column j
     of its array is its run on column j alone."""
-    program = reconstruct._substitution_program(p)
+    program = reconstruct._substitution_program(PrimeField(p))
     rng = random.Random(zlib.crc32(b"substitution rows %d" % p))
     xs = np.array([[rng.randrange(p) for _ in range(8)] for _ in range(24)],
                   dtype=np.int64)
@@ -290,7 +291,7 @@ def test_shioda_program_on_rows_equals_shioda_per_form(p):
                   dtype=np.int64).T
     got = program.run(xs)[jindex]
     for j, f in enumerate(octics):
-        assert got[:, j].tolist() == shioda(f, residues=True)
+        assert got[:, j].tolist() == [v.value for v in shioda(f)]
 
 
 def _substitute_per_monomial(field, quartic_values, chis):
@@ -334,20 +335,18 @@ def test_substitute_quartic_matches_the_product_per_monomial(label):
 
 
 def _transvectant_shapes():
-    """Every (r1, r2, h) with which shioda and covariant_eval call
-    transvect, recorded on one octic."""
+    """Every (r1, r2, h) of a transvectant of shioda's chain or of
+    covariant_eval, recorded on one octic."""
     seen = set()
 
     def recording(f, g, h):
         seen.add((f.degree, g.degree, h))
         return transvect(f, g, h)
 
-    # over Q: over a prime field shioda runs on residue arrays, not
-    # through transvect
     f = BinaryForm(QQ, 8, [3, 1, 4, 1, 5, 9, 2, 6, 5])
+    covariants._shioda_chain(f, recording)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(covariants, "transvect", recording)
-        shioda(f)
         cache = {}
         for name in CATALOGUE:
             covariant_eval(name, f, cache)
@@ -418,8 +417,8 @@ def test_shioda_program_matches_the_rational_chain(p):
         assert got[:9] == coeffs
         assert got[9:] == [F(c).value for stage in stages
                            for t in stage for c in t.coeffs]
-        assert [got[j] for j in jindex] == shioda(
-            BinaryForm(F, 8, coeffs), residues=True)
+        assert [got[j] for j in jindex] == [
+            v.value for v in shioda(BinaryForm(F, 8, coeffs))]
 
 
 def _finite_field(p, k):
@@ -430,8 +429,8 @@ def _finite_field(p, k):
 @pytest.mark.parametrize("p", PRIMES[:2] + (PRIMES[2], LARGE_PRIMES[0]))
 def test_shioda_and_gl2_act_programs_over_extensions(p, k):
     """shioda and gl2_act over F_p and F_{p^k}, which run residue
-    programs, equal the field-element chain (_shioda_chain with
-    transvect) and the field-element gl2_act, on seeded forms with and
+    programs, equal shioda's chain of reference transvectants and the
+    reference GL2 action on field elements, on seeded forms with and
     without vanishing coefficients and seeded matrices.  The programs are
     int64 at p = 1048573 and Python ints at 2^31 - 1, where the fold's
     k^2 or a stage's 9 products of two residues could pass 2^63."""
@@ -451,8 +450,8 @@ def test_shioda_and_gl2_act_programs_over_extensions(p, k):
     for zeros in (0, 3):
         f = BinaryForm(E, 8, [E.zero] * zeros
                        + [element(0.2) for _ in range(9 - zeros)])
-        want = tuple(t.coeffs[0]
-                     for t in covariants._shioda_chain(f, transvect))
+        want = tuple(t.coeffs[0] for t in
+                     covariants._shioda_chain(f, reference_transvect))
         assert shioda(f) == want
         assert all(v.field == E for v in shioda(f))
         for degree in (8, 3, 0):
@@ -461,14 +460,14 @@ def test_shioda_and_gl2_act_programs_over_extensions(p, k):
             if not m.det():
                 m = m + Gl2Matrix(E, 1, 0, 0, 1)
             if m.det():
-                assert gl2_act(m, g) == forms._gl2_act_elements(m, g)
+                assert gl2_act(m, g) == reference_gl2_act(m, g)
 
 
 def test_gl2_act_over_f11_4_composes_and_refuses_singular_matrices():
     """gl2_act over F_{11^4}, a residue program: contravariant
-    composition on seeded matrices, the identity, a matrix over F_11
-    acting on a form over F_{11^4}, and SingularMatrix for a matrix of
-    determinant 0."""
+    composition on seeded matrices, the identity, TypeError for a matrix
+    over F_11 acting on a form over F_{11^4}, and SingularMatrix for a
+    matrix of determinant 0."""
     E = ExtField(11, 4)
     rng = random.Random(zlib.crc32(b"gl2_act over F_11^4"))
 
@@ -481,8 +480,8 @@ def test_gl2_act_over_f11_4_composes_and_refuses_singular_matrices():
         m1 = Gl2Matrix(E, *[element() for _ in range(4)])
         m2 = Gl2Matrix(E, *[element() for _ in range(4)])
         assert gl2_act(m1, gl2_act(m2, f)) == gl2_act(m2 * m1, f)
-    m = Gl2Matrix(PrimeField(11), 2, 3, 5, 7)
-    assert gl2_act(m, f) == gl2_act(Gl2Matrix(E, 2, 3, 5, 7), f)
+    with pytest.raises(TypeError):
+        gl2_act(Gl2Matrix(PrimeField(11), 2, 3, 5, 7), f)
     t = E.gen()
     with pytest.raises(SingularMatrix):
         gl2_act(Gl2Matrix(E, t, t * 2, E(3), E(6)), f)
@@ -490,22 +489,27 @@ def test_gl2_act_over_f11_4_composes_and_refuses_singular_matrices():
 
 def test_residue_program_reads_an_output_without_terms_as_zero():
     """An output with no terms is zero, inside a stage and at its end
-    (np.add.reduceat gives the next element for an empty slice)."""
-    program = ResidueProgram(PrimeField(11), 2,
-                             [[[(3, 0, 1)], [], [(1, 0, 0), (1, 1, 1)]],
-                              [[(1, 2, 4)], []]])
+    (np.add.reduceat gives the next element for an empty slice); over Q
+    also where a later term multiplies it, whatever that term's
+    degree."""
+    stages = [[[(3, 0, 1)], [], [(1, 0, 0), (1, 1, 1)]], [[(1, 2, 4)], []]]
+    program = ResidueProgram(PrimeField(11), 2, stages)
     assert program.run([4, 5]).tolist() == [4, 5, 5, 0, 8, 7, 0]
+    stages[1][1] = [(1, 3, 0)]
+    program = ResidueProgram(QQ, 2, stages)
+    assert program.elements(QQ, [Fraction(4), Fraction(1, 2)], slice(
+        None)) == [4, Fraction(1, 2), 6, 0, Fraction(65, 4), Fraction(195, 2), 0]
 
 
 def test_shioda_refuses_characteristic_7():
-    """Over F_7 (allow_small) shioda's program is refused where its
-    transvectant tensors are built."""
+    """Over F_7 (allow_small) shioda's program is refused where it is
+    built."""
     f = BinaryForm(PrimeField(7, allow_small=True), 8,
                    [1, 0, 0, 0, 2, 0, 0, 0, 1])
     with pytest.raises(SmallCharacteristic):
         shioda(f)
     with pytest.raises(SmallCharacteristic):
-        shioda(f, residues=True)
+        covariants._shioda_program(f.field)
 
 
 @pytest.mark.parametrize("p", PRIMES + LARGE_PRIMES)

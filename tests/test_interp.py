@@ -8,7 +8,8 @@ import pytest
 
 from octicmoduli import covariants, store
 from octicmoduli.covariants import (
-    INVARIANT_IDS, _samples, catalogue_degree_order, covariant_eval,
+    INVARIANT_IDS, _samples, _shioda_program, catalogue_degree_order,
+    covariant_eval,
     derive_syzygies, express_in_J, j8_candidates, j8_quintic, random_octic,
     shioda, solve_j9_j10,
 )
@@ -101,13 +102,15 @@ def test_syzygies_on_random_octics():
 @pytest.mark.parametrize("p", [11, PRIMES30[0]])
 def test_sample_jmatrix_equals_shioda_per_form(p):
     """The interpolation samples' J-values mod p, one program run on all
-    of them, equal shioda on residues of each sample reduced mod p."""
+    of them, equal shioda's program run on each sample reduced mod p."""
     octics, jmatrix = _samples(20, 0x5E55)
     F = PrimeField(p)
+    program, jindex = _shioda_program(F)
     got = jmatrix(p)
     assert got.dtype == np.int64 and got.shape == (20, 9)
-    assert got.tolist() == [shioda(f.to_field(F), residues=True)
-                            for f in octics]
+    assert got.tolist() == [
+        program.run([c.value for c in f.to_field(F).coeffs])[jindex].tolist()
+        for f in octics]
 
 
 @pytest.mark.parametrize("seed", [1, 0xC0FFEE])

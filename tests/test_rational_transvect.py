@@ -1,65 +1,33 @@
-"""transvect and BinaryForm products over Q, which run on integer
-numerators over one common denominator per form, against the reference
-transvectant and product on Fractions below; the same loop on field
-elements over Q(sqrt 5) and F_{11^2}; and sha256 pins of shioda,
-covariant_eval and _all_triple_values over Q.
+"""transvect, BinaryForm products, gl2_act, substitute_quartic and shioda
+over Q and Q(sqrt D), where they run as residue programs on integer
+numerators over one common denominator, against the reference bodies of
+reference.py on Fractions and field elements; transvect and products over
+F_{11^2}; forms over different fields refused; the program caches
+unchanged by reconstructions over many Q(sqrt D); and sha256 pins of
+shioda, covariant_eval and _all_triple_values over Q.
 """
 
 import hashlib
 import random
 import zlib
 from fractions import Fraction
-from math import comb
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from octicmoduli import covariants, forms, reconstruct
 from octicmoduli.covariants import CATALOGUE, covariant_eval, random_octic, shioda
-from octicmoduli.fields import ExtField, QQ, QuadExtQ
-from octicmoduli.forms import BinaryForm, transvect
+from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
+from octicmoduli.forms import BinaryForm, Gl2Matrix, ResidueProgram, gl2_act, transvect
 from octicmoduli.reconstruct import (
-    TRIPLES_19, _all_triple_values, reconstruct_generic,
+    QUARTIC_MULTISETS, TRIPLES_19, _all_triple_values, reconstruct_generic,
+    substitute_quartic,
 )
 
-
-def _falling(n, k):
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
-def _partial(coeffs, m, l):
-    """Coefficients of d^m/dX^m d^l/dZ^l of the form with coefficients
-    coeffs (a_0, ..., a_n)."""
-    n = len(coeffs) - 1
-    return [coeffs[i + m] * _falling(i + m, m) * _falling(n - m - i, l)
-            for i in range(n - m - l + 1)]
-
-
-def reference_transvect(f, g, h):
-    """(f, g)_h by the closed coefficient formula
-      1/(ff(r1,h) ff(r2,h)) * sum_k (-1)^k C(h,k) F_k G_k
-    with F_k the (h-k, k) mixed partial of f and G_k the (k, h-k) one,
-    one field operation per term: over Q, one Fraction operation."""
-    field, r1, r2 = f.field, f.degree, g.degree
-    norm = field(Fraction(1, _falling(r1, h) * _falling(r2, h)))
-    out = [field.zero] * (r1 + r2 - 2 * h + 1)
-    for k in range(h + 1):
-        signed = -comb(h, k) if k % 2 else comb(h, k)
-        fk, gk = _partial(f.coeffs, h - k, k), _partial(g.coeffs, k, h - k)
-        for i, x in enumerate(fk):
-            for j, y in enumerate(gk):
-                out[i + j] = out[i + j] + x * signed * y
-    return BinaryForm(field, r1 + r2 - 2 * h, [c * norm for c in out])
-
-
-def reference_product(f, g):
-    field = f.field
-    out = [field.zero] * (f.degree + g.degree + 1)
-    for i, x in enumerate(f.coeffs):
-        for j, y in enumerate(g.coeffs):
-            out[i + j] = out[i + j] + x * y
-    return BinaryForm(field, f.degree + g.degree, out)
+from reference import (
+    reference_gl2_act, reference_product, reference_substitute_quartic,
+    reference_transvect,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +98,13 @@ def test_every_order_on_every_degree_pair_over_q():
 
 
 # ---------------------------------------------------------------------------
-# the element path over Q(sqrt 5) and F_{11^2}
+# the programs over Q(sqrt D) and F_{11^2}
 
 
 def test_element_path_over_q_sqrt5_and_f11_2():
-    """transvect and products on field elements over Q(sqrt 5) and
-    F_{11^2}, on seeded forms with vanishing coefficients: the reference
-    formula on the same elements."""
+    """transvect and products over Q(sqrt 5) and F_{11^2}, on seeded
+    forms with vanishing coefficients: the reference formula on the same
+    elements."""
     rng = random.Random(zlib.crc32(b"element path fields"))
     K, E = QuadExtQ(5), ExtField(11, 2)
     elements = {
@@ -154,6 +122,147 @@ def test_element_path_over_q_sqrt5_and_f11_2():
             assert got == reference_transvect(f, g, h)
             assert all(c.field == field for c in got.coeffs)
             assert f * g == reference_product(f, g)
+
+
+#: the D of the model that reconstruct_generic over Q builds from the
+#: invariants of 3, -2, -3, 1, -1, 1, 0, -1, 2: an 89-bit numerator over a
+#: 102-bit denominator
+RECONSTRUCTED_D = Fraction(443079586370672208804039237,
+                           2864735497169744851630450278400)
+
+#: Q, and Q(sqrt D) for D = 5, -3, 7/12 and RECONSTRUCTED_D
+CHAR0_FIELDS = [QQ] + [QuadExtQ(d) for d in (
+    5, -3, Fraction(7, 12), RECONSTRUCTED_D)]
+
+
+@st.composite
+def _element(draw, field):
+    if field == QQ:
+        return draw(_rationals)
+    return field(draw(_rationals)) + field(draw(_rationals)) * field.gen()
+
+
+@st.composite
+def _char0_form(draw, field, degree):
+    """A form over field: zero, or each coefficient zero a fifth of the
+    time, else a rational of _rationals (a + b sqrt D over Q(sqrt D))."""
+    if draw(st.integers(0, 5)) == 0:
+        return BinaryForm(field, degree, [0] * (degree + 1))
+    return BinaryForm(field, degree, [
+        draw(_element(field)) if draw(st.integers(0, 4)) else field.zero
+        for _ in range(degree + 1)])
+
+
+_char0_field = st.sampled_from(CHAR0_FIELDS)
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_transvect_and_products_over_q_and_q_sqrt_d(data):
+    """transvect and products over Q and Q(sqrt D), one program stage
+    each, on zero forms and coefficients up to 10^30 over 10^25: the
+    reference formula and product on Fractions and field elements."""
+    field = data.draw(_char0_field)
+    r1, r2 = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+    h = data.draw(st.integers(0, min(r1, r2)))
+    f = data.draw(_char0_form(field, r1))
+    g = data.draw(_char0_form(field, r2))
+    got = transvect(f, g, h)
+    assert got == reference_transvect(f, g, h)
+    assert all(field(c) == c for c in got.coeffs)
+    assert f * g == reference_product(f, g)
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_gl2_act_over_q_and_q_sqrt_d(data):
+    """gl2_act over Q and Q(sqrt D), the halving program of _gl2_program,
+    against reference_gl2_act, on forms of degree 0 to 8 and invertible
+    matrices."""
+    field = data.draw(_char0_field)
+    f = data.draw(_char0_form(field, data.draw(st.integers(0, 8))))
+    m = Gl2Matrix(field, *[data.draw(_element(field)) for _ in range(4)])
+    if not m.det():
+        m = m + Gl2Matrix(field, 1, 0, 0, 3)
+    if m.det():
+        assert gl2_act(m, f) == reference_gl2_act(m, f)
+
+
+@settings(max_examples=30)
+@given(st.data())
+def test_substitute_quartic_over_q_and_q_sqrt_d(data):
+    """substitute_quartic over Q and Q(sqrt D), the program that
+    _reconstruct_mod runs on residues, against the walk on field
+    elements, with zero chis and zero quartic values among them."""
+    field = data.draw(_char0_field)
+    chis = tuple(data.draw(_char0_form(field, 2)) for _ in range(3))
+    values = {mset: data.draw(_element(field)) if data.draw(st.booleans())
+              else field.zero for mset in QUARTIC_MULTISETS}
+    got = substitute_quartic(field, values, chis)
+    assert got == reference_substitute_quartic(field, values, chis)
+
+
+@settings(max_examples=25)
+@given(st.data())
+def test_shioda_over_q_and_q_sqrt_d_matches_the_reference_chain(data):
+    """shioda over Q and Q(sqrt D), one program, equals shioda's chain of
+    reference transvectants."""
+    field = data.draw(_char0_field)
+    f = data.draw(_char0_form(field, 8))
+    want = tuple(t.coeffs[0] for t in
+                 covariants._shioda_chain(f, reference_transvect))
+    assert shioda(f) == want
+
+
+def test_a_program_over_q_refuses_terms_of_two_degrees():
+    """Over Q an output is one numerator over den L^deg: terms of degrees
+    3 and 2 in the inputs cannot share one."""
+    with pytest.raises(ValueError):
+        ResidueProgram(QQ, 2, [[[(1, 0, 1)]], [[(1, 2, 0), (1, 0, 1)]]])
+
+
+def test_forms_over_different_fields_are_refused():
+    """transvect, products and gl2_act on operands over two fields raise
+    one TypeError naming both, for Q, F_11, F_13 and F_{11^2}."""
+    Q, F11, F13, E = QQ, PrimeField(11), PrimeField(13), ExtField(11, 2)
+    for a, b in ((Q, F11), (F11, E), (E, F11), (F11, Q), (F11, F13)):
+        f = BinaryForm(a, 2, [1, 2, 3])
+        g = BinaryForm(b, 2, [4, 5, 6])
+        for op in (lambda: transvect(f, g, 1), lambda: f * g,
+                   lambda: gl2_act(Gl2Matrix(b, 1, 2, 3, 5), f)):
+            with pytest.raises(TypeError) as err:
+                op()
+            assert repr(a) in str(err.value) and repr(b) in str(err.value)
+
+
+def _program_caches():
+    return {name: fn.cache_info().currsize for name, fn in (
+        ("transvect", forms._transvect_program),
+        ("gl2", forms._gl2_program),
+        ("shioda", covariants._shioda_program),
+        ("substitution", reconstruct._substitution_program))}
+
+
+def test_reconstructions_over_q_leave_the_program_caches_alone():
+    """20 reconstructions over Q whose models lie over 20 different
+    Q(sqrt D), and shioda of each model: every program cache keeps its
+    size, as a program over Q serves every Q(sqrt D)."""
+    rng = random.Random(zlib.crc32(b"program caches over Q(sqrt D)"))
+
+    def reconstruction():
+        f = BinaryForm(QQ, 8, [rng.randint(-3, 3) for _ in range(9)])
+        octic = reconstruct_generic(QQ, shioda(f))
+        shioda(octic)
+        return octic.field
+
+    reconstruction()
+    before = _program_caches()
+    fields = set()
+    while len(fields) < 20:
+        field = reconstruction()
+        if field != QQ:
+            fields.add(field)
+    assert _program_caches() == before
 
 
 # ---------------------------------------------------------------------------
