@@ -195,7 +195,6 @@ def _check_characteristic(char):
             "covariant formulas need characteristic 0 or >= 11")
 
 
-@functools.cache
 def _transvectant_terms(r1, r2, h):
     """Per coefficient n of (f, g)_h for forms of degrees r1 and r2, its
     terms (c, u, v), c a nonzero Fraction and (u, v) in increasing order,
