@@ -21,7 +21,7 @@ from hypothesis import assume, given, strategies as st
 from conftest import normal_model
 from reference import reference_gl2_act, reference_transvect
 
-from octicmoduli import covariants, forms, reconstruct, strata
+from octicmoduli import covariants, reconstruct, strata
 from octicmoduli.census import class_model
 from octicmoduli.census_fast import (
     _ModCtx, classify_rows, normalize_rows, strata_labels,
@@ -498,7 +498,8 @@ def test_residue_program_reads_an_output_without_terms_as_zero():
     stages[1][1] = [(1, 3, 0)]
     program = ResidueProgram(QQ, 2, stages)
     assert program.elements(QQ, [Fraction(4), Fraction(1, 2)], slice(
-        None)) == [4, Fraction(1, 2), 6, 0, Fraction(65, 4), Fraction(195, 2), 0]
+        None)) == [4, Fraction(1, 2), 6, 0, Fraction(65, 4),
+                   Fraction(195, 2), 0]
 
 
 def test_shioda_refuses_characteristic_7():

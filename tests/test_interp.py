@@ -9,9 +9,8 @@ import pytest
 from octicmoduli import covariants, store
 from octicmoduli.covariants import (
     INVARIANT_IDS, _samples, _shioda_program, catalogue_degree_order,
-    covariant_eval,
-    derive_syzygies, express_in_J, j8_candidates, j8_quintic, random_octic,
-    shioda, solve_j9_j10,
+    covariant_eval, derive_syzygies, express_in_J, j8_candidates, j8_quintic,
+    random_octic, shioda, solve_j9_j10,
 )
 from octicmoduli.fields import PrimeField, QQ
 from octicmoduli.errors import InconsistentSystem

@@ -18,7 +18,9 @@ from hypothesis import given, settings, strategies as st
 from octicmoduli import covariants, forms, reconstruct
 from octicmoduli.covariants import CATALOGUE, covariant_eval, random_octic, shioda
 from octicmoduli.fields import ExtField, PrimeField, QQ, QuadExtQ
-from octicmoduli.forms import BinaryForm, Gl2Matrix, ResidueProgram, gl2_act, transvect
+from octicmoduli.forms import (
+    BinaryForm, Gl2Matrix, ResidueProgram, gl2_act, transvect,
+)
 from octicmoduli.reconstruct import (
     QUARTIC_MULTISETS, TRIPLES_19, _all_triple_values, reconstruct_generic,
     substitute_quartic,
